@@ -22,14 +22,11 @@ from fractions import Fraction
 
 from . import __version__
 from .measures import (
-    MassValue,
+    _MEASURES,
+    _measure,
     even_qpoch,
-    pmf,
-    pmf_deformed,
     pmf_parts,
     pmf_size,
-    pmf_truncated,
-    pmf_via_conjugate,
     solve_parts_recursion,
     tabulate,
     deformed_series_check,
@@ -38,6 +35,7 @@ from .measures import (
 from .partitions import Partition
 from .qseries import (
     fraction_str,
+    require_prime,
     verify_euler_identity,
     verify_qbinomial,
 )
@@ -63,17 +61,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse rational {text!r} (use a/b or an integer)") from None
-
-
-def _check_prime(p: int) -> int:
-    if p < 2:
-        raise CliError("p must be >= 2 and prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise CliError(f"p must be prime, got {p} = {d} * {p // d}")
-        d += 1
-    return p
 
 
 def _parse_partition(text: str) -> Partition:
@@ -118,7 +105,7 @@ def _constant_line(mass) -> str:
 
 
 def cmd_pmf(args) -> int:
-    p = _check_prime(args.p)
+    p = require_prime(args.p)
     measure = args.measure
 
     if measure in ("size", "parts"):
@@ -142,28 +129,10 @@ def cmd_pmf(args) -> int:
         raise CliError("give exactly one of --partition or --max-size")
 
     u = _parse_fraction(args.u) if args.u is not None else None
-    if measure == "deformed":
-        if u is None:
-            raise CliError("--measure deformed needs --u")
-        if not (0 < u < p):
-            raise CliError(f"u must satisfy 0 < u < p, got {u}")
-    if measure == "truncated" and args.r is None:
-        raise CliError("--measure truncated needs --r")
-
     if args.partition is not None:
+        _, value, mass_of, _ = _measure(measure, u, args.r)
         lam = _parse_partition(args.partition)
-        if measure == "cl":
-            mass = pmf(lam, p)
-        elif measure == "cl-conjugate":
-            mass = pmf_via_conjugate(lam, p)
-        elif measure == "deformed":
-            mass = pmf_deformed(lam, p, u)
-        elif measure == "truncated":
-            if lam.length > args.r:
-                raise CliError(f"partition has {lam.length} parts, more than r={args.r}")
-            mass = MassValue(pmf_truncated(lam, p, args.r))
-        else:
-            raise CliError(f"--measure {measure} takes --n/--a, not a partition")
+        mass = mass_of(lam, p, value)
         enc = mass.enclosure()
         print(_constant_line(mass))
         payload = _dumps({
@@ -174,13 +143,7 @@ def cmd_pmf(args) -> int:
         _write_output(args, payload, "pmf", _param_dict(args))
         return 0
 
-    # table mode
-    if measure == "cl-conjugate":
-        raise CliError("tables use the canonical form; use --measure cl")
-    try:
-        dist = tabulate(p, args.max_size, measure=measure, u=u, r=args.r)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    dist = tabulate(p, args.max_size, measure=measure, u=u, r=args.r)
     sample_mass = next(iter(dist.entries.values()))
     print(_constant_line(sample_mass))
     total = dist.normalization_enclosure()
@@ -197,12 +160,10 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    p = _check_prime(args.p)
+    p = require_prime(args.p)
     if args.trials < 1:
         raise CliError("trials must be >= 1")
     cutoff = _parse_fraction(args.cutoff)
-    if not (0 < cutoff < 1):
-        raise CliError(f"cutoff must lie in (0,1), got {cutoff}")
     config = SamplerConfig(p=p, seed=args.seed, initial_tail_cutoff=cutoff)
     if args.summary:
         dist = empirical_distribution(config, args.trials)
@@ -221,7 +182,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_graphs(args) -> int:
-    p = _check_prime(args.p)
+    p = require_prime(args.p)
     if args.n < 2:
         raise CliError("n must be >= 2")
     if args.trials < 1:
@@ -308,11 +269,13 @@ def _chain_checks(primes, a_max):
 
 def cmd_verify(args) -> int:
     try:
-        primes = [_check_prime(int(tok)) for tok in args.p.split(",") if tok.strip()]
+        primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"cannot parse prime list {args.p!r}") from None
     if not primes:
         raise CliError("empty prime list")
+    for p in primes:
+        require_prime(p)
     if args.depth < 1:
         raise CliError("depth must be >= 1")
     if args.a_max < 0:
@@ -345,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pmf = sub.add_parser("pmf", help="exact masses and tables")
     p_pmf.add_argument("--measure", required=True,
-                       choices=["cl", "cl-conjugate", "deformed", "truncated", "size", "parts"])
+                       choices=[*_MEASURES, "size", "parts"])
     p_pmf.add_argument("--p", required=True, type=int, help="prime")
     p_pmf.add_argument("--partition", help='partition in bracket form, e.g. "[3,1]"')
     p_pmf.add_argument("--max-size", type=int, help="tabulate all partitions up to this size")

@@ -19,10 +19,15 @@ from .qseries import (
     DEFAULT_TOLERANCE,
     BoundedReal,
     as_fraction,
+    d_lambda_parts,
     deformed_constant,
-    finite_qpoch,
+    even_qpoch,
     fraction_str,
+    lower_qpoch,
     odd_constant,
+    require_deformation,
+    require_prime,
+    upper_qpoch,
 )
 
 CONST_EXACT = "exact"
@@ -60,40 +65,6 @@ class MassValue:
         return self.constant_enclosure(tolerance) * self.rational
 
 
-@lru_cache(maxsize=None)
-def lower_qpoch(p: int, k: int) -> Fraction:
-    """(1-1/p)(1-1/p^2)...(1-1/p^k), cached; the workhorse finite product."""
-    return finite_qpoch(Fraction(1, p), Fraction(1, p), k)
-
-
-@lru_cache(maxsize=None)
-def even_qpoch(p: int, k: int) -> Fraction:
-    """(1-1/p^2)(1-1/p^4)...(1-1/p^(2k)), cached."""
-    q2 = Fraction(1, p * p)
-    return finite_qpoch(q2, q2, k)
-
-
-@lru_cache(maxsize=None)
-def upper_qpoch(p: int, k: int) -> Fraction:
-    """(1+1/p)(1+1/p^2)...(1+1/p^k), cached."""
-    out = Fraction(1)
-    for i in range(1, k + 1):
-        out *= 1 + Fraction(1, p**i)
-    return out
-
-
-def _d_lambda_cached(lam: Partition, p: int) -> Fraction:
-    out = Fraction(1)
-    for mult in lam.multiplicities().values():
-        out *= even_qpoch(p, mult // 2)
-    return out
-
-
-def _check_p(p: int):
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-
-
 def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
     """Mass of lam under the limiting p-Sylow measure, in the conjugate form.
 
@@ -102,7 +73,7 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
         odd-constant / ( p^(sum_i mu_i(mu_i+1)/2)
                          * prod_{i=1}^{lam_1} prod_{j=1}^{floor((mu_i-mu_{i+1})/2)} (1 - p^-2j) )
     """
-    _check_p(p)
+    require_prime(p)
     mu = lam.conjugate().parts
     exponent = sum(m * (m + 1) // 2 for m in mu)
     denom = Fraction(p) ** exponent
@@ -119,8 +90,8 @@ def pmf(lam: Partition, p: int) -> MassValue:
 
     Equal, term by term, to pmf_via_conjugate; this form is the cheaper one.
     """
-    _check_p(p)
-    denom = Fraction(p) ** (lam.n_stat() + lam.size) * _d_lambda_cached(lam, p)
+    require_prime(p)
+    denom = Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p)
     return MassValue(1 / denom, CONST_ODD, p=p)
 
 
@@ -129,7 +100,7 @@ def pmf_parts(a: int, p: int) -> MassValue:
 
         odd-constant / ( p^(a(a+1)/2) * (1-1/p)...(1-1/p^a) )
     """
-    _check_p(p)
+    require_prime(p)
     if a < 0:
         raise ValueError("a must be >= 0")
     denom = Fraction(p) ** (a * (a + 1) // 2) * lower_qpoch(p, a)
@@ -141,7 +112,7 @@ def pmf_size(n: int, p: int) -> MassValue:
 
         odd-constant * p^-n * sum_{j even, 0 <= j <= n} p^-(j/2) / ((1-1/p^2)...(1-1/p^j))
     """
-    _check_p(p)
+    require_prime(p)
     if n < 0:
         raise ValueError("n must be >= 0")
     total = Fraction(0)
@@ -157,12 +128,9 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
 
     At u = 1 the rational part coincides with pmf().
     """
-    _check_p(p)
-    u = as_fraction(u)
-    if not (0 < u < p):
-        raise ValueError(f"u must satisfy 0 < u < p, got {u}")
+    u = require_deformation(require_prime(p), u)
     rational = u**lam.size / (
-        Fraction(p) ** (lam.n_stat() + lam.size) * _d_lambda_cached(lam, p)
+        Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p)
     )
     return MassValue(rational, CONST_DEFORMED, p=p, u=u)
 
@@ -174,12 +142,12 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
         * 1 / ( p^(n(lam)+|lam|) * d_lambda(lam, p) )
         * (1-1/p)...(1-1/p^r) / ( (1-1/p)...(1-1/p^(r-l(lam))) )
     """
-    _check_p(p)
+    require_prime(p)
     if r < 1:
         raise ValueError("r must be >= 1")
     if lam.length > r:
         raise ValueError(f"partition has {lam.length} parts, more than r={r}")
-    body = 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * _d_lambda_cached(lam, p))
+    body = 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p))
     trailing = lower_qpoch(p, r) / lower_qpoch(p, r - lam.length)
     return body * trailing / upper_qpoch(p, r)
 
@@ -223,7 +191,7 @@ def solve_parts_recursion(p: int, a_max: int) -> list[MassValue]:
     The two solutions must agree exactly (and both match the closed form
     pmf_parts); any discrepancy is an arithmetic bug, so it raises.
     """
-    _check_p(p)
+    require_prime(p)
     if a_max < 0:
         raise ValueError("a_max must be >= 0")
     from_product = _parts_recursion_product_form(p, a_max)
@@ -253,7 +221,7 @@ def size_tail_bound(p: int, max_size: int) -> Fraction:
     1/odd-constant, so Prob(|lam| = n) <= p^-n and the tail sums to at most
     p^-max_size / (p - 1).
     """
-    _check_p(p)
+    require_prime(p)
     return Fraction(1, p**max_size * (p - 1))
 
 
@@ -339,6 +307,33 @@ class PartitionDistribution:
         return rows
 
 
+# name -> (parameter, mass of one partition, tail bound past a size).  Mass and
+# tail bound take the parameter's value; a measure without a tail bound has no
+# table (tables use the multiplicity form of the base measure).
+_MEASURES = {
+    "cl": (None, lambda lam, p, _: pmf(lam, p), lambda p, _, n: size_tail_bound(p, n)),
+    "cl-conjugate": (None, lambda lam, p, _: pmf_via_conjugate(lam, p), None),
+    "deformed": ("u", pmf_deformed, deformed_tail_bound),
+    "truncated": ("r", lambda lam, p, r: MassValue(pmf_truncated(lam, p, r)),
+                  lambda p, _, n: truncated_tail_bound(p, n)),
+}
+
+
+def _measure(name: str, u=None, r=None):
+    """(parameter, its value, mass, tail bound) of a measure in _MEASURES.
+
+    Raises ValueError for an unknown name or a missing u or r; the mass
+    function checks the value itself.
+    """
+    if name not in _MEASURES:
+        raise ValueError(f"unknown measure {name!r} (expected {', '.join(_MEASURES)})")
+    param, mass, tail = _MEASURES[name]
+    value = {"u": u, "r": r}.get(param)
+    if param is not None and value is None:
+        raise ValueError(f"the {name} measure needs {param}")
+    return param, value, mass, tail
+
+
 def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> PartitionDistribution:
     """Exact mass table over all partitions of size <= max_size.
 
@@ -346,46 +341,27 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     ("deformed", needs u), or the at-most-r-parts family ("truncated",
     needs r).  The tail enclosure covers everything outside the table.
     """
-    _check_p(p)
+    require_prime(p)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     if max_size > ENUMERATION_CAP:
         raise ValueError(f"max_size={max_size} exceeds the enumeration cap {ENUMERATION_CAP}")
+    param, value, mass, tail = _measure(measure, u, r)
+    if tail is None:
+        raise ValueError(f"measure {measure!r} has no table; use cl")
+    if param is None and (u is not None or r is not None):
+        raise ValueError("u/r apply only to the deformed/truncated measures")
+    if param == "r" and r < 1:
+        raise ValueError("r must be >= 1")
 
     entries: dict[Partition, MassValue] = {}
-    if measure == "cl":
-        if u is not None or r is not None:
-            raise ValueError("u/r apply only to the deformed/truncated measures")
-        params = {}
-        for n in range(max_size + 1):
-            for lam in enumerate_partitions(n):
-                entries[lam] = pmf(lam, p)
-        tail = BoundedReal.from_endpoints(0, size_tail_bound(p, max_size))
-    elif measure == "deformed":
-        if u is None:
-            raise ValueError("the deformed measure needs u")
-        u = as_fraction(u)
-        params = {"u": fraction_str(u)}
-        for n in range(max_size + 1):
-            for lam in enumerate_partitions(n):
-                entries[lam] = pmf_deformed(lam, p, u)
-        tail = BoundedReal.from_endpoints(0, deformed_tail_bound(p, u, max_size))
-    elif measure == "truncated":
-        if r is None:
-            raise ValueError("the truncated measure needs r")
-        if r < 1:
-            raise ValueError("r must be >= 1")
-        params = {"r": r}
-        for n in range(max_size + 1):
-            for lam in enumerate_partitions(n):
-                if lam.length <= r:
-                    entries[lam] = MassValue(pmf_truncated(lam, p, r))
-        tail = BoundedReal.from_endpoints(0, truncated_tail_bound(p, max_size))
-    else:
-        raise ValueError(f"unknown measure {measure!r} (expected cl, deformed, truncated)")
-
-    return PartitionDistribution(p=p, measure=measure, params=params,
-                                 entries=entries, tail_mass=tail)
+    for n in range(max_size + 1):
+        for lam in enumerate_partitions(n):
+            if param != "r" or lam.length <= r:  # truncated: at most r parts
+                entries[lam] = mass(lam, p, value)
+    params = {} if param is None else {param: fraction_str(u) if param == "u" else r}
+    return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
+                                 tail_mass=BoundedReal.from_endpoints(0, tail(p, value, max_size)))
 
 
 @lru_cache(maxsize=None)
@@ -396,7 +372,7 @@ def size_length_layers(p: int, max_size: int) -> dict:
     reweighting of this table.  Works on raw part tuples to keep the pass
     fast.
     """
-    _check_p(p)
+    require_prime(p)
     if max_size > ENUMERATION_CAP:
         raise ValueError(f"max_size={max_size} exceeds the enumeration cap {ENUMERATION_CAP}")
     layers: dict[tuple[int, int], Fraction] = {}
@@ -405,18 +381,8 @@ def size_length_layers(p: int, max_size: int) -> dict:
             exponent = n
             for i, x in enumerate(parts):
                 exponent += i * x
-            d = Fraction(1)
-            run = 0
-            prev = 0
-            for x in parts + (0,):
-                if x == prev:
-                    run += 1
-                else:
-                    if run >= 2:
-                        d *= even_qpoch(p, run // 2)
-                    prev, run = x, 1
             key = (n, len(parts))
-            term = Fraction(1, p**exponent) / d
+            term = Fraction(1, p**exponent) / d_lambda_parts(parts, p)
             layers[key] = layers.get(key, Fraction(0)) + term
     return layers
 
@@ -430,17 +396,13 @@ def deformed_series_check(p: int, u, max_size: int):
     sum runs over |lam| <= max_size and agree asserts containment within
     rhs radius plus the geometric tail bound.
     """
-    _check_p(p)
-    u = as_fraction(u)
-    if not (0 < u < p):
-        raise ValueError(f"u must satisfy 0 < u < p, got {u}")
+    u = require_deformation(require_prime(p), u)
     layers = size_length_layers(p, max_size)
     partial = Fraction(0)
     for (n, _), value in layers.items():
         partial += u**n * value
     rhs = deformed_constant(p, u, DEFAULT_TOLERANCE).reciprocal()
-    ratio = u / p
-    tail = inverse_odd_constant_upper(p) * ratio ** (max_size + 1) / (1 - ratio)
+    tail = deformed_tail_bound(p, u, max_size)
     agree = abs(partial - rhs.mid) <= rhs.rad + tail
     return partial, rhs, tail, agree
 
@@ -454,7 +416,7 @@ def truncated_series_check(p: int, r: int, max_size: int):
     exact rational right side, so agree asserts
     partial <= rhs <= partial + tail_bound.
     """
-    _check_p(p)
+    require_prime(p)
     if r < 1:
         raise ValueError("r must be >= 1")
     layers = size_length_layers(p, max_size)
@@ -463,6 +425,6 @@ def truncated_series_check(p: int, r: int, max_size: int):
         if length <= r:
             partial += value * lower_qpoch(p, r) / lower_qpoch(p, r - length)
     rhs = upper_qpoch(p, r)
-    tail = inverse_odd_constant_upper(p) * size_tail_bound(p, max_size)
+    tail = truncated_tail_bound(p, max_size)
     agree = partial <= rhs <= partial + tail
     return partial, rhs, tail, agree

@@ -134,6 +134,27 @@ class BoundedReal:
         return f"{float(self.mid)!r} +/- {float(self.rad)!r}"
 
 
+@lru_cache(maxsize=None)
+def require_prime(p: int) -> int:
+    """Return p if it is prime; raise ValueError otherwise."""
+    if p < 2:
+        raise ValueError(f"p must be a prime >= 2, got {p}")
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            raise ValueError(f"p must be prime, got {p} = {d} * {p // d}")
+        d += 1
+    return p
+
+
+def require_deformation(p: int, u) -> Fraction:
+    """Return the deformation parameter u as a Fraction, checking 0 < u < p."""
+    u = as_fraction(u)
+    if not (0 < u < p):
+        raise ValueError(f"u must satisfy 0 < u < p, got {u}")
+    return u
+
+
 def finite_qpoch(x, q, j: int) -> Fraction:
     """The finite q-Pochhammer product prod_{k=1}^{j} (1 - x q^(k-1)); j=0 gives 1."""
     if j < 0:
@@ -147,15 +168,50 @@ def finite_qpoch(x, q, j: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=None)
+def lower_qpoch(p: int, k: int) -> Fraction:
+    """(1-1/p)(1-1/p^2)...(1-1/p^k), cached; the workhorse finite product."""
+    return finite_qpoch(Fraction(1, p), Fraction(1, p), k)
+
+
+@lru_cache(maxsize=None)
+def even_qpoch(p: int, k: int) -> Fraction:
+    """(1-1/p^2)(1-1/p^4)...(1-1/p^(2k)), cached."""
+    q2 = Fraction(1, p * p)
+    return finite_qpoch(q2, q2, k)
+
+
+@lru_cache(maxsize=None)
+def upper_qpoch(p: int, k: int) -> Fraction:
+    """(1+1/p)(1+1/p^2)...(1+1/p^k), cached."""
+    out = Fraction(1)
+    for i in range(1, k + 1):
+        out *= 1 + Fraction(1, p**i)
+    return out
+
+
+def d_lambda_parts(parts: tuple[int, ...], p: int) -> Fraction:
+    """d_lambda of a weakly decreasing tuple of positive parts, p unchecked.
+
+    Each run of m equal parts contributes even_qpoch(p, floor(m/2)); a
+    trailing 0 closes the last run.
+    """
+    out = Fraction(1)
+    run = 0
+    prev = 0
+    for x in parts + (0,):
+        if x == prev:
+            run += 1
+        else:
+            if run >= 2:
+                out *= even_qpoch(p, run // 2)
+            prev, run = x, 1
+    return out
+
+
 def d_lambda(lam: Partition, p: int) -> Fraction:
     """prod_{i>=1} prod_{j=1}^{floor(m_i/2)} (1 - p^(-2j)), the symmetry weight of lam."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    q2 = Fraction(1, p * p)
-    out = Fraction(1)
-    for mult in lam.multiplicities().values():
-        out *= finite_qpoch(q2, q2, mult // 2)
-    return out
+    return d_lambda_parts(lam.parts, require_prime(p))
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +222,7 @@ def odd_constant(p: int, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     [1 - sum_{i odd >= M} p^-i, 1]; the geometric tail sum is
     p^-M * p^2/(p^2 - 1).
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    require_prime(p)
     tol = as_fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
@@ -193,11 +248,7 @@ def deformed_constant(p: int, u, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     This is the normalizing constant of the u-deformed measure; at u = 1 it
     equals odd_constant(p).
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    u = as_fraction(u)
-    if not (0 < u < p):
-        raise ValueError(f"u must satisfy 0 < u < p, got {u}")
+    u = require_deformation(require_prime(p), u)
     tol = as_fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be > 0")

@@ -44,6 +44,16 @@ class SplitMix64:
         return Fraction(self.next_u64(), 1 << 64)
 
 
+def draw_threshold(x: Fraction) -> int:
+    """ceil(x * 2^64) for a rational x in [0, 1].
+
+    A 64-bit draw k satisfies k < draw_threshold(x) exactly when the rational
+    k / 2^64 is below x, so comparing draws against it is an exact Bernoulli(x)
+    up to the 2^-64 grid; x = 1 maps to 2^64 and is never missed.
+    """
+    return -((-x.numerator << 64) // x.denominator)
+
+
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent stream for trial ``index`` under master ``seed``."""
     if index < 0:

@@ -25,11 +25,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
-from .measures import MassValue, PartitionDistribution, lower_qpoch, even_qpoch, pmf_parts
+from .measures import MassValue, PartitionDistribution, pmf_parts
 from .partitions import Partition
-from .qseries import BoundedReal, as_fraction, fraction_str
-from .rng import substream
+from .qseries import BoundedReal, as_fraction, even_qpoch, fraction_str, lower_qpoch, require_prime
+from .rng import draw_threshold, substream
 
 # No realistic sample can reach this many columns (each positive height is
 # left in finite expected time); hitting it means a bug, not bad luck.
@@ -45,18 +46,21 @@ class SamplerConfig:
     initial_tail_cutoff: Fraction = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
-        cutoff = as_fraction(self.initial_tail_cutoff)
-        if not (0 < cutoff < 1):
-            raise ValueError("initial_tail_cutoff must lie in (0, 1)")
-        object.__setattr__(self, "initial_tail_cutoff", cutoff)
+        require_prime(self.p)
+        object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(self.initial_tail_cutoff))
+
+
+def _require_cutoff(cutoff) -> Fraction:
+    """The initial-column tail cutoff as a Fraction, checked to lie in (0, 1)."""
+    cutoff = as_fraction(cutoff)
+    if not (0 < cutoff < 1):
+        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
+    return cutoff
 
 
 def kernel(a: int, b: int, p: int) -> Fraction:
     """Exact transition probability K(a, b) for 0 <= b <= a."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    require_prime(p)
     if not (0 <= b <= a):
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     num = lower_qpoch(p, a)
@@ -68,20 +72,6 @@ def kernel(a: int, b: int, p: int) -> Fraction:
     return num / den
 
 
-def _thresholds(cumulative: list[Fraction]) -> tuple[int, ...]:
-    """Integer cutpoints for inverse-CDF selection on a 64-bit draw.
-
-    Value i is selected when k < T[i] (and k >= T[i-1]); T[i] is the ceiling
-    of cumulative[i] * 2^64, so each slice has probability within 2^-64 of
-    its exact mass, and an exact cumulative of 1 maps to 2^64 (never missed).
-    """
-    out = []
-    for c in cumulative:
-        num = c.numerator << 64
-        out.append(-((-num) // c.denominator) if num else 0)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class KernelRow:
     """One row of the kernel: exact masses for b = 0..a, plus selection data."""
@@ -89,7 +79,7 @@ class KernelRow:
     a: int
     p: int
     masses: tuple[Fraction, ...]
-    thresholds: tuple[int, ...]
+    thresholds: tuple[int, ...]  # draw_threshold of each cumulative mass
 
 
 @lru_cache(maxsize=None)
@@ -99,35 +89,36 @@ def kernel_row(a: int, p: int) -> KernelRow:
     total = sum(masses)
     if total != 1:
         raise ArithmeticError(f"kernel row a={a}, p={p} sums to {total}, not 1")
-    cumulative = []
-    acc = Fraction(0)
-    for m in masses:
-        acc += m
-        cumulative.append(acc)
-    return KernelRow(a=a, p=p, masses=masses, thresholds=_thresholds(cumulative))
+    thresholds = tuple(map(draw_threshold, accumulate(masses)))
+    return KernelRow(a=a, p=p, masses=masses, thresholds=thresholds)
 
 
 def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int, MassValue]]:
     """Parts-count masses P(0), P(1), ... until the remaining tail is below cutoff.
 
-    The tail past height B is bounded by geometric domination:
-    P(b+1)/P(b) = p^-(b+1) / (1 - p^-(b+1)) <= rho for all b >= B, so
-    sum_{b>B} P(b) <= P(B) * rho / (1 - rho) with rho evaluated at B.
-    The bound is taken on rational parts (the odd constant is < 1).
+    The tail is _parts_tail_bound of the last retained height; it is taken on
+    rational parts (the odd constant is < 1).
     """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    cutoff = as_fraction(cutoff)
-    if not (0 < cutoff < 1):
-        raise ValueError("cutoff must lie in (0, 1)")
+    require_prime(p)
+    cutoff = _require_cutoff(cutoff)
     values = [pmf_parts(0, p)]
-    b = 0
     while True:
-        rho = Fraction(1, p ** (b + 1)) / (1 - Fraction(1, p ** (b + 1)))
-        if rho < 1 and values[b].rational * rho / (1 - rho) <= cutoff:
-            return [(a, values[a]) for a in range(b + 1)]
-        b += 1
-        values.append(pmf_parts(b, p))
+        tail = _parts_tail_bound(p, len(values) - 1, values[-1].rational)
+        if tail is not None and tail <= cutoff:
+            return list(enumerate(values))
+        values.append(pmf_parts(len(values), p))
+
+
+def _parts_tail_bound(p: int, b: int, mass: Fraction) -> Fraction | None:
+    """Bound on sum_{a>b} P(a), given the rational part ``mass`` of P(b).
+
+    Geometric domination: P(a+1)/P(a) = p^-(a+1) / (1 - p^-(a+1)) is at most
+    rho = 1 / (p^(b+1) - 1) for all a >= b, so the tail is at most
+    mass * rho / (1 - rho) = mass / (p^(b+1) - 2).  None while rho >= 1,
+    where domination gives no bound.
+    """
+    n = p ** (b + 1)
+    return mass / (n - 2) if n > 2 else None
 
 
 @dataclass(frozen=True)
@@ -149,18 +140,11 @@ def _initial_selector(p: int, cutoff: Fraction) -> _InitialSelector:
     """
     entries = initial_column_distribution(p, cutoff)
     weights = [mass.rational for _, mass in entries]
-    b_last = entries[-1][0]
-    rho = Fraction(1, p ** (b_last + 1)) / (1 - Fraction(1, p ** (b_last + 1)))
-    tail = weights[-1] * rho / (1 - rho)
+    tail = _parts_tail_bound(p, entries[-1][0], weights[-1])
     denom = sum(weights) + tail
-    cumulative = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        cumulative.append(acc / denom)
     return _InitialSelector(
         heights=tuple(a for a, _ in entries),
-        thresholds=_thresholds(cumulative),
+        thresholds=tuple(draw_threshold(acc / denom) for acc in accumulate(weights)),
         tail_bound=tail,
     )
 

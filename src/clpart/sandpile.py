@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .measures import MassValue, PartitionDistribution
 from .partitions import Partition
-from .qseries import BoundedReal, DEFAULT_TOLERANCE, as_fraction, fraction_str
-from .rng import substream
+from .qseries import BoundedReal, DEFAULT_TOLERANCE, as_fraction, fraction_str, require_prime
+from .rng import draw_threshold, substream
 
 DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 
@@ -83,8 +83,7 @@ def erdos_renyi(n: int, q, stream) -> Graph:
     q = as_fraction(q)
     if not (0 < q < 1):
         raise ValueError(f"edge probability must lie strictly in (0,1), got {q}")
-    num = q.numerator << 64
-    threshold = -((-num) // q.denominator)  # ceil(q * 2^64)
+    threshold = draw_threshold(q)
     edges = set()
     for u in range(n):
         for v in range(u + 1, n):
@@ -212,8 +211,7 @@ def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     ``cap``; anything >= cap is recorded as cap with capped=True.  A singular
     matrix raises: it means a disconnected graph slipped through upstream.
     """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    require_prime(p)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     diag = smith_normal_form(matrix)
@@ -241,8 +239,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     route experiments use.  Cannot distinguish valuation >= cap from exactly
     cap (both report cap, capped=True), matching the reference contract.
     """
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    require_prime(p)
     if cap < 1:
         raise ValueError("cap must be >= 1")
     mod = p**cap
@@ -323,6 +320,7 @@ class GraphSampleRecord:
 def sample_graph_record(n: int, q, p: int, seed: int, trial: int,
                         cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal") -> GraphSampleRecord:
     """Run a single experiment trial, deterministically from (seed, trial)."""
+    require_prime(p)
     if method not in ("plocal", "snf"):
         raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
     q = as_fraction(q)
@@ -407,27 +405,3 @@ def tv_distance(d1: PartitionDistribution, d2: PartitionDistribution,
     half = acc * Fraction(1, 2)
     tail_bound = (d1.tail_mass.upper + d2.tail_mass.upper) / 2
     return BoundedReal(half.mid, half.rad + tail_bound)
-
-
-def write_edge_list(g: Graph, path) -> None:
-    """Text format: header "<n> <edge count>", then one "u v" line per edge."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_edge_list(path) -> Graph:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError("edge list needs a '<n> <count>' header")
-    n, count = int(tokens[0]), int(tokens[1])
-    rest = tokens[2:]
-    if len(rest) != 2 * count:
-        raise ValueError(f"expected {count} edges, found {len(rest) // 2}")
-    edges = set()
-    for i in range(count):
-        edges.add((int(rest[2 * i]), int(rest[2 * i + 1])))
-    return Graph(n=n, edges=frozenset(edges))

@@ -182,6 +182,9 @@ def test_verify_domain_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["verify", "--suite", "identities", "--p", "2,x"])
     assert code == 2
+    code, out, err = run(capsys, ["verify", "--suite", "chain", "--p", "2,4"])
+    assert code == 2 and out == ""
+    assert "prime" in err and "parse" not in err
     code, _, _ = run(capsys, ["verify", "--suite", "bogus"])
     assert code == 2
 

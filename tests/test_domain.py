@@ -1,0 +1,57 @@
+"""Every public function that takes p enforces that p is prime."""
+
+from fractions import Fraction
+
+import pytest
+
+from clpart.measures import (
+    pmf,
+    pmf_deformed,
+    pmf_parts,
+    pmf_size,
+    pmf_truncated,
+    pmf_via_conjugate,
+    size_length_layers,
+    solve_parts_recursion,
+    tabulate,
+)
+from clpart.partitions import Partition
+from clpart.qseries import d_lambda, deformed_constant, odd_constant, require_prime
+from clpart.sampler import SamplerConfig, initial_column_distribution, kernel, kernel_row
+from clpart.sandpile import p_sylow_partition, sample_graph_record, sylow_valuations_mod_prime_power
+
+LAM = Partition([2, 1])
+HALF = Fraction(1, 2)
+
+CALLS = {
+    "pmf": lambda p: pmf(LAM, p),
+    "pmf_via_conjugate": lambda p: pmf_via_conjugate(LAM, p),
+    "pmf_parts": lambda p: pmf_parts(1, p),
+    "pmf_size": lambda p: pmf_size(1, p),
+    "pmf_deformed": lambda p: pmf_deformed(LAM, p, HALF),
+    "pmf_truncated": lambda p: pmf_truncated(LAM, p, 2),
+    "tabulate": lambda p: tabulate(p, 2),
+    "solve_parts_recursion": lambda p: solve_parts_recursion(p, 2),
+    "size_length_layers": lambda p: size_length_layers(p, 2),
+    "kernel": lambda p: kernel(1, 0, p),
+    "kernel_row": lambda p: kernel_row(1, p),
+    "SamplerConfig": lambda p: SamplerConfig(p=p, seed=0),
+    "initial_column_distribution": lambda p: initial_column_distribution(p),
+    "d_lambda": lambda p: d_lambda(LAM, p),
+    "odd_constant": lambda p: odd_constant(p),
+    "deformed_constant": lambda p: deformed_constant(p, HALF),
+    "p_sylow_partition": lambda p: p_sylow_partition([[4]], p),
+    "sylow_valuations_mod_prime_power": lambda p: sylow_valuations_mod_prime_power([[4]], p),
+    "sample_graph_record": lambda p: sample_graph_record(4, HALF, p, 0, 0),
+}
+
+
+@pytest.mark.parametrize("p", [1, 4, 6, 9])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_non_prime_p_raises(name, p):
+    with pytest.raises(ValueError, match="prime"):
+        CALLS[name](p)
+
+
+def test_require_prime_accepts_primes():
+    assert [require_prime(p) for p in (2, 3, 5, 7, 97)] == [2, 3, 5, 7, 97]

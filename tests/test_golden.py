@@ -1,0 +1,105 @@
+"""Golden output bytes: small CLI runs must reproduce recorded sha256 digests.
+
+Each case runs ``clpart.cli.main`` in-process and digests its stdout and,
+for commands that write a file, the payload file (never the manifest, whose
+bytes contain the output path).  The digests were recorded once and must not
+change: any refactor of the measure, sampler or graph code has to leave
+every output byte as it was.
+"""
+
+import hashlib
+
+import pytest
+
+from clpart.cli import main
+
+PMF = ["pmf", "--p", "3"]
+TABLE = ["pmf", "--p", "3", "--max-size", "8"]
+
+CASES = {
+    "pmf-cl": PMF + ["--measure", "cl", "--partition", "[3,2,2,1,1,1]"],
+    "pmf-cl-conjugate": PMF + ["--measure", "cl-conjugate", "--partition", "[3,2,2,1,1,1]"],
+    "pmf-deformed": PMF + ["--measure", "deformed", "--u", "1/2", "--partition", "[3,2,2,1,1,1]"],
+    "pmf-truncated": PMF + ["--measure", "truncated", "--r", "2", "--partition", "[4,4]"],
+    "pmf-size": PMF + ["--measure", "size", "--n", "5"],
+    "pmf-parts": PMF + ["--measure", "parts", "--a", "3"],
+    "table-cl-json": TABLE + ["--measure", "cl"],
+    "table-cl-csv": TABLE + ["--measure", "cl", "--format", "csv"],
+    "table-deformed-json": TABLE + ["--measure", "deformed", "--u", "1/2"],
+    "table-deformed-csv": TABLE + ["--measure", "deformed", "--u", "1/2", "--format", "csv"],
+    "table-truncated-json": TABLE + ["--measure", "truncated", "--r", "2"],
+    "table-truncated-csv": TABLE + ["--measure", "truncated", "--r", "2", "--format", "csv"],
+    "sample-lines": ["sample", "--p", "2", "--trials", "200", "--seed", "5"],
+    "sample-summary": ["sample", "--p", "3", "--trials", "300", "--seed", "5", "--summary"],
+    "graphs-plocal": ["graphs", "--n", "9", "--q", "1/2", "--p", "2", "--trials", "30",
+                      "--seed", "4", "--method", "plocal"],
+    "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
+                   "--seed", "4", "--method", "snf"],
+    "verify-identities": ["verify", "--suite", "identities", "--p", "2,3", "--depth", "8"],
+    "verify-recursions": ["verify", "--suite", "recursions", "--p", "2,5", "--a-max", "6"],
+    "verify-chain": ["verify", "--suite", "chain", "--p", "3", "--a-max", "6"],
+}
+
+# name -> (stdout sha256, payload sha256 or None for commands without --output)
+GOLDEN = {
+    "graphs-plocal": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3cc6ec3bbed55bbe03b6c611adaa37ebc5dc9a8d337719a04b1ee91ee2f2e6a8"),
+    "graphs-snf": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5c8e69493f7cac97d949ba521a170c94a07fd5c25d926d371dbe6b1647ca7e84"),
+    "pmf-cl": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",
+        "eb56daa5f4041c822f50f009d4fd857953ff98eb9d50c5e5884594c5e67ac11b"),
+    "pmf-cl-conjugate": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",
+        "5b79b9af50ef248b650f27e01f3898f88bcada3082b511ad2605fe6ce96e12c0"),
+    "pmf-deformed": ("82ed9212ab80dff51353978aabdef969adb0aabd89b08adb47fc755e60085b6b",
+        "7e3724de9723528b6bf206e6e065ea8f01a41c98f0653c10bbb6346ced5f1056"),
+    "pmf-parts": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",
+        "5a92453f73a535ae1965d27e0c4a0e436a764e3430cd2a437136e8f050e51d95"),
+    "pmf-size": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",
+        "ffde7299b282b4043a97086a498d2923ea03973ee1300dad84fbd75926289f7f"),
+    "pmf-truncated": ("c227c8c5b30030f220d86734f30ee25cc9256f7710782cc4e7b5a42c7f36326c",
+        "cb64994f8c73744ce93cd45cedc6dc6f351959ca1f6acc32c0ff1f9a4f997c54"),
+    "sample-lines": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "af84c61e58444af216e23d7fa67ba870c84056ec5c7c5b48d8ed875e6e29c524"),
+    "sample-summary": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c36281c38ac8f6d7d8d2152229cd41a99e27bf17b2120970d83e830690f01753"),
+    "table-cl-csv": ("de3dedee8e2bd8d8abfb8babfda3a644e7a11797df6f52c9662b007a3a72d898",
+        "bdda18732e1a056d265441b1f52dea4166ef646bdc2a8efe14f078187af0a159"),
+    "table-cl-json": ("de3dedee8e2bd8d8abfb8babfda3a644e7a11797df6f52c9662b007a3a72d898",
+        "2c420ed2805405f2cd3342383f70ac2bc465db812c7e6cb7c3f895d5d062dc43"),
+    "table-deformed-csv": ("c8ff72931290d36b996db863f3c72805ed5da6a7a7d94a0cb08bc10e2c691ec7",
+        "48137d1b73f4d60e1122da8a9af1659cd79828340d4a2eec70a047103034e292"),
+    "table-deformed-json": ("c8ff72931290d36b996db863f3c72805ed5da6a7a7d94a0cb08bc10e2c691ec7",
+        "a6ae72bdc7d5b7e7a263f54f8065f662ed0bba5ee67d262e37ecdef49dce6442"),
+    "table-truncated-csv": ("bd4844296a9a8403d4345d5b0cab5b78acf3fd196c85cd158d701cec723dcdaa",
+        "b5e842b6bb0d5365b2df94dff5af6029d489a8acc19e564ab5e3f0c1bf630176"),
+    "table-truncated-json": ("bd4844296a9a8403d4345d5b0cab5b78acf3fd196c85cd158d701cec723dcdaa",
+        "13d9d5d38832ba2c32a85e541cb9fa10e1d0f99efdc657840b8ff494152a542a"),
+    "verify-chain": ("f3e3389fcfbe8c2e0d89b6e29530bcf38a16277376f1d79c98e65a5e8c70b4a9",
+        None),
+    "verify-identities": ("d6bf11822a5f67320d227183eb8b9b404bea6b93a3a4381c17fd6bec67d68229",
+        None),
+    "verify-recursions": ("12f4be07331dd247115ae2227bf5b11732544f17c751e47da2c0637ba0827f89",
+        None),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(argv, tmp_path, capsysbinary):
+    """Exit code, stdout digest and payload digest (None for verify) of one run."""
+    payload = None
+    if argv[0] != "verify":
+        payload = tmp_path / "out"
+        argv = argv + ["--output", str(payload)]
+    code = main(argv)
+    out = capsysbinary.readouterr().out
+    return code, _digest(out), _digest(payload.read_bytes()) if payload else None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_bytes(name, tmp_path, capsysbinary):
+    code, out_digest, payload_digest = run_case(CASES[name], tmp_path, capsysbinary)
+    assert code == 0
+    assert (out_digest, payload_digest) == GOLDEN[name]

@@ -47,7 +47,7 @@ def test_form_equivalence_small():
 
 
 def test_pmf_denominator_uses_symmetry_weight():
-    # the cached per-measure weight must agree with the standalone d_lambda
+    # pmf is the closed form 1 / (p^(n(lam)+|lam|) d_lambda(lam, p))
     from clpart.qseries import d_lambda
 
     for p in (2, 3):

@@ -13,14 +13,12 @@ from clpart.sandpile import (
     GraphSampleRecord,
     erdos_renyi,
     p_sylow_partition,
-    read_edge_list,
     reduced_laplacian,
     run_experiment,
     sample_graph_record,
     smith_normal_form,
     sylow_valuations_mod_prime_power,
     tv_distance,
-    write_edge_list,
 )
 
 
@@ -319,16 +317,3 @@ def test_tv_distance_examples():
     d4 = _dist({Partition(): Fraction(3, 4)}, tail=BoundedReal.from_endpoints(0, Fraction(1, 4)))
     tv = tv_distance(d1, d4)
     assert tv.mid == Fraction(1, 8) and tv.rad == Fraction(1, 8)
-
-
-def test_edge_list_round_trip(tmp_path):
-    g = erdos_renyi(8, Fraction(1, 2), substream(2, 0))
-    path = tmp_path / "graph.txt"
-    write_edge_list(g, path)
-    text = path.read_text().splitlines()
-    assert text[0] == f"8 {len(g.edges)}"
-    back = read_edge_list(path)
-    assert back == g
-    with pytest.raises(ValueError):
-        (tmp_path / "bad.txt").write_text("3 2\n0 1\n")
-        read_edge_list(tmp_path / "bad.txt")

@@ -1,0 +1,44 @@
+"""The benchmark's traced run still reaches every layer it wraps.
+
+perfbench/tracing.py wraps functions by module and name; a rename or an
+import-time capture in the package would make it fail or silently record
+nothing.  One tiny command per benchmark workload runs under it here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = {
+    "sample": (["sample", "--p", "2", "--trials", "50", "--seed", "1", "--summary"],
+               ["rng.substream", "sampler.sample_partition", "sampler.kernel_row",
+                "cli.serialize", "cli.write"]),
+    "graphs": (["graphs", "--n", "8", "--q", "1/2", "--p", "2", "--trials", "5", "--seed", "1"],
+               ["rng.substream", "sandpile.erdos_renyi", "sandpile.is_connected",
+                "sandpile.reduced_laplacian", "sandpile.plocal"]),
+    "exact": (["verify", "--suite", "identities", "--depth", "6"],
+              ["measures.tabulate", "partitions.enumerate_partitions",
+               "measures.size_length_layers", "measures.series_checks",
+               "measures.normalization", "qseries.odd_constant",
+               "qseries.verify_euler_identity", "qseries.verify_qbinomial"]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(COMMANDS))
+def test_traced_run_records_every_span(workload, tmp_path):
+    argv, spans = COMMANDS[workload]
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(trace),
+                           "--", *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads(trace.read_text())["totals"]
+    calls = {name: totals.get(name, [0])[0] for name in spans}
+    assert all(n > 0 for n in calls.values()), calls
