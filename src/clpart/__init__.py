@@ -36,6 +36,7 @@ from .sampler import (
     kernel,
     kernel_row,
     sample_partition,
+    sample_partitions,
 )
 from .sandpile import (
     ExperimentResult,

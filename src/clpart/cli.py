@@ -6,7 +6,9 @@ Subcommands:
   graphs  random-graph p-Sylow experiments
   verify  identity / recursion / chain verification suites
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+3 internal error (a RuntimeError or ArithmeticError, such as the sampler's
+column-count abort or a kernel row that does not sum to 1).
 Randomized commands require an explicit --seed; every file output gets a
 <output>.manifest.json recording the full parameter set and a digest, and
 re-running the same command reproduces the bytes.
@@ -46,10 +48,9 @@ from .sampler import (
     initial_column_distribution,
     kernel,
     kernel_row,
-    sample_partition,
+    sample_partitions,
 )
 from .sandpile import run_experiment
-from .rng import substream
 
 
 class CliError(Exception):
@@ -161,19 +162,13 @@ def cmd_pmf(args) -> int:
 
 def cmd_sample(args) -> int:
     p = require_prime(args.p)
-    if args.trials < 1:
-        raise CliError("trials must be >= 1")
     cutoff = _parse_fraction(args.cutoff)
     config = SamplerConfig(p=p, seed=args.seed, initial_tail_cutoff=cutoff)
     if args.summary:
         dist = empirical_distribution(config, args.trials)
         payload = _dumps(dist.to_json_dict())
     else:
-        lines = []
-        for t in range(args.trials):
-            lam = sample_partition(config, substream(args.seed, t))
-            lines.append(str(lam))
-        payload = "\n".join(lines) + "\n"
+        payload = "\n".join(map(str, sample_partitions(config, args.trials))) + "\n"
     _write_output(args, payload, "sample", _param_dict(args))
     return 0
 
@@ -185,10 +180,6 @@ def cmd_graphs(args) -> int:
     p = require_prime(args.p)
     if args.n < 2:
         raise CliError("n must be >= 2")
-    if args.trials < 1:
-        raise CliError("trials must be >= 1")
-    if args.cap < 1:
-        raise CliError("cap must be >= 1")
     q = _parse_fraction(args.q)
     if not (0 < q < 1):
         raise CliError(f"q must lie strictly in (0,1), got {q}")
@@ -367,6 +358,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ consumed independently (and in parallel) without coordination.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -54,8 +55,13 @@ def draw_threshold(x: Fraction) -> int:
     return -((-x.numerator << 64) // x.denominator)
 
 
+# A run derives every trial's stream from one master seed, so its mix is
+# computed once; mix64 itself stays uncached, since each draw calls it.
+_mixed_seed = lru_cache(maxsize=16)(mix64)
+
+
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent stream for trial ``index`` under master ``seed``."""
     if index < 0:
         raise ValueError("index must be >= 0")
-    return SplitMix64(mix64(seed) ^ mix64((index + 1) * GOLDEN_GAMMA))
+    return SplitMix64(_mixed_seed(seed) ^ mix64((index + 1) * GOLDEN_GAMMA))

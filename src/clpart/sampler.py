@@ -11,6 +11,11 @@ a, the next height b <= a is drawn from the exact kernel
 Heights stop the first time they hit 0; the sampled partition is the
 conjugate of the column-height sequence.
 
+Per trial the chain does only chain work: the first-column selector is
+compiled once per SamplerConfig, kernel rows once per (height, p), and each
+distinct column tuple is turned into its Partition once, after which the
+same immutable instance is returned.
+
 All selection is inverse-CDF over exact rational cumulative weights, compared
 against a uniform 64-bit draw k read as the rational k/2^64.  Cumulative
 weights are precompiled to integer thresholds, so a draw is integer
@@ -22,9 +27,10 @@ desk-scale trial count can resolve.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .measures import MassValue, PartitionDistribution, pmf_parts
@@ -48,6 +54,12 @@ class SamplerConfig:
     def __post_init__(self):
         require_prime(self.p)
         object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(self.initial_tail_cutoff))
+
+    @cached_property
+    def _selector(self) -> "_InitialSelector":
+        # Resolved once per config: looking up _initial_selector per sample
+        # would hash the Fraction cutoff, a modular inverse, every time.
+        return _initial_selector(self.p, self.initial_tail_cutoff)
 
 
 def _require_cutoff(cutoff) -> Fraction:
@@ -149,14 +161,24 @@ def _initial_selector(p: int, cutoff: Fraction) -> _InitialSelector:
     )
 
 
-def _select(thresholds: tuple[int, ...], k: int) -> int:
-    return bisect_right(thresholds, k)
+@lru_cache(maxsize=1 << 16)
+def _partition_of_columns(columns: tuple[int, ...]) -> Partition:
+    """The partition whose column heights are ``columns``, built once per tuple.
+
+    The cache holds one entry per distinct sampled partition, which is what
+    any frequency table of the samples holds anyway; the bound only stops a
+    long-lived process from growing it without limit.
+    """
+    return Partition(columns).conjugate()
 
 
 def sample_partition(config: SamplerConfig, stream) -> Partition:
-    """Draw one partition; ``stream`` supplies uniform 64-bit words."""
-    init = _initial_selector(config.p, config.initial_tail_cutoff)
-    idx = _select(init.thresholds, stream.next_u64())
+    """Draw one partition; ``stream`` supplies uniform 64-bit words.
+
+    Samples with the same column heights return the same Partition instance.
+    """
+    init = config._selector
+    idx = bisect_right(init.thresholds, stream.next_u64())
     height = init.heights[idx] if idx < len(init.heights) else init.heights[-1]
     columns = []
     while height > 0:
@@ -164,22 +186,30 @@ def sample_partition(config: SamplerConfig, stream) -> Partition:
         if len(columns) > MAX_COLUMNS:
             raise RuntimeError(f"column count exceeded {MAX_COLUMNS}; aborting")
         row = kernel_row(height, config.p)
-        height = _select(row.thresholds, stream.next_u64())
-    return Partition(columns).conjugate()
+        height = bisect_right(row.thresholds, stream.next_u64())
+    return _partition_of_columns(tuple(columns))
 
 
-def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistribution:
-    """Frequency table over ``trials`` independent samples.
+def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]:
+    """The partitions of trials 0, 1, ..., trials-1, lazily and in order.
 
-    Trial t draws from substream(seed, t), so the table is a pure function of
-    (seed, trials) and merges of disjoint trial ranges agree with a single
-    run.
+    Trial t draws from substream(seed, t), so each sample is a pure function
+    of (seed, t).  ``trials`` is checked when this is called, before any
+    sample is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    return (sample_partition(config, substream(config.seed, t)) for t in range(trials))
+
+
+def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistribution:
+    """Frequency table over the samples of ``sample_partitions(config, trials)``.
+
+    The table is a pure function of (seed, trials), and merges of disjoint
+    trial ranges agree with a single run.
+    """
     counts: dict[Partition, int] = {}
-    for t in range(trials):
-        lam = sample_partition(config, substream(config.seed, t))
+    for lam in sample_partitions(config, trials):
         counts[lam] = counts.get(lam, 0) + 1
     entries = {lam: MassValue(Fraction(c, trials)) for lam, c in counts.items()}
     return PartitionDistribution(

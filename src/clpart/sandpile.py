@@ -204,6 +204,11 @@ def _non_divisible_entry(m, t, d):
     return None
 
 
+def _require_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+
+
 def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     """Partition of p-adic valuations of the Smith diagonal (reference route).
 
@@ -212,8 +217,7 @@ def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     matrix raises: it means a disconnected graph slipped through upstream.
     """
     require_prime(p)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _require_cap(cap)
     diag = smith_normal_form(matrix)
     if any(d == 0 for d in diag):
         raise ValueError("singular matrix: sandpile group undefined (disconnected graph?)")
@@ -240,8 +244,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     cap (both report cap, capped=True), matching the reference contract.
     """
     require_prime(p)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _require_cap(cap)
     mod = p**cap
     m = [[int(x) % mod for x in row] for row in matrix]
     n = len(m)
@@ -317,12 +320,18 @@ class GraphSampleRecord:
             raise ValueError("partition must be present iff the graph was connected")
 
 
+def _require_trial_args(p: int, cap: int, method: str) -> None:
+    """The domain of a trial, checked whether or not its graph is connected."""
+    require_prime(p)
+    _require_cap(cap)
+    if method not in ("plocal", "snf"):
+        raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
+
+
 def sample_graph_record(n: int, q, p: int, seed: int, trial: int,
                         cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal") -> GraphSampleRecord:
     """Run a single experiment trial, deterministically from (seed, trial)."""
-    require_prime(p)
-    if method not in ("plocal", "snf"):
-        raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
+    _require_trial_args(p, cap, method)
     q = as_fraction(q)
     g = erdos_renyi(n, q, substream(seed, trial))
     if not g.is_connected():
@@ -355,8 +364,11 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
     """Sample graphs and tabulate p-Sylow partitions among connected ones.
 
     Deterministic given (seed, trial index); disconnected graphs are counted
-    and skipped, so frequencies condition on connectivity.
+    and skipped, so frequencies condition on connectivity.  The arguments are
+    checked before the first trial, so a bad cap or method is refused even
+    when every graph would be disconnected.
     """
+    _require_trial_args(p, cap, method)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     q = as_fraction(q)

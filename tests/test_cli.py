@@ -1,6 +1,9 @@
 import json
 import hashlib
 
+import pytest
+
+from clpart import sampler
 from clpart.cli import _run_checks, main
 
 
@@ -136,6 +139,19 @@ def test_sample_summary_counts(capsys):
     assert code == 0
     doc = json.loads(out)
     assert sum(row["count"] for row in doc["entries"]) == 40
+
+
+@pytest.mark.parametrize("name, error", [("sample_partition", RuntimeError),
+                                         ("kernel_row", ArithmeticError)])
+@pytest.mark.parametrize("mode", [[], ["--summary"]])
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, name, error, mode):
+    def broken(*args):
+        raise error("broken on purpose")
+
+    monkeypatch.setattr(sampler, name, broken)
+    code, out, err = run(capsys, ["sample", "--p", "2", "--trials", "5", "--seed", "1", *mode])
+    assert code == 3 and out == ""
+    assert err == "internal error: broken on purpose\n"
 
 
 def test_sample_requires_seed(capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -15,6 +16,7 @@ from clpart.sampler import (
     kernel,
     kernel_row,
     sample_partition,
+    sample_partitions,
 )
 
 
@@ -164,6 +166,79 @@ def test_empirical_distribution_deterministic_and_mergeable():
         lam = sample_partition(config, substream(9, t))
         manual[lam] = manual.get(lam, 0) + 1
     assert manual == a.counts
+
+
+class ReferenceChain:
+    """Scalar chain over exact Fractions, independent of the compiled thresholds.
+
+    Each draw k is read as the rational k/2^64 and selects the first value
+    whose exact cumulative probability exceeds it; the first column folds a
+    draw past its retained weight into the largest retained height.
+    """
+
+    def __init__(self, p, cutoff):
+        self.p = p
+        entries = initial_column_distribution(p, cutoff)
+        weights = [mass.rational for _, mass in entries]
+        b = entries[-1][0]
+        tail = weights[-1] / (p ** (b + 1) - 2)  # geometric tail bound past height b
+        denom = sum(weights) + tail
+        self.initial = [acc / denom for acc in accumulate(weights)]
+        self.rows = {}
+
+    def row(self, a):
+        if a not in self.rows:
+            self.rows[a] = list(accumulate(kernel(a, b, self.p) for b in range(a + 1)))
+        return self.rows[a]
+
+    @staticmethod
+    def select(cumulative, k):
+        u = Fraction(k, 2**64)
+        return next((i for i, c in enumerate(cumulative) if u < c), len(cumulative) - 1)
+
+    def sample(self, stream):
+        height = self.select(self.initial, stream.next_u64())
+        columns = []
+        while height > 0:
+            columns.append(height)
+            height = self.select(self.row(height), stream.next_u64())
+        return Partition(columns).conjugate()
+
+
+@pytest.mark.parametrize("cutoff", [Fraction(1, 10**12), Fraction(1, 1000)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_compiled_chain_matches_exact_reference(p, cutoff):
+    config = SamplerConfig(p=p, seed=17, initial_tail_cutoff=cutoff)
+    reference = ReferenceChain(p, cutoff)
+    for t in range(2000):
+        expected = reference.sample(substream(config.seed, t))
+        assert sample_partition(config, substream(config.seed, t)) == expected, t
+
+
+def test_configs_differing_in_cutoff_share_no_selector():
+    # cutoff 1/2 keeps heights 0 and 1 only, so the two chains visibly differ
+    def configs():
+        return (SamplerConfig(p=2, seed=3),
+                SamplerConfig(p=2, seed=3, initial_tail_cutoff=Fraction(1, 2)))
+
+    a, b = configs()
+    runs = [list(sample_partitions(config, 300)) for config in (a, b, a)]
+    assert a._selector is not b._selector
+    assert a._selector.heights != b._selector.heights
+    _initial_selector.cache_clear()
+    fresh_a, fresh_b = configs()
+    assert runs == [list(sample_partitions(fresh_a, 300)), list(sample_partitions(fresh_b, 300)),
+                    list(sample_partitions(fresh_a, 300))]
+    assert runs[0] != runs[1]
+    assert max(lam.length for lam in runs[1]) <= 1 < max(lam.length for lam in runs[0])
+
+
+def test_sample_partitions_checks_trials_when_called():
+    config = SamplerConfig(p=2, seed=4)
+    with pytest.raises(ValueError, match="trials"):
+        sample_partitions(config, 0)
+    assert list(sample_partitions(config, 5)) == [
+        sample_partition(config, substream(4, t)) for t in range(5)]
 
 
 def test_two_step_marginal_containment():

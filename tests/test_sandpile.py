@@ -7,6 +7,7 @@ import pytest
 from clpart.measures import MassValue, PartitionDistribution
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
+from clpart import sandpile
 from clpart.rng import substream
 from clpart.sandpile import (
     Graph,
@@ -256,6 +257,28 @@ def test_run_experiment_forced_triangle():
     result = run_experiment(3, q, 3, trials=1, seed=0)
     assert result.distribution.counts == {Partition([1]): 1}
     assert result.discarded_disconnected == 0
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"p": 4}, "prime"),
+    ({"trials": 0}, "trials"),
+    ({"cap": 0}, "cap"),
+    ({"method": "bogus"}, "method"),
+])
+def test_run_experiment_checks_arguments_before_first_trial(bad, message, monkeypatch):
+    # q = 1/1000 leaves every graph on 6 vertices disconnected, so a check made
+    # only on connected graphs would never run.
+    args = {"n": 6, "q": "1/1000", "p": 2, "trials": 3, "seed": 1, "cap": 12,
+            "method": "plocal", **bad}
+    if "trials" not in bad:
+        with pytest.raises(ValueError, match=message):
+            sample_graph_record(args["n"], args["q"], args["p"], args["seed"], 0,
+                                cap=args["cap"], method=args["method"])
+    trials = []
+    monkeypatch.setattr(sandpile, "sample_graph_record", lambda *a, **k: trials.append(a))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(**args)
+    assert trials == []
 
 
 def test_run_experiment_deterministic_and_bookkeeping():

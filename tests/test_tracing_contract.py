@@ -2,7 +2,8 @@
 
 perfbench/tracing.py wraps functions by module and name; a rename or an
 import-time capture in the package would make it fail or silently record
-nothing.  One tiny command per benchmark workload runs under it here.
+nothing.  One tiny command per benchmark workload runs under it here, and
+the sampler's one-partition-per-line mode as well.
 """
 
 import json
@@ -19,6 +20,8 @@ COMMANDS = {
     "sample": (["sample", "--p", "2", "--trials", "50", "--seed", "1", "--summary"],
                ["rng.substream", "sampler.sample_partition", "sampler.kernel_row",
                 "cli.serialize", "cli.write"]),
+    "sample-lines": (["sample", "--p", "2", "--trials", "50", "--seed", "1"],
+                     ["rng.substream", "sampler.sample_partition", "sampler.kernel_row"]),
     "graphs": (["graphs", "--n", "8", "--q", "1/2", "--p", "2", "--trials", "5", "--seed", "1"],
                ["rng.substream", "sandpile.erdos_renyi", "sandpile.is_connected",
                 "sandpile.reduced_laplacian", "sandpile.plocal"]),
@@ -42,3 +45,6 @@ def test_traced_run_records_every_span(workload, tmp_path):
     totals = json.loads(trace.read_text())["totals"]
     calls = {name: totals.get(name, [0])[0] for name in spans}
     assert all(n > 0 for n in calls.values()), calls
+    if argv[0] == "sample":
+        # one substream and one chain run per trial in both output modes
+        assert calls["rng.substream"] == calls["sampler.sample_partition"] == 50, calls
