@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions, _descending
+from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions
 from .qseries import (
     DEFAULT_TOLERANCE,
     BoundedReal,
     as_fraction,
+    column_step,
     d_lambda_parts,
     deformed_constant,
     even_qpoch,
@@ -68,19 +69,21 @@ class MassValue:
 def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
     """Mass of lam under the limiting p-Sylow measure, in the conjugate form.
 
-    With mu the conjugate of lam (and mu_{i+1} = 0 past the last column):
+    With mu the conjugate of lam (and mu_{l+1} = 0 past the last column):
 
-        odd-constant / ( p^(sum_i mu_i(mu_i+1)/2)
-                         * prod_{i=1}^{lam_1} prod_{j=1}^{floor((mu_i-mu_{i+1})/2)} (1 - p^-2j) )
+        odd-constant * p^-(mu_1(mu_1+1)/2) * prod_j column_step(mu_j, mu_{j+1}, p)
     """
     require_prime(p)
-    mu = lam.conjugate().parts
-    exponent = sum(m * (m + 1) // 2 for m in mu)
-    denom = Fraction(p) ** exponent
-    for i, m in enumerate(mu):
-        m_next = mu[i + 1] if i + 1 < len(mu) else 0
-        denom *= even_qpoch(p, (m - m_next) // 2)
-    return MassValue(1 / denom, CONST_ODD, p=p)
+    mu = lam.conjugate().parts + (0,)
+    rational = Fraction(1, p ** (mu[0] * (mu[0] + 1) // 2))
+    for a, b in zip(mu, mu[1:]):
+        rational *= column_step(a, b, p)
+    return MassValue(rational, CONST_ODD, p=p)
+
+
+def _weight(lam: Partition, p: int) -> Fraction:
+    """1 / (p^(n(lam)+|lam|) d_lambda(lam, p)), the multiplicity form; p unchecked."""
+    return 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p))
 
 
 def pmf(lam: Partition, p: int) -> MassValue:
@@ -90,9 +93,7 @@ def pmf(lam: Partition, p: int) -> MassValue:
 
     Equal, term by term, to pmf_via_conjugate; this form is the cheaper one.
     """
-    require_prime(p)
-    denom = Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p)
-    return MassValue(1 / denom, CONST_ODD, p=p)
+    return MassValue(_weight(lam, require_prime(p)), CONST_ODD, p=p)
 
 
 def pmf_parts(a: int, p: int) -> MassValue:
@@ -129,10 +130,13 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
     At u = 1 the rational part coincides with pmf().
     """
     u = require_deformation(require_prime(p), u)
-    rational = u**lam.size / (
-        Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p)
-    )
-    return MassValue(rational, CONST_DEFORMED, p=p, u=u)
+    return MassValue(u**lam.size * _weight(lam, p), CONST_DEFORMED, p=p, u=u)
+
+
+def _require_parts_bound(r: int) -> None:
+    """Check the at-most-r-parts family's r >= 1."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
 
 
 def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
@@ -143,13 +147,11 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
         * (1-1/p)...(1-1/p^r) / ( (1-1/p)...(1-1/p^(r-l(lam))) )
     """
     require_prime(p)
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _require_parts_bound(r)
     if lam.length > r:
         raise ValueError(f"partition has {lam.length} parts, more than r={r}")
-    body = 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p))
     trailing = lower_qpoch(p, r) / lower_qpoch(p, r - lam.length)
-    return body * trailing / upper_qpoch(p, r)
+    return _weight(lam, p) * trailing / upper_qpoch(p, r)
 
 
 def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
@@ -307,6 +309,18 @@ class PartitionDistribution:
         return rows
 
 
+def frequency_table(p: int, measure: str, params: dict, counts: dict,
+                    total: int) -> PartitionDistribution:
+    """The empirical table of ``counts`` over ``total`` observations.
+
+    Masses are count/total with an exact-0 tail; ``counts`` is stored as a
+    plain dict, so looking up an unseen partition raises.
+    """
+    entries = {lam: MassValue(Fraction(c, total)) for lam, c in counts.items()}
+    return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
+                                 counts=dict(counts))
+
+
 # name -> (parameter, mass of one partition, tail bound past a size).  Mass and
 # tail bound take the parameter's value; a measure without a tail bound has no
 # table (tables use the multiplicity form of the base measure).
@@ -351,8 +365,8 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
         raise ValueError(f"measure {measure!r} has no table; use cl")
     if param is None and (u is not None or r is not None):
         raise ValueError("u/r apply only to the deformed/truncated measures")
-    if param == "r" and r < 1:
-        raise ValueError("r must be >= 1")
+    if param == "r":
+        _require_parts_bound(r)  # r < 1 would leave the table empty
 
     entries: dict[Partition, MassValue] = {}
     for n in range(max_size + 1):
@@ -368,23 +382,25 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
 def size_length_layers(p: int, max_size: int) -> dict:
     """(size, parts-count) -> sum of 1 / (p^(n(lam)+|lam|) d_lambda) over that cell.
 
-    One enumeration pass; every generating-sum check and marginal is a cheap
-    reweighting of this table.  Works on raw part tuples to keep the pass
-    fast.
+    A column DP; every generating-sum check and marginal is a cheap
+    reweighting of this table.  The weight factorises over the conjugate's
+    columns, so with G(a, s) the summed column steps of all column sequences
+    of total s that follow a column of height a (G(0, s) = [s == 0]):
+
+        G(a, s) = sum_{b <= min(a, s)} column_step(a, b) G(b, s - b),
+
+    and the cell (a + s, a) holds p^-(a(a+1)/2) G(a, s).  This takes O(N^3)
+    exact operations where enumerating the partitions takes O(p(<= N)).
     """
     require_prime(p)
     if max_size > ENUMERATION_CAP:
         raise ValueError(f"max_size={max_size} exceeds the enumeration cap {ENUMERATION_CAP}")
-    layers: dict[tuple[int, int], Fraction] = {}
-    for n in range(max_size + 1):
-        for parts in _descending(n, n):
-            exponent = n
-            for i, x in enumerate(parts):
-                exponent += i * x
-            key = (n, len(parts))
-            term = Fraction(1, p**exponent) / d_lambda_parts(parts, p)
-            layers[key] = layers.get(key, Fraction(0)) + term
-    return layers
+    grid = {(0, s): Fraction(s == 0) for s in range(max_size + 1)}
+    for a in range(1, max_size + 1):
+        steps = [column_step(a, b, p) for b in range(a + 1)]
+        for s in range(max_size - a + 1):
+            grid[a, s] = sum(steps[b] * grid[b, s - b] for b in range(min(a, s) + 1))
+    return {(a + s, a): g / p ** (a * (a + 1) // 2) for (a, s), g in grid.items() if g}
 
 
 def deformed_series_check(p: int, u, max_size: int):
@@ -417,8 +433,7 @@ def truncated_series_check(p: int, r: int, max_size: int):
     partial <= rhs <= partial + tail_bound.
     """
     require_prime(p)
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _require_parts_bound(r)
     layers = size_length_layers(p, max_size)
     partial = Fraction(0)
     for (_, length), value in layers.items():

@@ -209,36 +209,60 @@ def d_lambda_parts(parts: tuple[int, ...], p: int) -> Fraction:
     return out
 
 
+def column_step(a: int, b: int, p: int) -> Fraction:
+    """Weight of a column of height b that follows one of height a, p unchecked:
+
+        p^-(b(b+1)/2) / ( (1-1/p^2)(1-1/p^4)...(1-1/p^(2 floor((a-b)/2))) ).
+
+    A partition whose conjugate has columns mu_1 >= ... >= mu_l weighs
+    p^-(mu_1(mu_1+1)/2) times the steps mu_j -> mu_{j+1}, with mu_{l+1} = 0.
+    """
+    return 1 / (Fraction(p) ** (b * (b + 1) // 2) * even_qpoch(p, (a - b) // 2))
+
+
 def d_lambda(lam: Partition, p: int) -> Fraction:
     """prod_{i>=1} prod_{j=1}^{floor(m_i/2)} (1 - p^(-2j)), the symmetry weight of lam."""
     return d_lambda_parts(lam.parts, require_prime(p))
+
+
+def _enclose_product(a: Fraction, r: Fraction, accept):
+    """The first accepted enclosure of prod_{k>=0} (1 - a r^k), for a > 0, 0 < r < 1.
+
+    After K factors the partial product P bounds the product above, and the
+    omitted factors multiply to at least 1 - a r^K / (1 - r).  Each bracket
+    [P (1 - tail), P] with tail < 1 goes to ``accept(lo, hi)``, which returns
+    the enclosure to report, or None to take one more factor.
+    """
+    partial = Fraction(1)
+    term = a  # a r^K, the next factor's subtrahend
+    for _ in range(MAX_PRODUCT_FACTORS):
+        tail = term / (1 - r)
+        if tail < 1:
+            enclosure = accept(partial * (1 - tail), partial)
+            if enclosure is not None:
+                return enclosure
+        partial *= 1 - term
+        term *= r
+    raise ArithmeticError(
+        f"enclosure was not accepted within {MAX_PRODUCT_FACTORS} factors"
+    )
 
 
 @lru_cache(maxsize=None)
 def odd_constant(p: int, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     """Enclosure of prod over odd i of (1 - p^-i), to the requested radius.
 
-    The partial product up to odd i < M multiplies a tail in
-    [1 - sum_{i odd >= M} p^-i, 1]; the geometric tail sum is
-    p^-M * p^2/(p^2 - 1).
+    The factors are 1 - a r^k with a = 1/p and r = 1/p^2.
     """
     require_prime(p)
     tol = as_fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
-    partial = Fraction(1)
-    i = 1
-    for _ in range(MAX_PRODUCT_FACTORS):
-        tail = Fraction(p * p, p * p - 1) / Fraction(p) ** i
-        if tail < 1:
-            lo, hi = partial * (1 - tail), partial
-            if hi - lo <= 2 * tol:
-                return BoundedReal.from_endpoints(lo, hi)
-        partial *= 1 - Fraction(1, p**i)
-        i += 2
-    raise ArithmeticError(
-        f"enclosure did not reach radius {tol} within {MAX_PRODUCT_FACTORS} factors"
-    )
+
+    def accept(lo, hi):
+        return BoundedReal.from_endpoints(lo, hi) if hi - lo <= 2 * tol else None
+
+    return _enclose_product(Fraction(1, p), Fraction(1, p * p), accept)
 
 
 @lru_cache(maxsize=None)
@@ -246,26 +270,21 @@ def deformed_constant(p: int, u, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     """Enclosure of (1 - u/p) * prod_{i>=3 odd} (1 - u^2 p^-i), for 0 < u < p.
 
     This is the normalizing constant of the u-deformed measure; at u = 1 it
-    equals odd_constant(p).
+    equals odd_constant(p).  The product's factors are 1 - a r^k with
+    a = u^2/p^3 and r = 1/p^2.
     """
     u = require_deformation(require_prime(p), u)
     tol = as_fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
     prefactor = 1 - u / p
-    partial = Fraction(1)
-    i = 3
-    for _ in range(MAX_PRODUCT_FACTORS):
-        tail = u * u * Fraction(p * p, p * p - 1) / Fraction(p) ** i
-        if tail < 1:
-            lo, hi = partial * (1 - tail), partial
-            if prefactor * (hi - lo) <= 2 * tol:
-                return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
-        partial *= 1 - u * u / Fraction(p) ** i
-        i += 2
-    raise ArithmeticError(
-        f"enclosure did not reach radius {tol} within {MAX_PRODUCT_FACTORS} factors"
-    )
+
+    def accept(lo, hi):
+        if prefactor * (hi - lo) <= 2 * tol:
+            return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
+        return None
+
+    return _enclose_product(u * u / p**3, Fraction(1, p * p), accept)
 
 
 def gaussian_binomial(r: int, s: int, q) -> Fraction:
@@ -326,20 +345,12 @@ def verify_euler_identity(s, q, terms: int) -> EulerCheck:
 
 def _euler_product_reciprocal(s: Fraction, q: Fraction, tolerance: Fraction) -> BoundedReal:
     """Enclosure of prod_{m>=0} (1 - s q^m)^-1 with radius <= tolerance."""
-    partial = Fraction(1)
-    q_power = Fraction(1)  # q^m for the next factor
-    for _ in range(MAX_PRODUCT_FACTORS):
-        tail = s * q_power / (1 - q)
-        if tail < 1:
-            lo, hi = partial * (1 - tail), partial
-            enclosure = BoundedReal.from_endpoints(lo, hi).reciprocal()
-            if enclosure.rad <= tolerance:
-                return enclosure
-        partial *= 1 - s * q_power
-        q_power *= q
-    raise ArithmeticError(
-        f"enclosure did not reach radius {tolerance} within {MAX_PRODUCT_FACTORS} factors"
-    )
+
+    def accept(lo, hi):
+        enclosure = BoundedReal.from_endpoints(lo, hi).reciprocal()
+        return enclosure if enclosure.rad <= tolerance else None
+
+    return _enclose_product(s, q, accept)
 
 
 class QBinomialCheck(NamedTuple):

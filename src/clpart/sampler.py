@@ -27,15 +27,16 @@ desk-scale trial count can resolve.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .measures import MassValue, PartitionDistribution, pmf_parts
+from .measures import MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Partition
-from .qseries import BoundedReal, as_fraction, even_qpoch, fraction_str, lower_qpoch, require_prime
+from .qseries import as_fraction, column_step, fraction_str, lower_qpoch, require_prime
 from .rng import draw_threshold, substream
 
 # No realistic sample can reach this many columns (each positive height is
@@ -71,17 +72,14 @@ def _require_cutoff(cutoff) -> Fraction:
 
 
 def kernel(a: int, b: int, p: int) -> Fraction:
-    """Exact transition probability K(a, b) for 0 <= b <= a."""
+    """Exact transition probability K(a, b) for 0 <= b <= a:
+
+        (1-1/p)...(1-1/p^a) / ( (1-1/p)...(1-1/p^b) ) * column_step(a, b, p)
+    """
     require_prime(p)
     if not (0 <= b <= a):
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    num = lower_qpoch(p, a)
-    den = (
-        Fraction(p) ** (b * (b + 1) // 2)
-        * lower_qpoch(p, b)
-        * even_qpoch(p, (a - b) // 2)
-    )
-    return num / den
+    return lower_qpoch(p, a) / lower_qpoch(p, b) * column_step(a, b, p)
 
 
 @dataclass(frozen=True)
@@ -208,19 +206,7 @@ def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistr
     The table is a pure function of (seed, trials), and merges of disjoint
     trial ranges agree with a single run.
     """
-    counts: dict[Partition, int] = {}
-    for lam in sample_partitions(config, trials):
-        counts[lam] = counts.get(lam, 0) + 1
-    entries = {lam: MassValue(Fraction(c, trials)) for lam, c in counts.items()}
-    return PartitionDistribution(
-        p=config.p,
-        measure="empirical",
-        params={
-            "trials": trials,
-            "seed": config.seed,
-            "cutoff": fraction_str(config.initial_tail_cutoff),
-        },
-        entries=entries,
-        tail_mass=BoundedReal.exact(0),
-        counts=counts,
-    )
+    counts = Counter(sample_partitions(config, trials))
+    params = {"trials": trials, "seed": config.seed,
+              "cutoff": fraction_str(config.initial_tail_cutoff)}
+    return frequency_table(config.p, "empirical", params, counts, trials)

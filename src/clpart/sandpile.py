@@ -15,10 +15,11 @@ so pivot valuations are the elementary-divisor valuations truncated at cap).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .measures import MassValue, PartitionDistribution
+from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition
 from .qseries import BoundedReal, DEFAULT_TOLERANCE, as_fraction, fraction_str, require_prime
 from .rng import draw_threshold, substream
@@ -372,7 +373,7 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     q = as_fraction(q)
-    counts: dict[Partition, int] = {}
+    counts = Counter()
     discarded = 0
     capped_count = 0
     for t in range(trials):
@@ -382,21 +383,11 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
             continue
         if record.valuation_capped:
             capped_count += 1
-        counts[record.partition] = counts.get(record.partition, 0) + 1
+        counts[record.partition] += 1
 
-    connected = trials - discarded
-    entries = {
-        lam: MassValue(Fraction(c, connected)) for lam, c in counts.items()
-    }
-    dist = PartitionDistribution(
-        p=p,
-        measure="graph-empirical",
-        params={"n": n, "q": fraction_str(q), "trials": trials, "seed": seed,
-                "cap": cap, "method": method},
-        entries=entries,
-        tail_mass=BoundedReal.exact(0),
-        counts=counts,
-    )
+    params = {"n": n, "q": fraction_str(q), "trials": trials, "seed": seed,
+              "cap": cap, "method": method}
+    dist = frequency_table(p, "graph-empirical", params, counts, trials - discarded)
     return ExperimentResult(dist, discarded, capped_count)
 
 

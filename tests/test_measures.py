@@ -77,6 +77,35 @@ def test_parts_marginal_containment():
         assert partial <= target <= partial + bound
 
 
+def test_size_length_layers_match_enumeration():
+    # oracle: the multiplicity-form weight summed over enumerated partitions
+    from clpart.qseries import d_lambda
+
+    for p in (2, 3, 5):
+        expected = {}
+        for n in range(21):
+            for lam in enumerate_partitions(n):
+                weight = 1 / (Fraction(p) ** (lam.n_stat() + n) * d_lambda(lam, p))
+                expected[n, lam.length] = expected.get((n, lam.length), 0) + weight
+            assert size_length_layers(p, n) == {
+                key: value for key, value in expected.items() if key[0] <= n
+            }
+
+
+def test_size_length_layers_do_not_enumerate(monkeypatch):
+    import clpart.measures
+    import clpart.partitions
+
+    def refuse(*args):
+        raise AssertionError("size_length_layers enumerated partitions")
+
+    monkeypatch.setattr(clpart.partitions, "_descending", refuse)
+    monkeypatch.setattr(clpart.measures, "enumerate_partitions", refuse)
+    layers = size_length_layers.__wrapped__(2, 40)
+    assert len(layers) == 1 + 40 * 41 // 2
+    assert layers[40, 1] == Fraction(1, 2**40)
+
+
 def test_pmf_size_examples():
     assert pmf_size(0, 2).rational == 1
     assert pmf_size(1, 2).rational == Fraction(1, 2)

@@ -6,6 +6,7 @@ import pytest
 
 from clpart.measures import even_qpoch, inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
 from clpart.partitions import Partition
+from clpart.qseries import column_step, lower_qpoch
 from clpart.rng import SplitMix64, substream
 from clpart.sampler import (
     MAX_COLUMNS,
@@ -57,6 +58,7 @@ def test_kernel_row_examples_and_sums():
 
 def test_kernel_ratio_identity_small():
     # P(b) / (p^binom(a+1,2) P(a) (1/p^2)_floor((a-b)/2)) = K(a,b)
+    #   = (1/p)_a / (1/p)_b * column_step(a, b)
     for p in (2, 3):
         parts = [pmf_parts(a, p).rational for a in range(13)]
         for a in range(13):
@@ -65,6 +67,8 @@ def test_kernel_ratio_identity_small():
                     Fraction(p) ** (a * (a + 1) // 2) * parts[a] * even_qpoch(p, (a - b) // 2)
                 )
                 assert lhs == kernel(a, b, p)
+                step = lower_qpoch(p, a) / lower_qpoch(p, b) * column_step(a, b, p)
+                assert step == kernel(a, b, p)
 
 
 def test_initial_column_distribution_matches_parts_masses():
