@@ -27,6 +27,7 @@ from .measures import (
     _MEASURES,
     _measure,
     even_qpoch,
+    normalization_check,
     pmf_parts,
     pmf_size,
     solve_parts_recursion,
@@ -53,22 +54,11 @@ from .sampler import (
 from .sandpile import run_experiment
 
 
-class CliError(Exception):
-    """Domain/usage error: one-line diagnostic, exit code 2."""
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"cannot parse rational {text!r} (use a/b or an integer)") from None
-
-
-def _parse_partition(text: str) -> Partition:
-    try:
-        return Partition.from_string(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise ValueError(f"cannot parse rational {text!r} (use a/b or an integer)") from None
 
 
 def _write_output(args, payload: str, command: str, params: dict) -> None:
@@ -110,9 +100,10 @@ def cmd_pmf(args) -> int:
     measure = args.measure
 
     if measure in ("size", "parts"):
+        _measure("cl", args.u, args.r)  # marginals of the base measure: no u or r
         value = args.n if measure == "size" else args.a
         if value is None:
-            raise CliError(f"--measure {measure} needs --{'n' if measure == 'size' else 'a'}")
+            raise ValueError(f"--measure {measure} needs --{'n' if measure == 'size' else 'a'}")
         mass = pmf_size(value, p) if measure == "size" else pmf_parts(value, p)
         enc = mass.enclosure()
         print(_constant_line(mass))
@@ -125,12 +116,12 @@ def cmd_pmf(args) -> int:
         return 0
 
     if (args.partition is None) == (args.max_size is None):
-        raise CliError("give exactly one of --partition or --max-size")
+        raise ValueError("give exactly one of --partition or --max-size")
 
     u = _parse_fraction(args.u) if args.u is not None else None
     if args.partition is not None:
         _, value, mass_of, _ = _measure(measure, u, args.r)
-        lam = _parse_partition(args.partition)
+        lam = Partition.from_string(args.partition)
         mass = mass_of(lam, p, value)
         enc = mass.enclosure()
         print(_constant_line(mass))
@@ -217,9 +208,8 @@ def _identity_checks(primes, depth):
             partial, rhs, tail, agree = truncated_series_check(p, r, min(depth, 40))
             yield (f"truncated-series p={p} r={r}", agree,
                    f"partial={float(partial):.12f} rhs={fraction_str(rhs)} tail<={float(tail):.3e}")
-        dist = tabulate(p, min(depth, 30))
-        total = dist.normalization_enclosure()
-        yield (f"normalization p={p} max_size={min(depth, 30)}", total.contains(1),
+        total, agree = normalization_check(p, min(depth, 30))
+        yield (f"normalization p={p} max_size={min(depth, 30)}", agree,
                f"total+tail = {total}")
 
 
@@ -256,15 +246,15 @@ def cmd_verify(args) -> int:
     try:
         primes = [int(tok) for tok in args.p.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"cannot parse prime list {args.p!r}") from None
+        raise ValueError(f"cannot parse prime list {args.p!r}") from None
     if not primes:
-        raise CliError("empty prime list")
+        raise ValueError("empty prime list")
     for p in primes:
         require_prime(p)
     if args.depth < 1:
-        raise CliError("depth must be >= 1")
+        raise ValueError("depth must be >= 1")
     if args.a_max < 0:
-        raise CliError("a-max must be >= 0")
+        raise ValueError("a-max must be >= 0")
     if args.suite == "identities":
         return _run_checks(_identity_checks(primes, args.depth))
     if args.suite == "recursions":
@@ -346,9 +336,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

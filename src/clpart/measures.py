@@ -336,8 +336,8 @@ _MEASURES = {
 def _measure(name: str, u=None, r=None):
     """(parameter, its value, mass, tail bound) of a measure in _MEASURES.
 
-    Raises ValueError for an unknown name or a missing u or r; the mass
-    function checks the value itself.
+    Raises ValueError for an unknown name, a missing u or r, or a u or r
+    the measure does not take; the mass function checks the value itself.
     """
     if name not in _MEASURES:
         raise ValueError(f"unknown measure {name!r} (expected {', '.join(_MEASURES)})")
@@ -345,6 +345,8 @@ def _measure(name: str, u=None, r=None):
     value = {"u": u, "r": r}.get(param)
     if param is not None and value is None:
         raise ValueError(f"the {name} measure needs {param}")
+    if (u is not None and param != "u") or (r is not None and param != "r"):
+        raise ValueError("u/r apply only to the deformed/truncated measures")
     return param, value, mass, tail
 
 
@@ -363,8 +365,6 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     param, value, mass, tail = _measure(measure, u, r)
     if tail is None:
         raise ValueError(f"measure {measure!r} has no table; use cl")
-    if param is None and (u is not None or r is not None):
-        raise ValueError("u/r apply only to the deformed/truncated measures")
     if param == "r":
         _require_parts_bound(r)  # r < 1 would leave the table empty
 
@@ -393,14 +393,22 @@ def size_length_layers(p: int, max_size: int) -> dict:
     exact operations where enumerating the partitions takes O(p(<= N)).
     """
     require_prime(p)
-    if max_size > ENUMERATION_CAP:
-        raise ValueError(f"max_size={max_size} exceeds the enumeration cap {ENUMERATION_CAP}")
     grid = {(0, s): Fraction(s == 0) for s in range(max_size + 1)}
     for a in range(1, max_size + 1):
         steps = [column_step(a, b, p) for b in range(a + 1)]
         for s in range(max_size - a + 1):
             grid[a, s] = sum(steps[b] * grid[b, s - b] for b in range(min(a, s) + 1))
     return {(a + s, a): g / p ** (a * (a + 1) // 2) for (a, s), g in grid.items() if g}
+
+
+def normalization_check(p: int, max_size: int):
+    """(total, agree): odd-constant * (summed layers) + [0, size tail] must
+    contain 1.  ``total`` equals tabulate(p, max_size).normalization_enclosure(),
+    without building the table."""
+    partial = sum(size_length_layers(p, max_size).values())
+    total = (odd_constant(p, DEFAULT_TOLERANCE) * partial
+             + BoundedReal.from_endpoints(0, size_tail_bound(p, max_size)))
+    return total, total.contains(1)
 
 
 def deformed_series_check(p: int, u, max_size: int):

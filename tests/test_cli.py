@@ -58,6 +58,15 @@ def test_pmf_argument_combinations(capsys):
     assert code == 2  # missing --n
     code, _, _ = run(capsys, ["pmf", "--measure", "bogus", "--p", "2", "--partition", "[]"])
     assert code == 2  # argparse choice error
+    # a u or r the measure does not take, on the single-mass and table paths
+    for extra in (["--measure", "cl", "--partition", "[1]", "--u", "1/2"],
+                  ["--measure", "deformed", "--u", "1/2", "--r", "3", "--partition", "[1]"],
+                  ["--measure", "deformed", "--u", "1/2", "--r", "3", "--max-size", "2"],
+                  ["--measure", "cl-conjugate", "--r", "2", "--partition", "[1]"],
+                  ["--measure", "size", "--n", "3", "--u", "1/2"]):
+        code, out, err = run(capsys, ["pmf", "--p", "2", *extra])
+        assert (code, out) == (2, ""), extra
+        assert "u/r apply only" in err, extra
 
 
 def test_pmf_size_and_parts(capsys):
@@ -191,6 +200,20 @@ def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "identities", "--p", "2", "--depth", "6"])
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_identity_suite_enumerates_no_partition(capsys, monkeypatch):
+    import clpart.cli
+    import clpart.measures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity suite enumerated partitions")
+
+    monkeypatch.setattr(clpart.cli, "tabulate", refuse)
+    monkeypatch.setattr(clpart.measures, "enumerate_partitions", refuse)
+    code, out, _ = run(capsys, ["verify", "--suite", "identities", "--p", "2,3", "--depth", "30"])
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
 
 
 def test_verify_domain_errors(capsys):

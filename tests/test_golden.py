@@ -36,6 +36,8 @@ CASES = {
     "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
                    "--seed", "4", "--method", "snf"],
     "verify-identities": ["verify", "--suite", "identities", "--p", "2,3", "--depth", "8"],
+    "verify-identities-bench": ["verify", "--suite", "identities", "--p", "2,3", "--depth", "30"],
+    "verify-identities-deep": ["verify", "--suite", "identities", "--p", "2,5", "--depth", "45"],
     "verify-recursions": ["verify", "--suite", "recursions", "--p", "2,5", "--a-max", "6"],
     "verify-chain": ["verify", "--suite", "chain", "--p", "3", "--a-max", "6"],
 }
@@ -77,6 +79,10 @@ GOLDEN = {
     "verify-chain": ("f3e3389fcfbe8c2e0d89b6e29530bcf38a16277376f1d79c98e65a5e8c70b4a9",
         None),
     "verify-identities": ("d6bf11822a5f67320d227183eb8b9b404bea6b93a3a4381c17fd6bec67d68229",
+        None),
+    "verify-identities-bench": ("12de770ff5c5dc0b63dcd1e0dfd901933e3eb6d205dcf32a411398a3c6c9214f",
+        None),
+    "verify-identities-deep": ("994463e7ea2b4f633e84e834c0461eb78db233bf5e87c76b0b12078f74c1aa83",
         None),
     "verify-recursions": ("12f4be07331dd247115ae2227bf5b11732544f17c751e47da2c0637ba0827f89",
         None),

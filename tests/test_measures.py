@@ -10,6 +10,7 @@ from clpart.measures import (
     MassValue,
     deformed_series_check,
     inverse_odd_constant_upper,
+    normalization_check,
     pmf,
     pmf_deformed,
     pmf_parts,
@@ -117,6 +118,11 @@ def test_size_marginal_exact():
         for n in range(13):
             total = sum(pmf(lam, p).rational for lam in enumerate_partitions(n))
             assert total == pmf_size(n, p).rational
+    # the same marginals from the column DP, past the enumeration cap
+    layers = size_length_layers(2, 64)
+    for n in range(65):
+        total = sum(value for (size, _), value in layers.items() if size == n)
+        assert total == pmf_size(n, 2).rational
 
 
 def test_pmf_deformed_examples_and_domain():
@@ -214,6 +220,8 @@ def test_tabulate_argument_validation():
     with pytest.raises(ValueError):
         tabulate(2, 5, measure="cl", u=Fraction(1, 2))
     with pytest.raises(ValueError):
+        tabulate(2, 5, measure="deformed", u=Fraction(1, 2), r=3)
+    with pytest.raises(ValueError):
         tabulate(2, 5, measure="nope")
 
 
@@ -222,6 +230,15 @@ def test_series_checks_small_depth():
     assert agree and partial < rhs.upper + tail
     partial, rhs, tail, agree = truncated_series_check(2, 3, 20)
     assert agree and partial <= rhs <= partial + tail
+
+
+def test_normalization_check_matches_table():
+    # oracle: the enumerated table's total plus its tail
+    for p in (2, 3, 5):
+        for n in range(13):
+            total, agree = normalization_check(p, n)
+            assert total == tabulate(p, n).normalization_enclosure()
+            assert agree
 
 
 def test_deformed_series_all_stated_points_full_depth():
