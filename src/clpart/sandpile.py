@@ -7,10 +7,11 @@ Laplacian, and read off the p-Sylow partition from the Smith normal form.
 Two Smith-form routes are provided.  ``smith_normal_form`` is the reference:
 classical elimination over the integers with minimal-absolute-value pivoting,
 arbitrary precision throughout.  ``sylow_valuations_mod_prime_power`` is the
-fast path used by experiments: the same elimination carried out modulo p^cap
-with minimal-p-valuation pivoting, which determines every valuation below the
-cap exactly (residues only ever combine entries of valuation >= the pivot's,
-so pivot valuations are the elementary-divisor valuations truncated at cap).
+fast path used by experiments: elimination modulo p^cap with minimal
+p-valuation pivoting, which determines every valuation below the cap exactly
+(pivot valuations are the elementary-divisor valuations truncated at cap).
+Each of its rows is one packed int, so one big-int op clears a pivot-column
+entry, with no per-entry reduction mod p^cap.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        n = self.n
+        if isinstance(self.edges, frozenset) and all(0 <= u < v < n for u, v in self.edges):
+            return  # already canonical, as erdos_renyi builds it
         canon = set()
         for e in self.edges:
             u, v = e
@@ -240,64 +244,59 @@ def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
 def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     """Fast path: same partition as p_sylow_partition, via elimination mod p^cap.
 
-    Pivots on minimal p-valuation; entries are small residues, so this is the
-    route experiments use.  Cannot distinguish valuation >= cap from exactly
-    cap (both report cap, capped=True), matching the reference contract.
+    Row i is one int whose lane j, W = 2*bitlen(p^cap) + bitlen(n) + 1 bits
+    wide, holds entry j as a nonnegative residue.  Each step pivots on an
+    entry of minimal valuation, reduces the pivot row lane by lane mod p^cap,
+    and clears the pivot column of every other active row with one op,
+    row += (p^cap - c)*pivot_row.  A lane grows by less than p^(2cap) per op,
+    in at most n - 1 ops, so it stays below 2^(W-1) and never carries into
+    the next lane; lanes are read mod p^cap.  Valuation >= cap reports cap
+    with capped=True, and so does each zero divisor of a singular matrix.
     """
     require_prime(p)
     _require_cap(cap)
     mod = p**cap
-    m = [[int(x) % mod for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
+    width = 2 * mod.bit_length() + n.bit_length() + 1
+    lane = (1 << width) - 1
+    cols = [width * j for j in range(n)]  # bit offsets of the active columns
+    rows = [sum(x % mod << s for s, x in zip(cols, row) if x) for row in matrix]
 
     vals = []
-    for t in range(n):
-        best = None  # (valuation, i, j)
-        for i in range(t, n):
-            row = m[i]
-            for j in range(t, n):
-                x = row[j]
+    while rows:
+        best = None  # (valuation, row index, column offset)
+        for i, row in enumerate(rows):
+            for s in cols:
+                x = (row >> s & lane) % mod
                 if x:
                     v = 0
                     while x % p == 0:
                         x //= p
                         v += 1
                     if best is None or v < best[0]:
-                        best = (v, i, j)
+                        best = (v, i, s)
                         if v == 0:
                             break
             if best is not None and best[0] == 0:
                 break
         if best is None:
-            vals.extend([cap] * (n - t))
+            vals.extend([cap] * len(rows))
             break
-        v, pi, pj = best
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
+        v, pi, ps = best
+        pivot = rows.pop(pi)
+        cols.remove(ps)
         pv = p**v
-        unit = m[t][t] // pv
-        inv = pow(unit, -1, mod)
-        mt = m[t]
-        for i in range(t + 1, n):
-            x = m[i][t]
-            if x:
-                c = (x // pv) * inv % mod
-                mi = m[i]
-                for j in range(t, n):
-                    mi[j] = (mi[j] - c * mt[j]) % mod
-        # column clearing only touches row t now (the column below is zero)
-        for j in range(t + 1, n):
-            mt[j] = 0
+        inv = pow((pivot >> ps & lane) % mod // pv, -1, mod)
+        pivot = sum((pivot >> s & lane) % mod << s for s in cols)  # lanes < p^cap, pivot's dropped
+        for i, row in enumerate(rows):
+            c = (row >> ps & lane) % mod
+            if c:
+                rows[i] = row + (mod - c // pv * inv % mod) * pivot
         vals.append(v)
 
-    parts = [v for v in vals if v > 0]
-    parts.sort(reverse=True)
-    return Partition(parts), any(v >= cap for v in vals)
+    return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
 
 
 @dataclass(frozen=True)

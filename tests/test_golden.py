@@ -35,6 +35,9 @@ CASES = {
                       "--seed", "4", "--method", "plocal"],
     "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
                    "--seed", "4", "--method", "snf"],
+    # benchmark scale: 7 of the 60 trials hit the cap
+    "graphs-plocal-n40-capped": ["graphs", "--n", "40", "--q", "1/2", "--p", "3", "--trials", "60",
+                                 "--seed", "7", "--cap", "2"],
     "verify-identities": ["verify", "--suite", "identities", "--p", "2,3", "--depth", "8"],
     "verify-identities-bench": ["verify", "--suite", "identities", "--p", "2,3", "--depth", "30"],
     "verify-identities-deep": ["verify", "--suite", "identities", "--p", "2,5", "--depth", "45"],
@@ -46,6 +49,8 @@ CASES = {
 GOLDEN = {
     "graphs-plocal": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3cc6ec3bbed55bbe03b6c611adaa37ebc5dc9a8d337719a04b1ee91ee2f2e6a8"),
+    "graphs-plocal-n40-capped": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bd7d93c5815f1f020ee053b0470892f0b6e2caaa2c536a4d79f7aa98e18aed05"),
     "graphs-snf": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "5c8e69493f7cac97d949ba521a170c94a07fd5c25d926d371dbe6b1647ca7e84"),
     "pmf-cl": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",

@@ -89,6 +89,8 @@ def test_graph_validation():
         Graph(n=2, edges=frozenset({(0, 5)}))
     g = Graph(n=3, edges=frozenset({(2, 0)}))
     assert (0, 2) in g.edges  # canonical orientation
+    g = Graph(n=3, edges={(0, 1), (1, 2)})  # canonical pairs in a plain set
+    assert isinstance(g.edges, frozenset) and g.edges == {(0, 1), (1, 2)}
 
 
 def test_connectivity():
@@ -167,6 +169,95 @@ def test_plocal_route_matches_reference():
         m = reduced_laplacian(g)
         for p in (2, 3, 5):
             assert sylow_valuations_mod_prime_power(m, p) == p_sylow_partition(m, p)
+
+
+def _capped_valuations(diag, p, cap):
+    """(partition, capped) read off a Smith diagonal; a zero counts as cap."""
+    vals = []
+    for d in diag:
+        v = 0
+        while v < cap and d % p == 0:
+            d //= p
+            v += 1
+        vals.append(v)
+    return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
+
+
+def _p_rich_matrix(rng, n, p):
+    m = [[rng.choice((-1, 1)) * rng.randint(0, 3) * p ** rng.randint(0, 6) for _ in range(n)]
+         for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        a, b = rng.sample(range(n), 2)
+        m[a] = [x * rng.choice((-1, 1)) * p ** rng.randint(0, 2) for x in m[b]]  # singular
+    return m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plocal_matches_snf_on_p_rich_matrices(p):
+    rng = random.Random(1000 + p)
+    singular = 0
+    for _ in range(25):
+        m = _p_rich_matrix(rng, rng.randint(1, 12), p)
+        diag = smith_normal_form(m)
+        singular += 0 in diag
+        for cap in (1, 3, 12):
+            expected = _capped_valuations(diag, p, cap)
+            assert sylow_valuations_mod_prime_power(m, p, cap) == expected
+            if 0 not in diag:
+                assert p_sylow_partition(m, p, cap) == expected
+    assert singular > 0
+
+
+def test_plocal_matches_snf_on_n40_laplacians():
+    checked = 0
+    for t in range(12):
+        g = erdos_renyi(40, Fraction(1, 2), substream(606, t))
+        if not g.is_connected():
+            continue
+        m = reduced_laplacian(g)
+        diag = smith_normal_form(m)
+        for p, cap in itertools.product((2, 3, 5, 7), (1, 3, 12)):
+            assert sylow_valuations_mod_prime_power(m, p, cap) == _capped_valuations(diag, p, cap)
+        checked += 1
+    assert checked >= 10
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _random_unimodular(rng, n, bound):
+    """L*R with L unit lower and R unit upper triangular, entries below bound."""
+    lower = [[rng.randrange(bound) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randrange(bound) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    return _matmul(lower, upper)
+
+
+@pytest.mark.parametrize("valuations, expected", [
+    ([1, 1, 2, 3, 3, 5, 8, 11, 12, 14], (Partition([12, 12, 11, 8, 5, 3, 3, 2, 1, 1]), True)),
+    ([1, 2, 2, 4, 6, 9, 11, 11], (Partition([11, 11, 9, 6, 4, 2, 2, 1]), False)),
+])
+def test_plocal_on_known_smith_form_at_widest_lane(valuations, expected):
+    # M = U*D*V with D a divisibility chain: no SNF needed, the answer is D's.
+    # At p=7, cap=12 the residues fill [0, 7^12), the widest lane growth.
+    n, p, cap = 60, 7, 12
+    rng = random.Random(7)
+    vals = [0] * (n - len(valuations)) + valuations
+    chain = [p**v * 6 ** (i // 15) for i, v in enumerate(vals)]
+    u, w = _random_unimodular(rng, n, p**cap), _random_unimodular(rng, n, p**cap)
+    m = _matmul([[x * d for x, d in zip(row, chain)] for row in u], w)
+    assert max(x % p**cap for row in m for x in row) > p**cap * 99 // 100
+    assert sylow_valuations_mod_prime_power(m, p, cap) == expected
+
+
+def test_singular_matrix_contract():
+    # plocal reports each zero divisor as a capped part; the reference refuses
+    assert sylow_valuations_mod_prime_power([[0, 0], [0, 0]], 2, 3) == (Partition([3, 3]), True)
+    assert sylow_valuations_mod_prime_power([[2, 4], [1, 2]], 2, 3) == (Partition([3]), True)
+    with pytest.raises(ValueError, match="singular"):
+        p_sylow_partition([[0, 0], [0, 0]], 2, 3)
+    assert sylow_valuations_mod_prime_power([], 2) == (Partition(), False)
 
 
 def test_sylow_partition_invariant_under_root_and_relabeling():
