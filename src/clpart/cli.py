@@ -81,18 +81,11 @@ def _write_output(args, payload: str, command: str, params: dict) -> None:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # One join of the chunks: json.dumps(...) + "\n" would copy the payload again.
+    return "".join([*json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), "\n"])
 
 
 # ---------------------------------------------------------------- pmf
-
-
-def _constant_line(mass) -> str:
-    enc = mass.constant_enclosure()
-    if mass.constant == "exact":
-        return "constant: exact 1 (no infinite product)"
-    label = f"{mass.constant}(p={mass.p}" + (f", u={mass.u}" if mass.u is not None else "") + ")"
-    return f"constant {label} = {enc}"
 
 
 def cmd_pmf(args) -> int:
@@ -101,47 +94,37 @@ def cmd_pmf(args) -> int:
 
     if measure in ("size", "parts"):
         _measure("cl", args.u, args.r)  # marginals of the base measure: no u or r
-        value = args.n if measure == "size" else args.a
+        flag = "n" if measure == "size" else "a"
+        value = getattr(args, flag)
         if value is None:
-            raise ValueError(f"--measure {measure} needs --{'n' if measure == 'size' else 'a'}")
+            raise ValueError(f"--measure {measure} needs --{flag}")
         mass = pmf_size(value, p) if measure == "size" else pmf_parts(value, p)
-        enc = mass.enclosure()
-        print(_constant_line(mass))
-        payload = _dumps({
-            "measure": measure, "p": p, "argument": value,
-            "rational": fraction_str(mass.rational),
-            "mass": enc.to_json(),
-        })
-        _write_output(args, payload, "pmf", _param_dict(args))
-        return 0
-
-    if (args.partition is None) == (args.max_size is None):
-        raise ValueError("give exactly one of --partition or --max-size")
-
-    u = _parse_fraction(args.u) if args.u is not None else None
-    if args.partition is not None:
+        where = {"argument": value}
+    else:
+        if (args.partition is None) == (args.max_size is None):
+            raise ValueError("give exactly one of --partition or --max-size")
+        u = _parse_fraction(args.u) if args.u is not None else None
+        if args.max_size is not None:
+            dist = tabulate(p, args.max_size, measure=measure, u=u, r=args.r)
+            print(dist.constant)
+            print(f"table total + tail = {dist.normalization_enclosure()}")
+            if args.format == "csv":
+                payload = "\n".join(",".join(row) for row in dist.to_csv_rows()) + "\n"
+            else:
+                payload = _dumps(dist.to_json_dict())
+            _write_output(args, payload, "pmf", _param_dict(args))
+            return 0
         _, value, mass_of, _ = _measure(measure, u, args.r)
         lam = Partition.from_string(args.partition)
         mass = mass_of(lam, p, value)
-        enc = mass.enclosure()
-        print(_constant_line(mass))
-        payload = _dumps({
-            "measure": measure, "p": p, "partition": str(lam),
-            "rational": fraction_str(mass.rational),
-            "mass": enc.to_json(),
-        })
-        _write_output(args, payload, "pmf", _param_dict(args))
-        return 0
+        where = {"partition": str(lam)}
 
-    dist = tabulate(p, args.max_size, measure=measure, u=u, r=args.r)
-    sample_mass = next(iter(dist.entries.values()))
-    print(_constant_line(sample_mass))
-    total = dist.normalization_enclosure()
-    print(f"table total + tail = {total}")
-    if args.format == "csv":
-        payload = "\n".join(",".join(row) for row in dist.to_csv_rows()) + "\n"
-    else:
-        payload = _dumps(dist.to_json_dict())
+    print(mass.constant)
+    payload = _dumps({
+        "measure": measure, "p": p, **where,
+        "rational": fraction_str(mass.rational),
+        "mass": mass.enclosure().to_json(),
+    })
     _write_output(args, payload, "pmf", _param_dict(args))
     return 0
 

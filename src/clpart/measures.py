@@ -1,11 +1,12 @@
 """Probability measures on partitions, exact up to one shared constant.
 
-Every mass is stored as (constant tag) x (exact rational part).  The tag is
-either the trivial constant 1, the odd product prod_{i odd}(1 - p^-i), or the
-u-deformed normalizer (1 - u/p) prod_{i>=3 odd}(1 - u^2 p^-i).  Keeping the
-constant symbolic means equality between different formulas for the same
-measure is an exact rational comparison; the constant is multiplied in (as a
-rigorous enclosure) only at the output boundary.
+Every mass is a :class:`Constant` times an exact rational part.  The constant
+is either the trivial 1, the odd product prod_{i odd}(1 - p^-i), or the
+u-deformed normalizer (1 - u/p) prod_{i>=3 odd}(1 - u^2 p^-i), each built once
+per (p, u) with its rigorous enclosure.  Keeping the rational part separate
+means equality between different formulas for the same measure is an exact
+rational comparison; a table holds one constant for all its entries, and the
+enclosure is multiplied in only at the output boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 
 from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions
 from .qseries import (
-    DEFAULT_TOLERANCE,
     BoundedReal,
     as_fraction,
     column_step,
@@ -31,39 +31,48 @@ from .qseries import (
     upper_qpoch,
 )
 
-CONST_EXACT = "exact"
-CONST_ODD = "odd"
-CONST_DEFORMED = "deformed"
+
+@dataclass(frozen=True)
+class Constant:
+    """An infinite-product constant: its label (None for the exact 1) and enclosure."""
+
+    name: str | None
+    enclosure: BoundedReal
+
+    def __str__(self):
+        if self.name is None:
+            return "constant: exact 1 (no infinite product)"
+        return f"constant {self.name} = {self.enclosure}"
+
+
+EXACT = Constant(None, BoundedReal.exact(1))
+
+
+@lru_cache(maxsize=None)
+def odd(p: int) -> Constant:
+    """prod_{i odd}(1 - p^-i), the base measure's constant."""
+    return Constant(f"odd(p={p})", odd_constant(p))
+
+
+@lru_cache(maxsize=None)
+def deformed(p: int, u: Fraction) -> Constant:
+    """(1 - u/p) prod_{i>=3 odd}(1 - u^2 p^-i), the u-deformed measure's constant."""
+    return Constant(f"deformed(p={p}, u={u})", deformed_constant(p, u))
 
 
 @dataclass(frozen=True)
 class MassValue:
-    """A probability mass: ``constant`` tag times an exact rational part."""
+    """A probability mass: ``constant`` times an exact rational part."""
 
     rational: Fraction
-    constant: str = CONST_EXACT
-    p: int | None = None
-    u: Fraction | None = None
+    constant: Constant = EXACT
 
     def __post_init__(self):
         object.__setattr__(self, "rational", as_fraction(self.rational))
-        if self.constant not in (CONST_EXACT, CONST_ODD, CONST_DEFORMED):
-            raise ValueError(f"unknown constant tag {self.constant!r}")
-        if self.constant != CONST_EXACT and self.p is None:
-            raise ValueError("tagged masses need p")
-        if self.constant == CONST_DEFORMED and self.u is None:
-            raise ValueError("deformed masses need u")
 
-    def constant_enclosure(self, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
-        if self.constant == CONST_EXACT:
-            return BoundedReal.exact(1)
-        if self.constant == CONST_ODD:
-            return odd_constant(self.p, tolerance)
-        return deformed_constant(self.p, self.u, tolerance)
-
-    def enclosure(self, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
+    def enclosure(self) -> BoundedReal:
         """The numeric mass, as constant enclosure times the rational part."""
-        return self.constant_enclosure(tolerance) * self.rational
+        return self.constant.enclosure * self.rational
 
 
 def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
@@ -78,7 +87,7 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
     rational = Fraction(1, p ** (mu[0] * (mu[0] + 1) // 2))
     for a, b in zip(mu, mu[1:]):
         rational *= column_step(a, b, p)
-    return MassValue(rational, CONST_ODD, p=p)
+    return MassValue(rational, odd(p))
 
 
 def _weight(lam: Partition, p: int) -> Fraction:
@@ -93,7 +102,7 @@ def pmf(lam: Partition, p: int) -> MassValue:
 
     Equal, term by term, to pmf_via_conjugate; this form is the cheaper one.
     """
-    return MassValue(_weight(lam, require_prime(p)), CONST_ODD, p=p)
+    return MassValue(_weight(lam, require_prime(p)), odd(p))
 
 
 def pmf_parts(a: int, p: int) -> MassValue:
@@ -105,7 +114,7 @@ def pmf_parts(a: int, p: int) -> MassValue:
     if a < 0:
         raise ValueError("a must be >= 0")
     denom = Fraction(p) ** (a * (a + 1) // 2) * lower_qpoch(p, a)
-    return MassValue(1 / denom, CONST_ODD, p=p)
+    return MassValue(1 / denom, odd(p))
 
 
 def pmf_size(n: int, p: int) -> MassValue:
@@ -119,7 +128,7 @@ def pmf_size(n: int, p: int) -> MassValue:
     total = Fraction(0)
     for k in range(n // 2 + 1):  # k = j/2
         total += Fraction(1, p**k) / even_qpoch(p, k)
-    return MassValue(total / Fraction(p) ** n, CONST_ODD, p=p)
+    return MassValue(total / Fraction(p) ** n, odd(p))
 
 
 def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
@@ -130,7 +139,7 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
     At u = 1 the rational part coincides with pmf().
     """
     u = require_deformation(require_prime(p), u)
-    return MassValue(u**lam.size * _weight(lam, p), CONST_DEFORMED, p=p, u=u)
+    return MassValue(u**lam.size * _weight(lam, p), deformed(p, u))
 
 
 def _require_parts_bound(r: int) -> None:
@@ -202,7 +211,7 @@ def solve_parts_recursion(p: int, a_max: int) -> list[MassValue]:
         raise ArithmeticError(
             f"parts recursions disagree at p={p}: {from_product} vs {from_kernel}"
         )
-    return [MassValue(v, CONST_ODD, p=p) for v in from_product]
+    return [MassValue(v, odd(p)) for v in from_product]
 
 
 @lru_cache(maxsize=None)
@@ -249,45 +258,44 @@ def truncated_tail_bound(p: int, max_size: int) -> Fraction:
 class PartitionDistribution:
     """A table partition -> mass, plus the mass provably outside the table.
 
-    ``tail_mass`` is a rigorous enclosure of the un-enumerated mass computed
-    from analytic bounds, never from 1 - (table total): normalization checks
-    stay meaningful.  ``counts`` is set on empirical tables only.
+    Every entry's mass is ``constant`` times its exact rational in
+    ``entries``.  ``tail_mass`` is a rigorous enclosure of the un-enumerated
+    mass computed from analytic bounds, never from 1 - (table total):
+    normalization checks stay meaningful.  ``counts`` is set on empirical
+    tables only.
     """
 
     p: int
     measure: str
     params: dict = field(default_factory=dict)
-    entries: dict[Partition, MassValue] = field(default_factory=dict)
+    entries: dict[Partition, Fraction] = field(default_factory=dict)
+    constant: Constant = EXACT
     tail_mass: BoundedReal = field(default_factory=lambda: BoundedReal.exact(0))
     counts: dict[Partition, int] | None = None
 
     def sorted_partitions(self) -> list[Partition]:
         return sorted(self.entries, key=Partition.sort_key)
 
-    def total_enclosure(self, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
+    def _enclosures(self):
+        """(partition, mass enclosure) in canonical order."""
+        constant = self.constant.enclosure
+        for lam in self.sorted_partitions():
+            yield lam, constant * self.entries[lam]
+
+    def total_enclosure(self) -> BoundedReal:
         """Enclosure of the summed entry masses (tail not included).
 
-        Entries sharing a constant tag are summed exactly first, so the
-        enclosure is as tight as the constant's own enclosure.
+        The rationals are summed exactly first, so the enclosure is as tight
+        as the constant's own enclosure.
         """
-        groups: dict[tuple, Fraction] = {}
-        rep: dict[tuple, MassValue] = {}
-        for mass in self.entries.values():
-            key = (mass.constant, mass.p, mass.u)
-            groups[key] = groups.get(key, Fraction(0)) + mass.rational
-            rep[key] = mass
-        total = BoundedReal.exact(0)
-        for key, rational in groups.items():
-            total = total + rep[key].constant_enclosure(tolerance) * rational
-        return total
+        return self.constant.enclosure * sum(self.entries.values())
 
-    def normalization_enclosure(self, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
-        return self.total_enclosure(tolerance) + self.tail_mass
+    def normalization_enclosure(self) -> BoundedReal:
+        return self.total_enclosure() + self.tail_mass
 
-    def to_json_dict(self, tolerance=DEFAULT_TOLERANCE) -> dict:
+    def to_json_dict(self) -> dict:
         entries = []
-        for lam in self.sorted_partitions():
-            enc = self.entries[lam].enclosure(tolerance)
+        for lam, enc in self._enclosures():
             row = {"partition": str(lam), "mid": fraction_str(enc.mid),
                    "rad": fraction_str(enc.rad)}
             if self.counts is not None:
@@ -301,10 +309,9 @@ class PartitionDistribution:
             "tail": self.tail_mass.to_json(),
         }
 
-    def to_csv_rows(self, tolerance=DEFAULT_TOLERANCE) -> list[list[str]]:
+    def to_csv_rows(self) -> list[list[str]]:
         rows = [["partition", "midpoint", "radius"]]
-        for lam in self.sorted_partitions():
-            enc = self.entries[lam].enclosure(tolerance)
+        for lam, enc in self._enclosures():
             rows.append([str(lam), repr(float(enc.mid)), repr(float(enc.rad))])
         return rows
 
@@ -316,7 +323,7 @@ def frequency_table(p: int, measure: str, params: dict, counts: dict,
     Masses are count/total with an exact-0 tail; ``counts`` is stored as a
     plain dict, so looking up an unseen partition raises.
     """
-    entries = {lam: MassValue(Fraction(c, total)) for lam, c in counts.items()}
+    entries = {lam: Fraction(c, total) for lam, c in counts.items()}
     return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
                                  counts=dict(counts))
 
@@ -368,13 +375,14 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     if param == "r":
         _require_parts_bound(r)  # r < 1 would leave the table empty
 
-    entries: dict[Partition, MassValue] = {}
+    entries: dict[Partition, Fraction] = {}
     for n in range(max_size + 1):
         for lam in enumerate_partitions(n):
             if param != "r" or lam.length <= r:  # truncated: at most r parts
-                entries[lam] = mass(lam, p, value)
+                entries[lam] = mass(lam, p, value).rational
     params = {} if param is None else {param: fraction_str(u) if param == "u" else r}
     return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
+                                 constant=mass(Partition(), p, value).constant,
                                  tail_mass=BoundedReal.from_endpoints(0, tail(p, value, max_size)))
 
 
@@ -406,7 +414,7 @@ def normalization_check(p: int, max_size: int):
     contain 1.  ``total`` equals tabulate(p, max_size).normalization_enclosure(),
     without building the table."""
     partial = sum(size_length_layers(p, max_size).values())
-    total = (odd_constant(p, DEFAULT_TOLERANCE) * partial
+    total = (odd(p).enclosure * partial
              + BoundedReal.from_endpoints(0, size_tail_bound(p, max_size)))
     return total, total.contains(1)
 
@@ -425,7 +433,7 @@ def deformed_series_check(p: int, u, max_size: int):
     partial = Fraction(0)
     for (n, _), value in layers.items():
         partial += u**n * value
-    rhs = deformed_constant(p, u, DEFAULT_TOLERANCE).reciprocal()
+    rhs = deformed(p, u).enclosure.reciprocal()
     tail = deformed_tail_bound(p, u, max_size)
     agree = abs(partial - rhs.mid) <= rhs.rad + tail
     return partial, rhs, tail, agree

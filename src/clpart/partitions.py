@@ -7,18 +7,24 @@ so they are immutable and hashable.
 
 from __future__ import annotations
 
+from operator import index
+
 # Exact-arithmetic desk scale; enumeration requests above this are refused
 # rather than silently truncated.
 ENUMERATION_CAP = 60
 
 
 class Partition:
-    """Weakly decreasing positive integer parts; ``Partition()`` is empty."""
+    """Weakly decreasing positive integer parts; ``Partition()`` is empty.
+
+    Parts are taken through ``operator.index``, so a float or Fraction part
+    raises TypeError instead of being truncated.
+    """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(map(index, parts))
         for i, x in enumerate(parts):
             if x <= 0:
                 raise ValueError(f"parts must be positive integers, got {x}")

@@ -124,9 +124,6 @@ class BoundedReal:
             return -self
         return BoundedReal.from_endpoints(0, max(-self.lower, self.upper))
 
-    def to_float(self) -> float:
-        return float(self.mid)
-
     def to_json(self) -> dict:
         return {"mid": fraction_str(self.mid), "rad": fraction_str(self.rad)}
 

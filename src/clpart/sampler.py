@@ -135,7 +135,6 @@ def _parts_tail_bound(p: int, b: int, mass: Fraction) -> Fraction | None:
 class _InitialSelector:
     heights: tuple[int, ...]
     thresholds: tuple[int, ...]
-    tail_bound: Fraction  # documented per-sample selection bias bound
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +154,6 @@ def _initial_selector(p: int, cutoff: Fraction) -> _InitialSelector:
     return _InitialSelector(
         heights=tuple(a for a, _ in entries),
         thresholds=tuple(draw_threshold(acc / denom) for acc in accumulate(weights)),
-        tail_bound=tail,
     )
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition
-from .qseries import BoundedReal, DEFAULT_TOLERANCE, as_fraction, fraction_str, require_prime
+from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
 from .rng import draw_threshold, substream
 
 DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
@@ -352,8 +352,8 @@ class ExperimentResult:
     discarded_disconnected: int
     capped_count: int
 
-    def to_json_dict(self, tolerance=DEFAULT_TOLERANCE) -> dict:
-        out = self.distribution.to_json_dict(tolerance)
+    def to_json_dict(self) -> dict:
+        out = self.distribution.to_json_dict()
         out["discarded_disconnected"] = self.discarded_disconnected
         out["capped"] = self.capped_count
         return out
@@ -390,19 +390,18 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
     return ExperimentResult(dist, discarded, capped_count)
 
 
-def tv_distance(d1: PartitionDistribution, d2: PartitionDistribution,
-                tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
+def tv_distance(d1: PartitionDistribution, d2: PartitionDistribution) -> BoundedReal:
     """Total variation distance between two partition tables, as an enclosure.
 
     Half the L1 distance over the union of supports; the unresolvable tail
     contribution is bounded by (tail1 + tail2)/2 and folded into the radius.
     """
     support = set(d1.entries) | set(d2.entries)
-    zero = BoundedReal.exact(0)
+    c1, c2 = d1.constant.enclosure, d2.constant.enclosure
     acc = BoundedReal.exact(0)
     for lam in support:
-        e1 = d1.entries[lam].enclosure(tolerance) if lam in d1.entries else zero
-        e2 = d2.entries[lam].enclosure(tolerance) if lam in d2.entries else zero
+        e1 = c1 * d1.entries.get(lam, 0)
+        e2 = c2 * d2.entries.get(lam, 0)
         acc = acc + (e1 - e2).abs_enclosure()
     half = acc * Fraction(1, 2)
     tail_bound = (d1.tail_mass.upper + d2.tail_mass.upper) / 2

@@ -117,12 +117,12 @@ def test_criterion_6_sampler_fidelity():
     worst_z = 0.0
     checked = 0
     ok_freq = True
-    for lam, mass in exact.entries.items():
-        prob = float(mass.enclosure().mid)
+    for lam, rational in exact.entries.items():
+        prob = float((exact.constant.enclosure * rational).mid)
         if prob < 1e-4:
             continue
         checked += 1
-        freq = float(empirical.entries[lam].rational) if lam in empirical.entries else 0.0
+        freq = float(empirical.entries.get(lam, 0))
         sigma = math.sqrt(prob * (1 - prob) / trials)
         z = abs(freq - prob) / sigma
         worst_z = max(worst_z, z)

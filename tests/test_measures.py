@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from clpart import measures
 from clpart.measures import (
-    CONST_DEFORMED,
-    CONST_EXACT,
-    CONST_ODD,
+    EXACT,
     MassValue,
+    deformed,
     deformed_series_check,
     inverse_odd_constant_upper,
     normalization_check,
+    odd,
     pmf,
     pmf_deformed,
     pmf_parts,
@@ -24,6 +25,7 @@ from clpart.measures import (
     truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
+from clpart.sandpile import tv_distance
 
 
 def test_pmf_examples():
@@ -31,7 +33,7 @@ def test_pmf_examples():
     assert pmf(Partition([1]), 2).rational == Fraction(1, 2)
     assert pmf(Partition([1, 1]), 2).rational == Fraction(1, 6)
     assert pmf(Partition([2]), 3).rational == Fraction(1, 9)
-    assert pmf(Partition(), 2).constant == CONST_ODD
+    assert pmf(Partition(), 2).constant is odd(2)
 
 
 def test_pmf_via_conjugate_examples():
@@ -130,7 +132,7 @@ def test_pmf_deformed_examples_and_domain():
     assert pmf_deformed(Partition(), 2, u).rational == 1
     assert pmf_deformed(Partition([1]), 2, u).rational == Fraction(1, 4)
     mass = pmf_deformed(Partition([2, 1]), 3, u)
-    assert mass.constant == CONST_DEFORMED and mass.u == u
+    assert mass.constant is deformed(3, u)
     with pytest.raises(ValueError):
         pmf_deformed(Partition([1]), 2, 2)
     with pytest.raises(ValueError):
@@ -170,26 +172,19 @@ def test_solve_parts_recursion_examples():
 
 
 def test_mass_value_validation_and_enclosure():
-    with pytest.raises(ValueError):
-        MassValue(Fraction(1), "bogus")
-    with pytest.raises(ValueError):
-        MassValue(Fraction(1), CONST_ODD)  # missing p
-    with pytest.raises(ValueError):
-        MassValue(Fraction(1), CONST_DEFORMED, p=2)  # missing u
     exact = MassValue(Fraction(2, 3))
-    assert exact.constant == CONST_EXACT
+    assert exact.constant is EXACT
     assert exact.enclosure().mid == Fraction(2, 3) and exact.enclosure().rad == 0
-    tagged = MassValue(Fraction(1, 6), CONST_ODD, p=2)
-    enc = tagged.enclosure(Fraction(1, 10**12))
+    enc = MassValue(Fraction(1, 6), odd(2)).enclosure()
     assert abs(enc.mid - Fraction("0.0699037403")) < Fraction(1, 10**9)
 
 
 def test_tabulate_base_measure_trivial_and_normalized():
     dist = tabulate(2, 0)
     assert set(dist.entries) == {Partition()}
-    assert dist.entries[Partition()].rational == 1
+    assert dist.entries[Partition()] == 1
     # the unit mass minus the empty partition's mass must fit inside the tail
-    assert dist.tail_mass.upper >= 1 - float(0) - dist.entries[Partition()].enclosure().upper
+    assert dist.tail_mass.upper >= 1 - dist.total_enclosure().upper
     for p in (2, 3):
         dist = tabulate(p, 12)
         total = dist.normalization_enclosure()
@@ -204,7 +199,7 @@ def test_tabulate_deformed_and_truncated_normalized():
     dist = tabulate(2, 20, measure="truncated", r=1)
     assert dist.normalization_enclosure().contains(1)
     for k in range(1, 21):
-        assert dist.entries[Partition([k])].rational == Fraction(2, 3) * Fraction(1, 2) ** (k + 1)
+        assert dist.entries[Partition([k])] == Fraction(2, 3) * Fraction(1, 2) ** (k + 1)
     dist = tabulate(2, 14, measure="truncated", r=2)
     assert dist.normalization_enclosure().contains(1)
     assert all(lam.length <= 2 for lam in dist.entries)
@@ -263,8 +258,22 @@ def test_json_serialization_is_canonical():
 def test_distribution_total_groups_by_constant():
     dist = tabulate(2, 6)
     total = dist.total_enclosure()
-    plain = sum(m.rational for m in dist.entries.values())
-    # grouped total = constant enclosure times the exact rational sum
+    plain = sum(dist.entries.values())
+    # total = constant enclosure times the exact rational sum
     from clpart.qseries import odd_constant
     enc = odd_constant(2) * plain
     assert abs(total.mid - enc.mid) <= total.rad + enc.rad
+
+
+def test_table_outputs_read_the_constant_once_per_table(monkeypatch):
+    dist = tabulate(2, 8)
+    assert dist.constant is pmf(Partition(), 2).constant
+    recorded = (dist.to_json_dict(), dist.to_csv_rows(), dist.normalization_enclosure(),
+                tv_distance(dist, dist))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("odd_constant called after the table was built")
+
+    monkeypatch.setattr(measures, "odd_constant", boom)
+    assert (dist.to_json_dict(), dist.to_csv_rows(), dist.normalization_enclosure(),
+            tv_distance(dist, dist)) == recorded

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from clpart.partitions import ENUMERATION_CAP, Partition, enumerate_partitions
@@ -31,6 +33,10 @@ def test_validation_rejects_bad_parts():
         Partition([3, 0])
     with pytest.raises(ValueError):
         Partition([-1])
+    # non-integer parts raise instead of being truncated
+    for parts in ([2.7, 1.2], [1.9], [2.0], [Fraction(3, 2)], [Fraction(2)], [3, 1.9]):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_immutable():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from clpart.measures import MassValue, PartitionDistribution
+from clpart.measures import PartitionDistribution
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
 from clpart import sandpile
@@ -379,7 +379,7 @@ def test_run_experiment_deterministic_and_bookkeeping():
     assert r1.discarded_disconnected == r2.discarded_disconnected
     connected = 80 - r1.discarded_disconnected
     assert sum(r1.distribution.counts.values()) == connected
-    total = sum(m.rational for m in r1.distribution.entries.values())
+    total = sum(r1.distribution.entries.values())
     assert total == 1
     doc = r1.to_json_dict()
     assert doc["discarded_disconnected"] == r1.discarded_disconnected
@@ -414,8 +414,7 @@ def test_sample_graph_record_contract():
 
 
 def _dist(masses: dict, tail=BoundedReal.exact(0)):
-    entries = {lam: MassValue(v) for lam, v in masses.items()}
-    return PartitionDistribution(p=2, measure="test", entries=entries, tail_mass=tail)
+    return PartitionDistribution(p=2, measure="test", entries=masses, tail_mass=tail)
 
 
 def test_tv_distance_examples():
