@@ -11,7 +11,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 column-count abort or a kernel row that does not sum to 1).
 Randomized commands require an explicit --seed; every file output gets a
 <output>.manifest.json recording the full parameter set and a digest, and
-re-running the same command reproduces the bytes.
+re-running the same command reproduces the bytes.  A file output is streamed:
+the serializer's chunks are written in blocks to a temporary file beside it,
+hashed on the way, and the file is renamed into place, then the manifest the
+same way, so a failed command leaves both files as they were.  Standard
+output gets the whole payload in one write, so a failed command prints none
+of it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import __version__
 from .measures import (
@@ -61,28 +69,54 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {text!r} (use a/b or an integer)") from None
 
 
-def _write_output(args, payload: str, command: str, params: dict) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        manifest = {
-            "command": command,
-            "params": params,
-            "seed": params.get("seed"),
-            "version": __version__,
-            "outputs": {args.output: digest},
-        }
-        with open(args.output + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        sys.stdout.write(payload)
+# Chunks per written block: about 1 MiB of a pmf table's JSON, whose chunks average ~190 bytes.
+BLOCK_CHUNKS = 5120
 
 
-def _dumps(obj) -> str:
-    # One join of the chunks: json.dumps(...) + "\n" would copy the payload again.
-    return "".join([*json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj), "\n"])
+def _atomic_write(path: str, blocks) -> str:
+    """Write the str blocks to a temporary file beside ``path``, rename it
+    onto ``path`` and return the sha256 of the bytes written.
+
+    On any error the temporary file is removed and ``path`` is left as it was.
+    """
+    digest = hashlib.sha256()
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for block in blocks:
+                data = block.encode()
+                digest.update(data)
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return digest.hexdigest()
+
+
+def _write_output(args, chunks, command: str, params: dict) -> None:
+    """Write the str chunks to ``args.output`` and its manifest, or to stdout."""
+    if not args.output:
+        sys.stdout.write("".join(chunks))
+        return
+    chunks = iter(chunks)
+    blocks = ("".join(chain((first,), islice(chunks, BLOCK_CHUNKS - 1))) for first in chunks)
+    manifest = {
+        "command": command,
+        "params": params,
+        "seed": params.get("seed"),
+        "version": __version__,
+        "outputs": {args.output: _atomic_write(args.output, blocks)},
+    }
+    _atomic_write(args.output + ".manifest.json",
+             [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+
+
+def _dumps(obj):
+    """The JSON text of ``obj`` (indent 2, sorted keys, final newline) as str chunks."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
 
 
 # ---------------------------------------------------------------- pmf
@@ -109,7 +143,7 @@ def cmd_pmf(args) -> int:
             print(dist.constant)
             print(f"table total + tail = {dist.normalization_enclosure()}")
             if args.format == "csv":
-                payload = "\n".join(",".join(row) for row in dist.to_csv_rows()) + "\n"
+                payload = (",".join(row) + "\n" for row in dist.to_csv_rows())
             else:
                 payload = _dumps(dist.to_json_dict())
             _write_output(args, payload, "pmf", _param_dict(args))
@@ -140,7 +174,7 @@ def cmd_sample(args) -> int:
         dist = empirical_distribution(config, args.trials)
         payload = _dumps(dist.to_json_dict())
     else:
-        payload = "\n".join(map(str, sample_partitions(config, args.trials))) + "\n"
+        payload = (f"{lam}\n" for lam in sample_partitions(config, args.trials))
     _write_output(args, payload, "sample", _param_dict(args))
     return 0
 

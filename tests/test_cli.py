@@ -1,9 +1,11 @@
 import json
 import hashlib
+import os
+import tracemalloc
 
 import pytest
 
-from clpart import sampler
+from clpart import cli, sampler
 from clpart.cli import _run_checks, main
 
 
@@ -124,6 +126,66 @@ def test_manifest_round_trips_to_identical_bytes(capsys, tmp_path):
     assert main(replay) == 0
     assert hashlib.sha256(replay_path.read_bytes()).hexdigest() == first_digest
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--measure", "cl", "--p", "3", "--max-size", "6"],
+    ["pmf", "--measure", "deformed", "--u", "1/2", "--p", "2", "--max-size", "5",
+     "--format", "csv"],
+    ["sample", "--p", "2", "--trials", "40", "--seed", "3"],
+    ["graphs", "--n", "6", "--q", "1/2", "--p", "2", "--trials", "10", "--seed", "2"],
+])
+def test_file_output_in_small_blocks_equals_stdout(capsys, monkeypatch, tmp_path, argv):
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "BLOCK_CHUNKS", 7)
+    out_path = tmp_path / "out"
+    code, out, _ = run(capsys, argv + ["--output", str(out_path)])
+    assert code == 0
+    data = out_path.read_bytes()
+    assert (out + data.decode()) == expected  # stdout: the constant lines, then the payload
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out_path): hashlib.sha256(data).hexdigest()}
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == ["out", "out.manifest.json"]
+
+
+def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "table.json"
+    argv = ["pmf", "--measure", "cl", "--p", "2", "--max-size", "6", "--output", str(out_path)]
+    assert main(argv) == 0
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    dumps = cli._dumps
+
+    def broken(obj):
+        chunks = dumps(obj)
+        for _ in range(50):  # several blocks reach the temporary file first
+            yield next(chunks)
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "_dumps", broken)
+    monkeypatch.setattr(cli, "BLOCK_CHUNKS", 8)
+    capsys.readouterr()
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (3, "internal error: broken on purpose\n")
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+def test_table_output_memory_stays_below_its_size(capsys, tmp_path):
+    out_path = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        code = main(["pmf", "--measure", "cl", "--p", "2", "--max-size", "20",
+                     "--output", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    size = out_path.stat().st_size
+    assert peak < 1.5 * size, (peak, size)
 
 
 def test_sample_lines_deterministic(capsys):

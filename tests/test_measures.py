@@ -25,6 +25,7 @@ from clpart.measures import (
     truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
+from clpart.qseries import BoundedReal, fraction_str
 from clpart.sandpile import tv_distance
 
 
@@ -113,6 +114,13 @@ def test_pmf_size_examples():
     assert pmf_size(0, 2).rational == 1
     assert pmf_size(1, 2).rational == Fraction(1, 2)
     assert pmf_size(2, 2).rational == Fraction(5, 12)
+
+
+def test_size_length_layers_refuse_oversized_requests():
+    with pytest.raises(ValueError, match="series cap"):
+        size_length_layers(2, 10**4)
+    with pytest.raises(ValueError, match="series cap"):
+        size_length_layers(3, measures.MAX_SERIES_SIZE + 1)
 
 
 def test_size_marginal_exact():
@@ -277,3 +285,34 @@ def test_table_outputs_read_the_constant_once_per_table(monkeypatch):
     monkeypatch.setattr(measures, "odd_constant", boom)
     assert (dist.to_json_dict(), dist.to_csv_rows(), dist.normalization_enclosure(),
             tv_distance(dist, dist)) == recorded
+
+
+def test_table_outputs_render_each_distinct_rational_once(monkeypatch):
+    dist = tabulate(3, 12)
+    distinct = len(set(dist.entries.values()))
+    assert distinct < len(dist.entries)
+    # oracle: every entry rendered on its own
+    masses = [(str(lam), dist.constant.enclosure * dist.entries[lam])
+              for lam in dist.sorted_partitions()]
+    expected_json = [{"partition": lam, "mid": fraction_str(m.mid), "rad": fraction_str(m.rad)}
+                     for lam, m in masses]
+    expected_csv = [[lam, repr(float(m.mid)), repr(float(m.rad))] for lam, m in masses]
+    calls = {"fraction_str": 0, "mul": 0}
+
+    def counted_fraction_str(x):
+        calls["fraction_str"] += 1
+        return fraction_str(x)
+
+    def counted_mul(self, other, mul=BoundedReal.__mul__):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(measures, "fraction_str", counted_fraction_str)
+    monkeypatch.setattr(BoundedReal, "__mul__", counted_mul)
+    doc = dist.to_json_dict()
+    assert doc["entries"] == expected_json
+    assert calls["mul"] == distinct
+    assert calls["fraction_str"] <= 2 * distinct + 2  # + 2: the tail's mid and rad
+    calls.update(fraction_str=0, mul=0)
+    assert dist.to_csv_rows()[1:] == expected_csv
+    assert calls == {"fraction_str": 0, "mul": distinct}
