@@ -69,8 +69,9 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {text!r} (use a/b or an integer)") from None
 
 
-# Chunks per written block: about 1 MiB of a pmf table's JSON, whose chunks average ~190 bytes.
-BLOCK_CHUNKS = 5120
+# Chunks per written block: about 1 MiB of a pmf table's JSON, where each entry is two
+# chunks, its separator and its text (~3.1 KB at p = 2, max size 26).
+BLOCK_CHUNKS = 672
 
 
 def _atomic_write(path: str, blocks) -> str:
@@ -114,12 +115,41 @@ def _write_output(args, chunks, command: str, params: dict) -> None:
 
 
 def _dumps(obj):
-    """The JSON text of ``obj`` (indent 2, sorted keys, final newline) as str chunks."""
-    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    """The JSON text of ``obj`` (indent 2, sorted keys, final newline) as str chunks.
+
+    ``obj`` is a dict, or a table with ``json_parts()``: the table's other keys
+    are encoded here and its entry texts, already indented, are spliced into
+    "entries" as separator and text chunks.
+    """
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    if isinstance(obj, dict):
+        yield from encoder.iterencode(obj)
+    else:
+        head, entries = obj.json_parts()
+        # strings are encoded with \n escaped, so this is the top-level key
+        before, _, after = encoder.encode({**head, "entries": []}).partition('\n  "entries": []')
+        yield before + '\n  "entries": ['
+        separator = "\n    "
+        for text in entries:
+            yield separator
+            yield text
+            separator = ",\n    "
+        yield ("]" if separator == "\n    " else "\n  ]") + after
     yield "\n"
 
 
 # ---------------------------------------------------------------- pmf
+
+# The pmf flags that select a mode or shape its output, with their defaults.
+_PMF_MODE_FLAGS = {"partition": None, "max_size": None, "n": None, "a": None, "format": "json"}
+
+
+def _refuse_unread(args, mode: str, reads) -> None:
+    """Raise ValueError naming a mode flag that was given but that ``mode`` does not read."""
+    for flag, default in _PMF_MODE_FLAGS.items():
+        value = getattr(args, flag)
+        if flag not in reads and value != default:
+            raise ValueError(f"--{flag.replace('_', '-')} {value} does not apply to {mode}")
 
 
 def cmd_pmf(args) -> int:
@@ -129,6 +159,7 @@ def cmd_pmf(args) -> int:
     if measure in ("size", "parts"):
         _measure("cl", args.u, args.r)  # marginals of the base measure: no u or r
         flag = "n" if measure == "size" else "a"
+        _refuse_unread(args, f"--measure {measure}", {flag})
         value = getattr(args, flag)
         if value is None:
             raise ValueError(f"--measure {measure} needs --{flag}")
@@ -139,15 +170,17 @@ def cmd_pmf(args) -> int:
             raise ValueError("give exactly one of --partition or --max-size")
         u = _parse_fraction(args.u) if args.u is not None else None
         if args.max_size is not None:
+            _refuse_unread(args, "--max-size", {"max_size", "format"})
             dist = tabulate(p, args.max_size, measure=measure, u=u, r=args.r)
             print(dist.constant)
             print(f"table total + tail = {dist.normalization_enclosure()}")
             if args.format == "csv":
                 payload = (",".join(row) + "\n" for row in dist.to_csv_rows())
             else:
-                payload = _dumps(dist.to_json_dict())
+                payload = _dumps(dist)
             _write_output(args, payload, "pmf", _param_dict(args))
             return 0
+        _refuse_unread(args, "--partition", {"partition"})
         _, value, mass_of, _ = _measure(measure, u, args.r)
         lam = Partition.from_string(args.partition)
         mass = mass_of(lam, p, value)
@@ -172,7 +205,7 @@ def cmd_sample(args) -> int:
     config = SamplerConfig(p=p, seed=args.seed, initial_tail_cutoff=cutoff)
     if args.summary:
         dist = empirical_distribution(config, args.trials)
-        payload = _dumps(dist.to_json_dict())
+        payload = _dumps(dist)
     else:
         payload = (f"{lam}\n" for lam in sample_partitions(config, args.trials))
     _write_output(args, payload, "sample", _param_dict(args))
@@ -187,7 +220,7 @@ def cmd_graphs(args) -> int:
     q = _parse_fraction(args.q)
     result = run_experiment(args.n, q, p, args.trials, args.seed,
                             cap=args.cap, method=args.method)
-    payload = _dumps(result.to_json_dict())
+    payload = _dumps(result)
     _write_output(args, payload, "graphs", _param_dict(args))
     return 0
 

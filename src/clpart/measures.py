@@ -20,7 +20,7 @@ from .qseries import (
     BoundedReal,
     as_fraction,
     column_step,
-    d_lambda_parts,
+    d_lambda_pair,
     deformed_constant,
     even_qpoch,
     fraction_str,
@@ -97,8 +97,15 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
 
 
 def _weight(lam: Partition, p: int) -> Fraction:
-    """1 / (p^(n(lam)+|lam|) d_lambda(lam, p)), the multiplicity form; p unchecked."""
-    return 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda_parts(lam.parts, p))
+    """1 / (p^(n(lam)+|lam|) d_lambda(lam, p)), the multiplicity form; p unchecked.
+
+    With d_lambda = N / p^E this is 1 / (p^(n(lam)+|lam|-E) N): one integer
+    denominator, already in lowest terms.  E <= n(lam) + |lam|, since a run of
+    m equal parts adds at least m(m+1)/2 to n(lam) + |lam| and at most
+    floor(m/2)(floor(m/2)+1) to E.
+    """
+    numerator, exponent = d_lambda_pair(lam.parts, p)
+    return Fraction(1, p ** (lam.n_stat() + lam.size - exponent) * numerator)
 
 
 def pmf(lam: Partition, p: int) -> MassValue:
@@ -287,25 +294,46 @@ class PartitionDistribution:
 
         Each distinct rational is multiplied by the constant and rendered
         once: the base measure's depends only on n(lam) + |lam| and the
-        multiplicities, so many entries share one.
+        multiplicities, so many entries share one.  The renderings are keyed
+        by (numerator, denominator), so no Fraction is hashed.
         """
         constant = self.constant.enclosure
-        rendered = {r: render(constant * r) for r in set(self.entries.values())}
+        rendered = {}
         for lam in self.sorted_partitions():
-            yield lam, rendered[self.entries[lam]]
+            r = self.entries[lam]
+            key = (r.numerator, r.denominator)
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = render(constant * r)
+            yield lam, text
 
     def total_enclosure(self) -> BoundedReal:
         """Enclosure of the summed entry masses (tail not included).
 
-        The rationals are summed exactly first, so the enclosure is as tight
-        as the constant's own enclosure.
+        The rationals are summed exactly first, each distinct one once times
+        its multiplicity, so the enclosure is as tight as the constant's own.
         """
-        return self.constant.enclosure * sum(self.entries.values())
+        multiplicity = {}
+        for r in self.entries.values():
+            key = (r.numerator, r.denominator)
+            multiplicity[key] = multiplicity.get(key, 0) + 1
+        total = sum(Fraction(num * m, den) for (num, den), m in multiplicity.items())
+        return self.constant.enclosure * total
 
     def normalization_enclosure(self) -> BoundedReal:
         return self.total_enclosure() + self.tail_mass
 
+    def _json_head(self) -> dict:
+        """The JSON object's keys other than "entries"."""
+        return {
+            "p": self.p,
+            "measure": self.measure,
+            "params": dict(self.params),
+            "tail": self.tail_mass.to_json(),
+        }
+
     def to_json_dict(self) -> dict:
+        """The table as a JSON-ready dict; ``json_parts`` is its streamed form."""
         entries = []
         for lam, (mid, rad) in self._rendered(
                 lambda enc: (fraction_str(enc.mid), fraction_str(enc.rad))):
@@ -313,13 +341,26 @@ class PartitionDistribution:
             if self.counts is not None:
                 row["count"] = self.counts.get(lam, 0)
             entries.append(row)
-        return {
-            "p": self.p,
-            "measure": self.measure,
-            "params": dict(self.params),
-            "entries": entries,
-            "tail": self.tail_mass.to_json(),
-        }
+        return {**self._json_head(), "entries": entries}
+
+    def json_parts(self):
+        """(the JSON object without "entries", an iterator of entry texts).
+
+        An entry's text is its object exactly as ``json.dumps(...,
+        indent=2, sort_keys=True)`` writes it as an item of the top-level
+        "entries" list: keys at six spaces, the closing brace at four, no
+        separator.  The mid and rad lines are rendered once per distinct
+        rational; partitions and fraction strings need no JSON escaping.
+        """
+        return self._json_head(), self._entry_texts()
+
+    def _entry_texts(self):
+        counts = self.counts
+        for lam, (mid, rad) in self._rendered(lambda enc: (
+                f'\n      "mid": "{fraction_str(enc.mid)}",\n      "partition": "',
+                f'",\n      "rad": "{fraction_str(enc.rad)}"\n    }}')):
+            count = "" if counts is None else f'\n      "count": {counts.get(lam, 0)},'
+            yield f"{{{count}{mid}{lam}{rad}"
 
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["partition", "midpoint", "radius"]]

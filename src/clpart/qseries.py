@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .partitions import Partition
@@ -165,35 +165,64 @@ def finite_qpoch(x, q, j: int) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
-def lower_qpoch(p: int, k: int) -> Fraction:
-    """(1-1/p)(1-1/p^2)...(1-1/p^k), cached; the workhorse finite product."""
-    return finite_qpoch(Fraction(1, p), Fraction(1, p), k)
+def _cumulative(factor):
+    """Make factor(p, i) into a cached (p, k) -> prod_{i=1}^{k} factor(p, i).
 
-
-@lru_cache(maxsize=None)
-def even_qpoch(p: int, k: int) -> Fraction:
-    """(1-1/p^2)(1-1/p^4)...(1-1/p^(2k)), cached."""
-    q2 = Fraction(1, p * p)
-    return finite_qpoch(q2, q2, k)
-
-
-@lru_cache(maxsize=None)
-def upper_qpoch(p: int, k: int) -> Fraction:
-    """(1+1/p)(1+1/p^2)...(1+1/p^k), cached."""
-    out = Fraction(1)
-    for i in range(1, k + 1):
-        out *= 1 + Fraction(1, p**i)
-    return out
-
-
-def d_lambda_parts(parts: tuple[int, ...], p: int) -> Fraction:
-    """d_lambda of a weakly decreasing tuple of positive parts, p unchecked.
-
-    Each run of m equal parts contributes even_qpoch(p, floor(m/2)); a
-    trailing 0 closes the last run.
+    Each p keeps the products built so far in a list; a k past its end
+    extends a copy of the list from its largest product one factor at a time,
+    then stores the copy.  So no product is rebuilt from its first factor, k
+    has no recursion-depth limit, and a stored list never changes under a
+    concurrent caller.  ``cache_clear()`` empties the cache.
     """
-    out = Fraction(1)
+    tables: dict[int, list[Fraction]] = {}
+
+    @wraps(factor)
+    def product(p: int, k: int) -> Fraction:
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        table = tables.get(p, [Fraction(1)])
+        if len(table) <= k:
+            table = table[:]
+            while len(table) <= k:
+                table.append(table[-1] * factor(p, len(table)))
+            tables[p] = table
+        return table[k]
+
+    product.cache_clear = tables.clear
+    return product
+
+
+@_cumulative
+def lower_qpoch(p: int, i: int) -> Fraction:
+    """(1-1/p)(1-1/p^2)...(1-1/p^k), cached; the workhorse finite product."""
+    return 1 - Fraction(1, p**i)
+
+
+@_cumulative
+def even_qpoch(p: int, i: int) -> Fraction:
+    """(1-1/p^2)(1-1/p^4)...(1-1/p^(2k)), cached.
+
+    In lowest terms this is prod_{j<=k} (p^(2j) - 1) / p^(k(k+1)), since p
+    divides no p^(2j) - 1.
+    """
+    return 1 - Fraction(1, p ** (2 * i))
+
+
+@_cumulative
+def upper_qpoch(p: int, i: int) -> Fraction:
+    """(1+1/p)(1+1/p^2)...(1+1/p^k), cached."""
+    return 1 + Fraction(1, p**i)
+
+
+def d_lambda_pair(parts: tuple[int, ...], p: int) -> tuple[int, int]:
+    """(N, E) with d_lambda = N / p^E, for a weakly decreasing tuple of positive
+    parts, p unchecked.
+
+    Each run of m equal parts contributes even_qpoch(p, k) with k = floor(m/2),
+    that is prod_{j<=k} (p^(2j) - 1) to N and k(k+1) to E; a trailing 0 closes
+    the last run.  N is prime to p, so N / p^E is in lowest terms.
+    """
+    numerator, exponent = 1, 0
     run = 0
     prev = 0
     for x in parts + (0,):
@@ -201,9 +230,11 @@ def d_lambda_parts(parts: tuple[int, ...], p: int) -> Fraction:
             run += 1
         else:
             if run >= 2:
-                out *= even_qpoch(p, run // 2)
+                k = run // 2
+                numerator *= even_qpoch(p, k).numerator
+                exponent += k * (k + 1)
             prev, run = x, 1
-    return out
+    return numerator, exponent
 
 
 def column_step(a: int, b: int, p: int) -> Fraction:
@@ -219,7 +250,8 @@ def column_step(a: int, b: int, p: int) -> Fraction:
 
 def d_lambda(lam: Partition, p: int) -> Fraction:
     """prod_{i>=1} prod_{j=1}^{floor(m_i/2)} (1 - p^(-2j)), the symmetry weight of lam."""
-    return d_lambda_parts(lam.parts, require_prime(p))
+    numerator, exponent = d_lambda_pair(lam.parts, require_prime(p))
+    return Fraction(numerator, p**exponent)
 
 
 def _enclose_product(a: Fraction, r: Fraction, accept):

@@ -352,11 +352,17 @@ class ExperimentResult:
     discarded_disconnected: int
     capped_count: int
 
+    def _tallies(self) -> dict:
+        return {"discarded_disconnected": self.discarded_disconnected,
+                "capped": self.capped_count}
+
     def to_json_dict(self) -> dict:
-        out = self.distribution.to_json_dict()
-        out["discarded_disconnected"] = self.discarded_disconnected
-        out["capped"] = self.capped_count
-        return out
+        return {**self.distribution.to_json_dict(), **self._tallies()}
+
+    def json_parts(self):
+        """The table's ``json_parts`` with the tallies added to the head."""
+        head, entries = self.distribution.json_parts()
+        return {**head, **self._tallies()}, entries
 
 
 def run_experiment(n: int, q, p: int, trials: int, seed: int,

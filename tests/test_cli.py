@@ -2,11 +2,15 @@ import json
 import hashlib
 import os
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from clpart import cli, sampler
 from clpart.cli import _run_checks, main
+from clpart.measures import tabulate
+from clpart.sampler import SamplerConfig, empirical_distribution
+from clpart.sandpile import run_experiment
 
 
 def run(capsys, argv):
@@ -69,6 +73,30 @@ def test_pmf_argument_combinations(capsys):
         code, out, err = run(capsys, ["pmf", "--p", "2", *extra])
         assert (code, out) == (2, ""), extra
         assert "u/r apply only" in err, extra
+
+
+@pytest.mark.parametrize("extra, error", [
+    (["--measure", "cl", "--partition", "[1]", "--format", "csv"],
+     "--format csv does not apply to --partition"),
+    (["--measure", "size", "--n", "3", "--format", "csv"],
+     "--format csv does not apply to --measure size"),
+    (["--measure", "parts", "--a", "2", "--format", "csv"],
+     "--format csv does not apply to --measure parts"),
+    (["--measure", "cl", "--max-size", "3", "--n", "3"], "--n 3 does not apply to --max-size"),
+    (["--measure", "deformed", "--u", "1/2", "--max-size", "3", "--a", "2"],
+     "--a 2 does not apply to --max-size"),
+    (["--measure", "cl", "--partition", "[1]", "--n", "3"], "--n 3 does not apply to --partition"),
+    (["--measure", "truncated", "--r", "2", "--partition", "[1]", "--a", "1"],
+     "--a 1 does not apply to --partition"),
+    (["--measure", "size", "--n", "3", "--max-size", "4"],
+     "--max-size 4 does not apply to --measure size"),
+    (["--measure", "parts", "--a", "2", "--partition", "[1]"],
+     "--partition [1] does not apply to --measure parts"),
+    (["--measure", "size", "--n", "3", "--a", "2"], "--a 2 does not apply to --measure size"),
+])
+def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
+    code, out, err = run(capsys, ["pmf", "--p", "2", *extra])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_pmf_size_and_parts(capsys):
@@ -171,6 +199,43 @@ def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, argv)
     assert (code, err) == (3, "internal error: broken on purpose\n")
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+WRITER_CASES = {
+    **{f"{measure}-p{p}": (lambda p=p, measure=measure, kw=kw: tabulate(p, 7, measure, **kw))
+       for p in (2, 3)
+       for measure, kw in (("cl", {}), ("deformed", {"u": Fraction(1, 2)}),
+                           ("truncated", {"r": 2}))},
+    "one-entry": lambda: tabulate(2, 0),
+    "sample-summary": lambda: empirical_distribution(SamplerConfig(p=3, seed=5), 300),
+    # 8 of the 30 graphs disconnected, 6 capped
+    "graphs": lambda: run_experiment(9, Fraction(1, 3), 2, 30, 3, cap=2),
+    "graphs-all-disconnected": lambda: run_experiment(12, Fraction(1, 1000), 2, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_dumps_of_a_table_equals_json_dumps_of_its_dict(name):
+    table = WRITER_CASES[name]()
+    expected = json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert "".join(cli._dumps(table)) == expected
+
+
+def test_table_write_hashes_each_distinct_rational_at_most_once(capsys, monkeypatch, tmp_path):
+    distinct = len(set(tabulate(3, 12).entries.values()))
+    calls = 0
+
+    def counted_hash(self, real=Fraction.__hash__):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    code = main(["pmf", "--measure", "cl", "--p", "3", "--max-size", "12",
+                 "--output", str(tmp_path / "table.json")])
+    capsys.readouterr()
+    assert code == 0
+    assert calls <= distinct, (calls, distinct)
 
 
 def test_table_output_memory_stays_below_its_size(capsys, tmp_path):

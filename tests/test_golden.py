@@ -25,6 +25,7 @@ CASES = {
     "pmf-parts": PMF + ["--measure", "parts", "--a", "3"],
     "table-cl-json": TABLE + ["--measure", "cl"],
     "table-cl-csv": TABLE + ["--measure", "cl", "--format", "csv"],
+    "table-cl-json-p2": ["pmf", "--measure", "cl", "--p", "2", "--max-size", "12"],
     "table-deformed-json": TABLE + ["--measure", "deformed", "--u", "1/2"],
     "table-deformed-csv": TABLE + ["--measure", "deformed", "--u", "1/2", "--format", "csv"],
     "table-truncated-json": TABLE + ["--measure", "truncated", "--r", "2"],
@@ -33,6 +34,9 @@ CASES = {
     "sample-summary": ["sample", "--p", "3", "--trials", "300", "--seed", "5", "--summary"],
     "graphs-plocal": ["graphs", "--n", "9", "--q", "1/2", "--p", "2", "--trials", "30",
                       "--seed", "4", "--method", "plocal"],
+    # q so small that every graph is disconnected: "entries": []
+    "graphs-all-disconnected": ["graphs", "--n", "12", "--q", "1/1000", "--p", "2", "--trials", "3",
+                                "--seed", "1"],
     "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
                    "--seed", "4", "--method", "snf"],
     # benchmark scale: 7 of the 60 trials hit the cap
@@ -47,6 +51,8 @@ CASES = {
 
 # name -> (stdout sha256, payload sha256 or None for commands without --output)
 GOLDEN = {
+    "graphs-all-disconnected": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d21f8e6444435688346726ec39659f61b35db4f60746026ad1228387238ef4c9"),
     "graphs-plocal": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3cc6ec3bbed55bbe03b6c611adaa37ebc5dc9a8d337719a04b1ee91ee2f2e6a8"),
     "graphs-plocal-n40-capped": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -73,6 +79,8 @@ GOLDEN = {
         "bdda18732e1a056d265441b1f52dea4166ef646bdc2a8efe14f078187af0a159"),
     "table-cl-json": ("de3dedee8e2bd8d8abfb8babfda3a644e7a11797df6f52c9662b007a3a72d898",
         "2c420ed2805405f2cd3342383f70ac2bc465db812c7e6cb7c3f895d5d062dc43"),
+    "table-cl-json-p2": ("e6a31354e06e43de0e160bf33c51e1a37a8b594fea4ae565432ccaff7bb9410a",
+        "caedd7967c5aa7f2bf37d8adc75dbcc317737a7fef97f47150942bb663bbb8d9"),
     "table-deformed-csv": ("c8ff72931290d36b996db863f3c72805ed5da6a7a7d94a0cb08bc10e2c691ec7",
         "48137d1b73f4d60e1122da8a9af1659cd79828340d4a2eec70a047103034e292"),
     "table-deformed-json": ("c8ff72931290d36b996db863f3c72805ed5da6a7a7d94a0cb08bc10e2c691ec7",

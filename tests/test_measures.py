@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from clpart.measures import (
     truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
-from clpart.qseries import BoundedReal, fraction_str
+from clpart.qseries import BoundedReal, d_lambda, finite_qpoch, fraction_str
 from clpart.sandpile import tv_distance
 
 
@@ -59,6 +60,36 @@ def test_pmf_denominator_uses_symmetry_weight():
             for lam in enumerate_partitions(n):
                 expected = 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d_lambda(lam, p))
                 assert pmf(lam, p).rational == expected
+
+
+def _random_partition(rng, max_size):
+    """A partition of a uniform size <= max_size, each part uniform below the last."""
+    n = rng.randint(0, max_size)
+    parts = []
+    while n:
+        parts.append(rng.randint(1, min(n, parts[-1] if parts else n)))
+        n -= parts[-1]
+    return Partition(parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_weights_match_their_formulas_on_random_partitions(p):
+    # oracle: d_lambda from the multiplicities by literal finite products
+    t = Fraction(1, p)
+    rng = random.Random(9000 + p)
+    u = Fraction(rng.randint(1, 4 * p - 1), 4)  # 0 < u < p
+    for _ in range(300):
+        lam = _random_partition(rng, 40)
+        d = 1
+        for m in lam.multiplicities().values():
+            d *= finite_qpoch(t * t, t * t, m // 2)
+        assert d_lambda(lam, p) == d
+        body = 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d)
+        assert measures._weight(lam, p) == pmf_via_conjugate(lam, p).rational == body
+        assert pmf_deformed(lam, p, u).rational == u**lam.size * body
+        r = max(lam.length, 1) + rng.randint(0, 3)
+        trailing = finite_qpoch(t, t, r) / finite_qpoch(t, t, r - lam.length)
+        assert pmf_truncated(lam, p, r) == body * trailing / finite_qpoch(-t, t, r)
 
 
 def test_pmf_parts_examples_and_sum_oracle():

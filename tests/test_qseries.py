@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,13 @@ from clpart.qseries import (
     BoundedReal,
     d_lambda,
     deformed_constant,
+    even_qpoch,
     finite_qpoch,
     fraction_str,
     gaussian_binomial,
+    lower_qpoch,
     odd_constant,
+    upper_qpoch,
     verify_euler_identity,
     verify_qbinomial,
 )
@@ -184,3 +188,30 @@ def test_bounded_real_arithmetic_encloses_exact_results():
 def test_bounded_real_reciprocal_requires_positive():
     with pytest.raises(ValueError):
         BoundedReal(Fraction(1, 2), Fraction(1)).reciprocal()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cached_qpochs_equal_literal_products_filled_out_of_order(p):
+    t = Fraction(1, p)
+    literal = {
+        lower_qpoch: lambda k: finite_qpoch(t, t, k),
+        even_qpoch: lambda k: finite_qpoch(t * t, t * t, k),
+        upper_qpoch: lambda k: finite_qpoch(-t, t, k),
+    }
+    rng = random.Random(60 + p)
+    for cached, product in literal.items():
+        cached.cache_clear()
+        ks = list(range(61))
+        rng.shuffle(ks)
+        for k in ks:
+            assert cached(p, k) == product(k), (cached.__name__, k)
+        with pytest.raises(ValueError):
+            cached(p, -1)
+
+
+def test_cached_qpoch_depth_is_not_limited_by_recursion():
+    k = sys.getrecursionlimit() + 1
+    try:
+        assert lower_qpoch(2, k) == lower_qpoch(2, k - 1) * (1 - Fraction(1, 2**k))
+    finally:
+        lower_qpoch.cache_clear()  # the products up to k hold ~40 MB
