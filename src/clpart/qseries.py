@@ -165,14 +165,21 @@ def finite_qpoch(x, q, j: int) -> Fraction:
     return out
 
 
+# Largest k whose running product is cached.  The k-th product's numerator
+# and denominator have about k^2/2 * log2(p) bits each, so caching every k up
+# to K holds about K^3/3 * log2(p) bits: under 1 MB at K = 256, p = 2.
+CACHED_FACTORS = 256
+
+
 def _cumulative(factor):
     """Make factor(p, i) into a cached (p, k) -> prod_{i=1}^{k} factor(p, i).
 
-    Each p keeps the products built so far in a list; a k past its end
-    extends a copy of the list from its largest product one factor at a time,
-    then stores the copy.  So no product is rebuilt from its first factor, k
-    has no recursion-depth limit, and a stored list never changes under a
-    concurrent caller.  ``cache_clear()`` empties the cache.
+    Each p keeps the products for k <= CACHED_FACTORS built so far in a list;
+    a k past its end extends a copy of the list from its largest product one
+    factor at a time, then stores the copy.  So no product is rebuilt from its
+    first factor, k has no recursion-depth limit, and a stored list never
+    changes under a concurrent caller.  A larger k continues from the last
+    cached product without storing.  ``cache_clear()`` empties the cache.
     """
     tables: dict[int, list[Fraction]] = {}
 
@@ -181,12 +188,16 @@ def _cumulative(factor):
         if k < 0:
             raise ValueError("k must be >= 0")
         table = tables.get(p, [Fraction(1)])
-        if len(table) <= k:
+        stop = min(k, CACHED_FACTORS)
+        if len(table) <= stop:
             table = table[:]
-            while len(table) <= k:
+            while len(table) <= stop:
                 table.append(table[-1] * factor(p, len(table)))
             tables[p] = table
-        return table[k]
+        out = table[min(k, len(table) - 1)]
+        for i in range(len(table), k + 1):
+            out *= factor(p, i)
+        return out
 
     product.cache_clear = tables.clear
     return product

@@ -6,6 +6,7 @@ import pytest
 
 from clpart.partitions import Partition
 from clpart.qseries import (
+    CACHED_FACTORS,
     BoundedReal,
     d_lambda,
     deformed_constant,
@@ -209,9 +210,10 @@ def test_cached_qpochs_equal_literal_products_filled_out_of_order(p):
             cached(p, -1)
 
 
-def test_cached_qpoch_depth_is_not_limited_by_recursion():
+def test_cached_qpochs_past_the_cache_and_the_recursion_limit():
+    t = Fraction(1, 3)
+    k = CACHED_FACTORS + 5  # continued from the last cached product, not stored
+    assert lower_qpoch(3, k) == finite_qpoch(t, t, k)
+    assert upper_qpoch(3, k) == finite_qpoch(-t, t, k)
     k = sys.getrecursionlimit() + 1
-    try:
-        assert lower_qpoch(2, k) == lower_qpoch(2, k - 1) * (1 - Fraction(1, 2**k))
-    finally:
-        lower_qpoch.cache_clear()  # the products up to k hold ~40 MB
+    assert lower_qpoch(2, k).denominator == 2 ** (k * (k + 1) // 2)
