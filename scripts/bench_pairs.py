@@ -1,17 +1,18 @@
 """Paired benchmark runs of two checkouts, recorded as BENCH_<issue>.json.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --issue N \
-        --workload exact --pairs 10 [--seed 1] [--seconds 30] [--out FILE]
+        --workload exact --pairs 10 [--seed 1]
 
-Runs ``perfbench/run.py --trace 0`` in the parent checkout and in the change
-checkout, alternately, for the given number of pairs; the first of each pair
-alternates between the two sides.  Each run's last stdout line is its result
-object.  For every end-to-end metric the output file gets both sides'
-medians, quartiles and values, the pair values in run order and the number
-of pairs the change won (ties count for neither side), plus each run's
-attempted and failed op counts, the Python version and the CPU count.
-Running again with another workload or seed adds an entry to the same file;
-a seed other than 1 is keyed "<workload>, seed <seed>".
+Runs ``perfbench/run.py --trace 0`` at its own run length in the parent
+checkout and in the change checkout, alternately, for the given number of
+pairs; the first of each pair alternates between the two sides.  Each run's
+last stdout line is its result object.  For every end-to-end metric,
+``BENCH_<issue>.json`` in the change checkout gets both sides' medians,
+quartiles and values, the pair values in run order and the number of pairs
+the change won (ties count for neither side), plus each run's attempted and
+failed op counts, the Python version and the CPU count.  Running again with
+another workload or seed adds an entry to the same file; a seed other than 1
+is keyed "<workload>, seed <seed>".
 Exits 1 if any run failed an output check.
 """
 
@@ -27,11 +28,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The result object of one plain benchmark run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, env=dict(os.environ, PYTHONPATH=str(checkout / "src")),
         capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -62,12 +63,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<issue>.json in the change")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
-    out = args.out or args.change / f"BENCH_{args.issue}.json"
+    out = args.change / f"BENCH_{args.issue}.json"
     declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = {"parent": [], "change": []}
@@ -75,7 +74,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(checkout, args.workload, args.seed))
             print(f"pair {i + 1}/{args.pairs} {side}: "
                   + " ".join(f"{k}={v['value']:.4g}" for k, v in runs[side][-1]["metrics"].items()),
                   file=sys.stderr, flush=True)
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
     record = json.loads(out.read_text()) if out.is_file() else {"issue": args.issue}
     record.update(python=platform.python_version(), nproc=os.cpu_count())
     key = args.workload if args.seed == 1 else f"{args.workload}, seed {args.seed}"
-    entry = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    entry = {"seed": args.seed, "pairs": args.pairs,
              "first_of_pair": "parent on odd pairs, change on even pairs",
              "runs": {side: [{"attempted": r["attempted"], "failed": r["failed"]} for r in rs]
                       for side, rs in runs.items()}}

@@ -70,7 +70,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 # Chunks per written block: about 1 MiB of a pmf table's JSON, where each entry is two
-# chunks, its separator and its text (~3.1 KB at p = 2, max size 26).
+# chunks, its separator and its text (~3.1 KB at p = 2, max size 26).  CSV rows and
+# sample lines, one chunk each, get blocks of tens of KB; writing a CSV table or
+# 200,000 sample lines was measured no slower and no larger in peak memory than at 5120.
 BLOCK_CHUNKS = 672
 
 
@@ -118,8 +120,8 @@ def _dumps(obj):
     """The JSON text of ``obj`` (indent 2, sorted keys, final newline) as str chunks.
 
     ``obj`` is a dict, or a table with ``json_parts()``: the table's other keys
-    are encoded here and its entry texts, already indented, are spliced into
-    "entries" as separator and text chunks.
+    are encoded by the encoder and its entries are written here, in the
+    encoder's layout, as separator and text chunks.
     """
     encoder = json.JSONEncoder(indent=2, sort_keys=True)
     if isinstance(obj, dict):
@@ -130,9 +132,13 @@ def _dumps(obj):
         before, _, after = encoder.encode({**head, "entries": []}).partition('\n  "entries": []')
         yield before + '\n  "entries": ['
         separator = "\n    "
-        for text in entries:
+        # An entry is an object two levels deep, its keys in sorted order;
+        # partitions and fraction strings need no JSON escaping.
+        for lam, count, mid, rad in entries:
             yield separator
-            yield text
+            count = "" if count is None else f'\n      "count": {count},'
+            yield (f'{{{count}\n      "mid": "{mid}",\n      "partition": "{lam}",'
+                   f'\n      "rad": "{rad}"\n    }}')
             separator = ",\n    "
         yield ("]" if separator == "\n    " else "\n  ]") + after
     yield "\n"

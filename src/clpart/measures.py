@@ -334,33 +334,27 @@ class PartitionDistribution:
 
     def to_json_dict(self) -> dict:
         """The table as a JSON-ready dict; ``json_parts`` is its streamed form."""
-        entries = []
-        for lam, (mid, rad) in self._rendered(
-                lambda enc: (fraction_str(enc.mid), fraction_str(enc.rad))):
+        head, entries = self.json_parts()
+        rows = []
+        for lam, count, mid, rad in entries:
             row = {"partition": str(lam), "mid": mid, "rad": rad}
-            if self.counts is not None:
-                row["count"] = self.counts.get(lam, 0)
-            entries.append(row)
-        return {**self._json_head(), "entries": entries}
+            if count is not None:
+                row["count"] = count
+            rows.append(row)
+        return {**head, "entries": rows}
 
     def json_parts(self):
-        """(the JSON object without "entries", an iterator of entry texts).
+        """(the JSON object without "entries", an iterator of entry fields).
 
-        An entry's text is its object exactly as ``json.dumps(...,
-        indent=2, sort_keys=True)`` writes it as an item of the top-level
-        "entries" list: keys at six spaces, the closing brace at four, no
-        separator.  The mid and rad lines are rendered once per distinct
-        rational; partitions and fraction strings need no JSON escaping.
+        The fields are (partition, count or None, mid, rad) in canonical
+        order, with mid and rad as fraction strings rendered once per
+        distinct rational (entries sharing a mass share the strings).
         """
-        return self._json_head(), self._entry_texts()
-
-    def _entry_texts(self):
         counts = self.counts
-        for lam, (mid, rad) in self._rendered(lambda enc: (
-                f'\n      "mid": "{fraction_str(enc.mid)}",\n      "partition": "',
-                f'",\n      "rad": "{fraction_str(enc.rad)}"\n    }}')):
-            count = "" if counts is None else f'\n      "count": {counts.get(lam, 0)},'
-            yield f"{{{count}{mid}{lam}{rad}"
+        rendered = self._rendered(lambda enc: (fraction_str(enc.mid), fraction_str(enc.rad)))
+        return self._json_head(), (
+            (lam, None if counts is None else counts.get(lam, 0), mid, rad)
+            for lam, (mid, rad) in rendered)
 
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["partition", "midpoint", "radius"]]
