@@ -280,9 +280,9 @@ def _recursion_checks(primes, a_max):
 
 def _chain_checks(primes, a_max):
     for p in primes:
+        parts = [pmf_parts(a, p).rational for a in range(a_max + 1)]  # refuses a_max > MAX_PARTS
         ok_rows = all(sum(kernel_row(a, p).masses) == 1 for a in range(a_max + 1))
         yield (f"kernel-row-sums p={p} a<={a_max}", ok_rows, "exact row sums = 1")
-        parts = [pmf_parts(a, p).rational for a in range(a_max + 1)]
         ok_ratio = True
         for a in range(a_max + 1):
             for b in range(a + 1):

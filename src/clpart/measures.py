@@ -37,6 +37,14 @@ from .qseries import (
 # left running for hours.
 MAX_SERIES_SIZE = 128
 
+# Largest parts count the exact q-product routes accept: pmf_parts's a, the
+# truncated family's r and solve_parts_recursion's a_max.  The products'
+# sizes grow like k^2 log p bits, so a huge k would run for hours.  At 64 the
+# parts recursions took 0.08 / 0.11 / 0.20 / 0.74 s at p = 2 / 3 / 7 / 101,
+# and a truncated table to size 20 took 1.6 s at p = 101 (at 96: 0.36 s,
+# 2.0 s, 6.3 s and 5.6 s; Python 3.11.7, 2 vCPUs).  The verify suites use 50.
+MAX_PARTS = 64
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -124,8 +132,7 @@ def pmf_parts(a: int, p: int) -> MassValue:
         odd-constant / ( p^(a(a+1)/2) * (1-1/p)...(1-1/p^a) )
     """
     require_prime(p)
-    if a < 0:
-        raise ValueError("a must be >= 0")
+    _require_parts_count("a", a)
     denom = Fraction(p) ** (a * (a + 1) // 2) * lower_qpoch(p, a)
     return MassValue(1 / denom, odd(p))
 
@@ -155,10 +162,12 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
     return MassValue(u**lam.size * _weight(lam, p), deformed(p, u))
 
 
-def _require_parts_bound(r: int) -> None:
-    """Check the at-most-r-parts family's r >= 1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+def _require_parts_count(name: str, k: int, least: int = 0) -> None:
+    """Check least <= k <= MAX_PARTS for the parts count called ``name``."""
+    if k < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if k > MAX_PARTS:
+        raise ValueError(f"{name}={k} exceeds the parts cap {MAX_PARTS}")
 
 
 def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
@@ -169,7 +178,7 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
         * (1-1/p)...(1-1/p^r) / ( (1-1/p)...(1-1/p^(r-l(lam))) )
     """
     require_prime(p)
-    _require_parts_bound(r)
+    _require_parts_count("r", r, 1)
     if lam.length > r:
         raise ValueError(f"partition has {lam.length} parts, more than r={r}")
     trailing = lower_qpoch(p, r) / lower_qpoch(p, r - lam.length)
@@ -216,8 +225,7 @@ def solve_parts_recursion(p: int, a_max: int) -> list[MassValue]:
     pmf_parts); any discrepancy is an arithmetic bug, so it raises.
     """
     require_prime(p)
-    if a_max < 0:
-        raise ValueError("a_max must be >= 0")
+    _require_parts_count("a_max", a_max)
     from_product = _parts_recursion_product_form(p, a_max)
     from_kernel = _parts_recursion_kernel_form(p, a_max)
     if from_product != from_kernel:
@@ -421,7 +429,7 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     if tail is None:
         raise ValueError(f"measure {measure!r} has no table; use cl")
     if param == "r":
-        _require_parts_bound(r)  # r < 1 would leave the table empty
+        _require_parts_count("r", r, 1)  # r < 1 would leave the table empty
 
     entries: dict[Partition, Fraction] = {}
     for n in range(max_size + 1):
@@ -500,7 +508,7 @@ def truncated_series_check(p: int, r: int, max_size: int):
     partial <= rhs <= partial + tail_bound.
     """
     require_prime(p)
-    _require_parts_bound(r)
+    _require_parts_count("r", r, 1)
     layers = size_length_layers(p, max_size)
     partial = Fraction(0)
     for (_, length), value in layers.items():

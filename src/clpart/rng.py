@@ -21,7 +21,11 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer (avalanching bijection on 64-bit words)."""
+    """SplitMix64 finalizer (avalanching bijection on 64-bit words).
+
+    ``SplitMix64.next_u64`` repeats these three lines inline, one Python call
+    per draw; a test pins the two copies to each other.
+    """
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -37,8 +41,10 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        return mix64(self.state)
+        z = self.state = (self.state + GOLDEN_GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64  # mix64, inline
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
     def next_fraction(self) -> Fraction:
         """The next draw as the exact rational k / 2^64 in [0, 1)."""
@@ -56,7 +62,7 @@ def draw_threshold(x: Fraction) -> int:
 
 
 # A run derives every trial's stream from one master seed, so its mix is
-# computed once; mix64 itself stays uncached, since each draw calls it.
+# computed once; mix64 itself stays uncached, since each trial mixes a new index.
 _mixed_seed = lru_cache(maxsize=16)(mix64)
 
 

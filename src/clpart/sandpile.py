@@ -38,9 +38,6 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        n = self.n
-        if isinstance(self.edges, frozenset) and all(0 <= u < v < n for u, v in self.edges):
-            return  # already canonical, as erdos_renyi builds it
         canon = set()
         for e in self.edges:
             u, v = e
@@ -50,6 +47,14 @@ class Graph:
                 raise ValueError(f"edge {e} outside vertex range")
             canon.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canon))
+
+    @classmethod
+    def _canonical(cls, n: int, edges: frozenset) -> "Graph":
+        """A graph whose edges are already pairs u < v < n (n >= 1): not checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.n)]
@@ -89,12 +94,9 @@ def erdos_renyi(n: int, q, stream) -> Graph:
     if not (0 < q < 1):
         raise ValueError(f"edge probability must lie strictly in (0,1), got {q}")
     threshold = draw_threshold(q)
-    edges = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if stream.next_u64() < threshold:
-                edges.add((u, v))
-    return Graph(n=n, edges=frozenset(edges))
+    draw = stream.next_u64  # bound once; the stream may be any object with next_u64
+    return Graph._canonical(n, frozenset(
+        [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < threshold]))
 
 
 def reduced_laplacian(g: Graph, root: int | None = None) -> list[list[int]]:
@@ -107,18 +109,18 @@ def reduced_laplacian(g: Graph, root: int | None = None) -> list[list[int]]:
         root = g.n - 1
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} outside vertex range")
-    keep = [v for v in range(g.n) if v != root]
-    index = {v: i for i, v in enumerate(keep)}
-    size = g.n - 1
-    m = [[0] * size for _ in range(size)]
-    for u, v in g.edges:
-        if u != root and v != root:
-            m[index[u]][index[v]] -= 1
-            m[index[v]][index[u]] -= 1
-        if u != root:
-            m[index[u]][index[u]] += 1
-        if v != root:
-            m[index[v]][index[v]] += 1
+    n = g.n
+    m = [[0] * n for _ in range(n)]
+    degree = [0] * n
+    for u, v in g.edges:  # a simple graph: each pair at most once
+        m[u][v] = m[v][u] = -1
+        degree[u] += 1
+        degree[v] += 1
+    for v, row in enumerate(m):
+        row[v] = degree[v]
+    del m[root]
+    for row in m:
+        del row[root]
     return m
 
 
@@ -246,12 +248,14 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
 
     Row i is one int whose lane j, W = 2*bitlen(p^cap) + bitlen(n) + 1 bits
     wide, holds entry j as a nonnegative residue.  Each step pivots on an
-    entry of minimal valuation, reduces the pivot row lane by lane mod p^cap,
-    and clears the pivot column of every other active row with one op,
-    row += (p^cap - c)*pivot_row.  A lane grows by less than p^(2cap) per op,
-    in at most n - 1 ops, so it stays below 2^(W-1) and never carries into
-    the next lane; lanes are read mod p^cap.  Valuation >= cap reports cap
-    with capped=True, and so does each zero divisor of a singular matrix.
+    entry p^v*u of minimal valuation v, scales the pivot row by u^-1 and
+    reduces it mod p^cap (lane by lane; for p = 2 with one AND against the
+    active lanes' low cap bits), and clears the pivot column of every other
+    active row with one op, row += (p^cap - c/p^v)*pivot_row.  A lane grows
+    by less than p^(2cap) per op, in at most n - 1 ops, so it stays below
+    2^(W-1) and never carries into the next lane; lanes are read mod p^cap.
+    Valuation >= cap reports cap with capped=True, and so does each zero
+    divisor of a singular matrix.
     """
     require_prime(p)
     _require_cap(cap)
@@ -263,6 +267,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     lane = (1 << width) - 1
     cols = [width * j for j in range(n)]  # bit offsets of the active columns
     rows = [sum(x % mod << s for s, x in zip(cols, row) if x) for row in matrix]
+    low = sum(mod - 1 << s for s in cols) if p == 2 else None  # x & low: every lane mod 2^cap
 
     vals = []
     while rows:
@@ -289,11 +294,16 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
         cols.remove(ps)
         pv = p**v
         inv = pow((pivot >> ps & lane) % mod // pv, -1, mod)
-        pivot = sum((pivot >> s & lane) % mod << s for s in cols)  # lanes < p^cap, pivot's dropped
+        # unit pivot: lanes < p^cap, the pivot's own dropped
+        if low is None:
+            pivot = sum((pivot >> s & lane) * inv % mod << s for s in cols)
+        else:
+            low ^= mod - 1 << ps
+            pivot = (pivot & low) * inv & low
         for i, row in enumerate(rows):
             c = (row >> ps & lane) % mod
             if c:
-                rows[i] = row + (mod - c // pv * inv % mod) * pivot
+                rows[i] = row + (mod - c // pv) * pivot
         vals.append(v)
 
     return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals

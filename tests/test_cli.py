@@ -99,6 +99,21 @@ def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["pmf", "--measure", "parts", "--a", "65"], "a=65 exceeds the parts cap 64"),
+    (["pmf", "--measure", "parts", "--a", "1000000"], "a=1000000 exceeds the parts cap 64"),
+    (["pmf", "--measure", "truncated", "--r", "65", "--partition", "[1]"],
+     "r=65 exceeds the parts cap 64"),
+    (["pmf", "--measure", "truncated", "--r", "65", "--max-size", "3"],
+     "r=65 exceeds the parts cap 64"),
+    (["verify", "--suite", "recursions", "--a-max", "65"], "a_max=65 exceeds the parts cap 64"),
+    (["verify", "--suite", "chain", "--a-max", "65"], "a=65 exceeds the parts cap 64"),
+])
+def test_parts_counts_above_the_cap_exit_2_before_any_output(capsys, argv, error):
+    code, out, err = run(capsys, [*argv, "--p", "2"])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_pmf_size_and_parts(capsys):
     code, out, _ = run(capsys, ["pmf", "--measure", "size", "--p", "2", "--n", "2"])
     assert code == 0

@@ -37,6 +37,9 @@ CASES = {
     # q so small that every graph is disconnected: "entries": []
     "graphs-all-disconnected": ["graphs", "--n", "12", "--q", "1/1000", "--p", "2", "--trials", "3",
                                 "--seed", "1"],
+    # benchmark scale at p = 2: the one-AND reduction mod 2^12
+    "graphs-plocal-n40-p2": ["graphs", "--n", "40", "--q", "1/2", "--p", "2", "--trials", "40",
+                             "--seed", "9"],
     "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
                    "--seed", "4", "--method", "snf"],
     # benchmark scale: 7 of the 60 trials hit the cap
@@ -57,6 +60,8 @@ GOLDEN = {
         "3cc6ec3bbed55bbe03b6c611adaa37ebc5dc9a8d337719a04b1ee91ee2f2e6a8"),
     "graphs-plocal-n40-capped": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "bd7d93c5815f1f020ee053b0470892f0b6e2caaa2c536a4d79f7aa98e18aed05"),
+    "graphs-plocal-n40-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ed90ff136490bae324a47fa6ea6f1c0d2103bb91d352a9c4e0852747a1dcd8d0"),
     "graphs-snf": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "5c8e69493f7cac97d949ba521a170c94a07fd5c25d926d371dbe6b1647ca7e84"),
     "pmf-cl": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",

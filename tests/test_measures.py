@@ -154,6 +154,25 @@ def test_size_length_layers_refuse_oversized_requests():
         size_length_layers(3, measures.MAX_SERIES_SIZE + 1)
 
 
+def test_parts_counts_refuse_oversized_requests():
+    # each call would run for hours at k = 10**6; refused before any product
+    cap = measures.MAX_PARTS
+    for k in (cap + 1, 10**6):
+        with pytest.raises(ValueError, match=f"a={k} exceeds the parts cap {cap}"):
+            pmf_parts(k, 2)
+        with pytest.raises(ValueError, match=f"r={k} exceeds the parts cap {cap}"):
+            pmf_truncated(Partition([1]), 2, k)
+        with pytest.raises(ValueError, match=f"r={k} exceeds the parts cap {cap}"):
+            tabulate(2, 3, measure="truncated", r=k)
+        with pytest.raises(ValueError, match=f"r={k} exceeds the parts cap {cap}"):
+            truncated_series_check(2, k, 10)
+        with pytest.raises(ValueError, match=f"a_max={k} exceeds the parts cap {cap}"):
+            solve_parts_recursion(2, k)
+    # the cap itself is accepted, and the two routes still agree there
+    assert [v.rational for v in solve_parts_recursion(2, cap)][-1] == pmf_parts(cap, 2).rational
+    assert pmf_truncated(Partition([1]), 2, cap) > 0
+
+
 def test_size_marginal_exact():
     for p in (2, 3, 5):
         for n in range(13):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -7,7 +8,7 @@ import pytest
 from clpart.measures import even_qpoch, inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
 from clpart.partitions import Partition
 from clpart.qseries import column_step, lower_qpoch
-from clpart.rng import SplitMix64, substream
+from clpart.rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64, substream
 from clpart.sampler import (
     MAX_COLUMNS,
     SamplerConfig,
@@ -298,6 +299,14 @@ def test_splitmix_reference_values():
     ]
     frac = SplitMix64(0).next_fraction()
     assert frac == Fraction(0xE220A8397B1DCDAF, 2**64)
+
+
+def test_next_u64_and_mix64_are_one_finalizer():
+    # next_u64 repeats mix64's three lines inline: a stream whose state is one
+    # step before z draws mix64(z), including across the 2^64 wrap
+    rng = random.Random(64)
+    for z in [rng.getrandbits(64) for _ in range(1000)] + [0, 1, MASK64]:
+        assert SplitMix64((z - GOLDEN_GAMMA) % 2**64).next_u64() == mix64(z)
 
 
 def test_max_columns_constant_sane():

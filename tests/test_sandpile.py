@@ -196,11 +196,13 @@ def _p_rich_matrix(rng, n, p):
 def test_plocal_matches_snf_on_p_rich_matrices(p):
     rng = random.Random(1000 + p)
     singular = 0
+    # p = 2 reduces mod 2^cap with one AND: caps 20 and 40 widen its lanes
+    caps = (1, 3, 12, 20, 40) if p == 2 else (1, 3, 12)
     for _ in range(25):
         m = _p_rich_matrix(rng, rng.randint(1, 12), p)
         diag = smith_normal_form(m)
         singular += 0 in diag
-        for cap in (1, 3, 12):
+        for cap in caps:
             expected = _capped_valuations(diag, p, cap)
             assert sylow_valuations_mod_prime_power(m, p, cap) == expected
             if 0 not in diag:
@@ -234,17 +236,19 @@ def _random_unimodular(rng, n, bound):
     return _matmul(lower, upper)
 
 
-@pytest.mark.parametrize("valuations, expected", [
-    ([1, 1, 2, 3, 3, 5, 8, 11, 12, 14], (Partition([12, 12, 11, 8, 5, 3, 3, 2, 1, 1]), True)),
-    ([1, 2, 2, 4, 6, 9, 11, 11], (Partition([11, 11, 9, 6, 4, 2, 2, 1]), False)),
-])
-def test_plocal_on_known_smith_form_at_widest_lane(valuations, expected):
-    # M = U*D*V with D a divisibility chain: no SNF needed, the answer is D's.
-    # At p=7, cap=12 the residues fill [0, 7^12), the widest lane growth.
-    n, p, cap = 60, 7, 12
+@pytest.mark.parametrize("p, unit, valuations, expected", [
+    (7, 6, [1, 1, 2, 3, 3, 5, 8, 11, 12, 14], (Partition([12, 12, 11, 8, 5, 3, 3, 2, 1, 1]), True)),
+    (7, 6, [1, 2, 2, 4, 6, 9, 11, 11], (Partition([11, 11, 9, 6, 4, 2, 2, 1]), False)),
+    (2, 3, [1, 2, 4, 4, 7, 10, 11, 13], (Partition([12, 11, 10, 7, 4, 4, 2, 1]), True)),
+], ids=["valuations0-expected0", "valuations1-expected1", "valuations2-expected2"])
+def test_plocal_on_known_smith_form_at_widest_lane(p, unit, valuations, expected):
+    # M = U*D*V with D a divisibility chain (``unit`` is prime to p): no SNF
+    # needed, the answer is D's.  At cap=12 the residues fill [0, p^12), the
+    # widest lane growth; p = 2 takes the one-AND reduction.
+    n, cap = 60, 12
     rng = random.Random(7)
     vals = [0] * (n - len(valuations)) + valuations
-    chain = [p**v * 6 ** (i // 15) for i, v in enumerate(vals)]
+    chain = [p**v * unit ** (i // 15) for i, v in enumerate(vals)]
     u, w = _random_unimodular(rng, n, p**cap), _random_unimodular(rng, n, p**cap)
     m = _matmul([[x * d for x, d in zip(row, chain)] for row in u], w)
     assert max(x % p**cap for row in m for x in row) > p**cap * 99 // 100
@@ -318,6 +322,38 @@ def test_erdos_renyi_determinism_and_domain():
         erdos_renyi(5, Fraction(1), substream(0, 0))
     with pytest.raises(ValueError):
         erdos_renyi(5, Fraction(0), substream(0, 0))
+
+
+def test_erdos_renyi_builds_canonical_graphs():
+    # erdos_renyi skips Graph's validation: its graphs must be what it would give
+    rng = random.Random(41)
+    for t in range(20):
+        n = rng.randint(2, 30)
+        g = erdos_renyi(n, Fraction(rng.randint(1, 9), 10), substream(41, t))
+        assert isinstance(g.edges, frozenset)
+        assert all(0 <= u < v < n for u, v in g.edges)
+        assert Graph(n=g.n, edges=set(g.edges)) == g
+
+
+def _literal_reduced_laplacian(g, root):
+    """Degree minus adjacency, built entry by entry, without the root's row and column."""
+    def entry(u, v):
+        if u == v:
+            return sum(u in e for e in g.edges)
+        return -((min(u, v), max(u, v)) in g.edges)
+
+    keep = [v for v in range(g.n) if v != root]
+    return [[entry(u, v) for v in keep] for u in keep]
+
+
+def test_reduced_laplacian_matches_its_definition_at_every_root():
+    for t in range(8):
+        g = erdos_renyi(3 + 2 * t, Fraction(1, 2), substream(43, t))
+        for root in range(g.n):
+            assert reduced_laplacian(g, root) == _literal_reduced_laplacian(g, root)
+    m = reduced_laplacian(g)
+    m[0][0] += 1  # a fresh matrix each call: changing one leaves the next as it was
+    assert reduced_laplacian(g) == _literal_reduced_laplacian(g, g.n - 1)
 
 
 def test_erdos_renyi_forced_edge():
