@@ -294,12 +294,12 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
         cols.remove(ps)
         pv = p**v
         inv = pow((pivot >> ps & lane) % mod // pv, -1, mod)
-        # unit pivot: lanes < p^cap, the pivot's own dropped
+        # scale to the unit pivot p^v: lanes < p^cap, the pivot's own dropped
         if low is None:
             pivot = sum((pivot >> s & lane) * inv % mod << s for s in cols)
         else:
             low ^= mod - 1 << ps
-            pivot = (pivot & low) * inv & low
+            pivot = (pivot & low) * inv & low  # lanes < 2^cap before the multiply: no carry
         for i, row in enumerate(rows):
             c = (row >> ps & lane) % mod
             if c:
