@@ -42,7 +42,7 @@ MAX_SERIES_SIZE = 128
 # sizes grow like k^2 log p bits, so a huge k would run for hours.  At 64 the
 # parts recursions took 0.08 / 0.11 / 0.20 / 0.74 s at p = 2 / 3 / 7 / 101,
 # and a truncated table to size 20 took 1.6 s at p = 101 (at 96: 0.36 s,
-# 2.0 s, 6.3 s and 5.6 s; Python 3.11.7, 2 vCPUs).  The verify suites use 50.
+# 2.0 s, 6.3 s and 5.6 s; Python 3.11.7, 2 vCPUs).  The benchmark asks for 50.
 MAX_PARTS = 64
 
 
