@@ -41,7 +41,6 @@ from .sampler import (
 from .sandpile import (
     ExperimentResult,
     Graph,
-    GraphSampleRecord,
     erdos_renyi,
     p_sylow_partition,
     reduced_laplacian,

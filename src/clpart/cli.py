@@ -6,9 +6,10 @@ Subcommands:
   graphs  random-graph p-Sylow experiments
   verify  identity / recursion / chain verification suites
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 internal error (a RuntimeError or ArithmeticError, such as the sampler's
-column-count abort or a kernel row that does not sum to 1).
+Exit codes: 0 success, 1 verification failure (in verify, also a kernel row
+that does not sum to 1 or parts recursions that disagree), 2 usage or domain
+error, 3 internal error (a RuntimeError or ArithmeticError elsewhere, such as
+the sampler's column-count abort or a kernel row that does not sum to 1).
 Randomized commands require an explicit --seed; every file output gets a
 <output>.manifest.json recording the full parameter set and a digest, and
 re-running the same command reproduces the bytes.  A file output is streamed:
@@ -271,18 +272,26 @@ def _identity_checks(primes, depth):
 
 def _recursion_checks(primes, a_max):
     for p in primes:
-        values = solve_parts_recursion(p, a_max)  # raises if the two routes disagree
-        closed = [pmf_parts(a, p) for a in range(a_max + 1)]
-        ok = all(v.rational == c.rational for v, c in zip(values, closed))
-        yield (f"parts-recursions-vs-closed-form p={p} a<={a_max}", ok,
-               "both recursions and the closed form agree exactly")
+        try:
+            values = solve_parts_recursion(p, a_max)
+        except ArithmeticError as exc:  # the two recursions disagree
+            ok, detail = False, str(exc)
+        else:
+            closed = [pmf_parts(a, p) for a in range(a_max + 1)]
+            ok = all(v.rational == c.rational for v, c in zip(values, closed))
+            detail = "both recursions and the closed form agree exactly"
+        yield (f"parts-recursions-vs-closed-form p={p} a<={a_max}", ok, detail)
 
 
 def _chain_checks(primes, a_max):
     for p in primes:
         parts = [pmf_parts(a, p).rational for a in range(a_max + 1)]  # refuses a_max > MAX_PARTS
-        ok_rows = all(sum(kernel_row(a, p).masses) == 1 for a in range(a_max + 1))
-        yield (f"kernel-row-sums p={p} a<={a_max}", ok_rows, "exact row sums = 1")
+        try:
+            ok_rows = all(sum(kernel_row(a, p).masses) == 1 for a in range(a_max + 1))
+            detail = "exact row sums = 1"
+        except ArithmeticError as exc:  # a row that does not sum to 1
+            ok_rows, detail = False, str(exc)
+        yield (f"kernel-row-sums p={p} a<={a_max}", ok_rows, detail)
         ok_ratio = True
         for a in range(a_max + 1):
             for b in range(a + 1):

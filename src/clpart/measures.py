@@ -181,8 +181,14 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
     _require_parts_count("r", r, 1)
     if lam.length > r:
         raise ValueError(f"partition has {lam.length} parts, more than r={r}")
-    trailing = lower_qpoch(p, r) / lower_qpoch(p, r - lam.length)
-    return _weight(lam, p) * trailing / upper_qpoch(p, r)
+    return _weight(lam, p) * _truncated_factor(p, r, lam.length)
+
+
+@lru_cache(maxsize=None)
+def _truncated_factor(p: int, r: int, length: int) -> Fraction:
+    """The first and last factors of pmf_truncated for a partition of ``length``
+    parts, one value per (p, r, length); p and r unchecked."""
+    return lower_qpoch(p, r) / (lower_qpoch(p, r - length) * upper_qpoch(p, r))
 
 
 def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
@@ -509,12 +515,10 @@ def truncated_series_check(p: int, r: int, max_size: int):
     """
     require_prime(p)
     _require_parts_count("r", r, 1)
-    layers = size_length_layers(p, max_size)
-    partial = Fraction(0)
-    for (_, length), value in layers.items():
-        if length <= r:
-            partial += value * lower_qpoch(p, r) / lower_qpoch(p, r - length)
-    rhs = upper_qpoch(p, r)
+    rhs = upper_qpoch(p, r)  # trailing(lam) = rhs * _truncated_factor(p, r, l(lam))
+    partial = rhs * sum(value * _truncated_factor(p, r, length)
+                        for (_, length), value in size_length_layers(p, max_size).items()
+                        if length <= r)
     tail = truncated_tail_bound(p, max_size)
     agree = partial <= rhs <= partial + tail
     return partial, rhs, tail, agree

@@ -76,14 +76,13 @@ class Partition:
         """The statistic n(lambda) = sum_i (i-1) * lambda_i."""
         return sum(i * x for i, x in enumerate(self.parts))
 
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i."""
-        if i < 1:
-            raise ValueError("part size must be >= 1")
-        return sum(1 for x in self.parts if x == i)
-
     def multiplicities(self) -> dict[int, int]:
-        """Map part size -> multiplicity, for the sizes that occur."""
+        """Map part size -> multiplicity, for the sizes that occur.
+
+        The library reads d_lambda off runs of the parts (d_lambda_pair); this
+        map is the independent oracle for it in
+        test_weights_match_their_formulas_on_random_partitions.
+        """
         out: dict[int, int] = {}
         for x in self.parts:
             out[x] = out.get(x, 0) + 1

@@ -46,10 +46,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
-    def next_fraction(self) -> Fraction:
-        """The next draw as the exact rational k / 2^64 in [0, 1)."""
-        return Fraction(self.next_u64(), 1 << 64)
-
 
 def draw_threshold(x: Fraction) -> int:
     """ceil(x * 2^64) for a rational x in [0, 1].

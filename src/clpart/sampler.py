@@ -57,9 +57,8 @@ class SamplerConfig:
         object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(self.initial_tail_cutoff))
 
     @cached_property
-    def _selector(self) -> "_InitialSelector":
-        # Resolved once per config: looking up _initial_selector per sample
-        # would hash the Fraction cutoff, a modular inverse, every time.
+    def _selector(self) -> tuple[int, ...]:
+        # The first-column thresholds, compiled once per config.
         return _initial_selector(self.p, self.initial_tail_cutoff)
 
 
@@ -86,8 +85,6 @@ def kernel(a: int, b: int, p: int) -> Fraction:
 class KernelRow:
     """One row of the kernel: exact masses for b = 0..a, plus selection data."""
 
-    a: int
-    p: int
     masses: tuple[Fraction, ...]
     thresholds: tuple[int, ...]  # draw_threshold of each cumulative mass
 
@@ -100,7 +97,7 @@ def kernel_row(a: int, p: int) -> KernelRow:
     if total != 1:
         raise ArithmeticError(f"kernel row a={a}, p={p} sums to {total}, not 1")
     thresholds = tuple(map(draw_threshold, accumulate(masses)))
-    return KernelRow(a=a, p=p, masses=masses, thresholds=thresholds)
+    return KernelRow(masses=masses, thresholds=thresholds)
 
 
 def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int, MassValue]]:
@@ -131,30 +128,23 @@ def _parts_tail_bound(p: int, b: int, mass: Fraction) -> Fraction | None:
     return mass / (n - 2) if n > 2 else None
 
 
-@dataclass(frozen=True)
-class _InitialSelector:
-    heights: tuple[int, ...]
-    thresholds: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _initial_selector(p: int, cutoff: Fraction) -> _InitialSelector:
+def _initial_selector(p: int, cutoff: Fraction) -> tuple[int, ...]:
     """Compile the (truncated) first-column distribution to thresholds.
 
     Masses share the odd-product constant, so selection uses the rational
     parts directly: cumulative weights are divided by W + tail, where W is
-    the retained weight and tail the rational tail bound.  Draws landing past
-    the last cumulative weight (a slice of relative width <= tail/W) fold
-    into the largest retained height, which is where the residual mass lives.
+    the retained weight and tail the rational tail bound.  The last threshold
+    is 2^64, as in every kernel row, so a draw past the retained weight (a
+    slice of relative width <= tail/W) selects the largest retained height,
+    which is where the residual mass lives.  Heights run 0..k, so the index
+    bisect_right returns is the height.
     """
-    entries = initial_column_distribution(p, cutoff)
-    weights = [mass.rational for _, mass in entries]
-    tail = _parts_tail_bound(p, entries[-1][0], weights[-1])
+    weights = [mass.rational for _, mass in initial_column_distribution(p, cutoff)]
+    tail = _parts_tail_bound(p, len(weights) - 1, weights[-1])
     denom = sum(weights) + tail
-    return _InitialSelector(
-        heights=tuple(a for a, _ in entries),
-        thresholds=tuple(draw_threshold(acc / denom) for acc in accumulate(weights)),
-    )
+    thresholds = [draw_threshold(acc / denom) for acc in accumulate(weights)]
+    thresholds[-1] = 1 << 64
+    return tuple(thresholds)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -173,9 +163,7 @@ def sample_partition(config: SamplerConfig, stream) -> Partition:
 
     Samples with the same column heights return the same Partition instance.
     """
-    init = config._selector
-    idx = bisect_right(init.thresholds, stream.next_u64())
-    height = init.heights[idx] if idx < len(init.heights) else init.heights[-1]
+    height = bisect_right(config._selector, stream.next_u64())
     columns = []
     while height > 0:
         columns.append(height)

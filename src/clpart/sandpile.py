@@ -309,27 +309,6 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
 
 
-@dataclass(frozen=True)
-class GraphSampleRecord:
-    """One trial: graph parameters, connectivity, and the extracted partition.
-
-    ``partition`` is present exactly when the graph was connected;
-    ``valuation_capped`` marks a valuation that hit the cap.
-    """
-
-    n: int
-    q: Fraction
-    seed: int
-    trial: int
-    connected: bool
-    partition: Partition | None
-    valuation_capped: bool
-
-    def __post_init__(self):
-        if (self.partition is None) == self.connected:
-            raise ValueError("partition must be present iff the graph was connected")
-
-
 def _require_trial_args(p: int, cap: int, method: str) -> None:
     """The domain of a trial, checked whether or not its graph is connected."""
     require_prime(p)
@@ -338,22 +317,17 @@ def _require_trial_args(p: int, cap: int, method: str) -> None:
         raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
 
 
-def sample_graph_record(n: int, q, p: int, seed: int, trial: int,
-                        cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal") -> GraphSampleRecord:
-    """Run a single experiment trial, deterministically from (seed, trial)."""
+def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEFAULT_VALUATION_CAP,
+                        method: str = "plocal") -> tuple[Partition, bool] | None:
+    """One experiment trial, deterministically from (seed, trial): None for a
+    disconnected graph, else the (partition, capped) pair of the chosen route."""
     _require_trial_args(p, cap, method)
-    q = as_fraction(q)
     g = erdos_renyi(n, q, substream(seed, trial))
     if not g.is_connected():
-        return GraphSampleRecord(n=n, q=q, seed=seed, trial=trial,
-                                 connected=False, partition=None, valuation_capped=False)
-    mat = reduced_laplacian(g)
-    if method == "snf":
-        lam, capped = p_sylow_partition(mat, p, cap)
-    else:
-        lam, capped = sylow_valuations_mod_prime_power(mat, p, cap)
-    return GraphSampleRecord(n=n, q=q, seed=seed, trial=trial,
-                             connected=True, partition=lam, valuation_capped=capped)
+        return None
+    # module globals, read per call, so a route wrapped for tracing is the one called
+    route = p_sylow_partition if method == "snf" else sylow_valuations_mod_prime_power
+    return route(reduced_laplacian(g), p, cap)
 
 
 @dataclass
@@ -392,13 +366,13 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
     discarded = 0
     capped_count = 0
     for t in range(trials):
-        record = sample_graph_record(n, q, p, seed, t, cap=cap, method=method)
-        if not record.connected:
+        trial = sample_graph_record(n, q, p, seed, t, cap=cap, method=method)
+        if trial is None:
             discarded += 1
             continue
-        if record.valuation_capped:
-            capped_count += 1
-        counts[record.partition] += 1
+        lam, capped = trial
+        capped_count += capped
+        counts[lam] += 1
 
     params = {"n": n, "q": fraction_str(q), "trials": trials, "seed": seed,
               "cap": cap, "method": method}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from clpart import cli, sampler
+from clpart import cli, measures, sampler
 from clpart.cli import _run_checks, main
 from clpart.measures import tabulate
 from clpart.sampler import SamplerConfig, empirical_distribution
@@ -342,6 +342,30 @@ def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "identities", "--p", "2", "--depth", "6"])
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("suite, module, name, broken, first_line", [
+    ("recursions", measures, "_parts_recursion_kernel_form",
+     lambda p, a_max: [Fraction(1)] * (a_max + 1),
+     "FAIL parts-recursions-vs-closed-form p=2 a<=4: parts recursions disagree at p=2: "
+     "[Fraction(1, 1), Fraction(1, 1), Fraction(1, 3)"),
+    ("chain", sampler, "kernel", lambda a, b, p: Fraction(1, 2),
+     "FAIL kernel-row-sums p=2 a<=4: kernel row a=0, p=2 sums to 1/2, not 1"),
+], ids=["recursions", "chain"])
+def test_verify_prints_a_disagreement_as_fail(capsys, monkeypatch, suite, module, name, broken,
+                                              first_line):
+    # two exact routes that disagree are a FAIL line and exit 1, not exit 3
+    sampler.kernel_row.cache_clear()
+    monkeypatch.setattr(module, name, broken)
+    try:
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--p", "2", "--a-max", "4"])
+    finally:
+        sampler.kernel_row.cache_clear()
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith(first_line)
+    assert [line.split()[0] for line in lines[1:-1]] == ["PASS"] * (len(lines) - 2)
+    assert lines[-1] == "1 check(s) FAILED"
 
 
 def test_identity_suite_enumerates_no_partition(capsys, monkeypatch):

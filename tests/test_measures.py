@@ -220,6 +220,24 @@ def test_truncated_r1_total_is_geometric():
     assert 1 - total == Fraction(2, 3) * Fraction(1, 2) ** 41
 
 
+def test_truncated_table_computes_each_trailing_factor_once(monkeypatch):
+    # the factor depends on (p, r) and the parts count only, so a table takes
+    # O(r) q-products however many entries it holds
+    calls = []
+    real = measures.lower_qpoch
+
+    def counted(p, k):
+        calls.append(k)
+        return real(p, k)
+
+    monkeypatch.setattr(measures, "lower_qpoch", counted)
+    measures._truncated_factor.cache_clear()
+    r = 5
+    table = tabulate(2, 12, "truncated", r=r)
+    assert len(table.entries) > 2 * (r + 1)
+    assert len(calls) <= 2 * (r + 1)
+
+
 def test_solve_parts_recursion_examples():
     values = solve_parts_recursion(2, 0)
     assert len(values) == 1 and values[0].rational == 1

@@ -74,9 +74,6 @@ def test_n_stat_equals_conjugate_binomials():
 
 
 def test_multiplicity_examples():
-    assert Partition([1, 1]).multiplicity(1) == 2
-    assert Partition([3, 1]).multiplicity(2) == 0
-    assert Partition([2, 2, 2]).multiplicity(2) == 3
     assert Partition([2, 2, 1]).multiplicities() == {2: 2, 1: 1}
 
 

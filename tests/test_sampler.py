@@ -8,7 +8,7 @@ import pytest
 from clpart.measures import even_qpoch, inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
 from clpart.partitions import Partition
 from clpart.qseries import column_step, lower_qpoch
-from clpart.rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64, substream
+from clpart.rng import GOLDEN_GAMMA, MASK64, SplitMix64, draw_threshold, mix64, substream
 from clpart.sampler import (
     MAX_COLUMNS,
     SamplerConfig,
@@ -33,7 +33,7 @@ class StubStream:
 
 
 def k_forcing(thresholds, index):
-    """Smallest draw that selects slice ``index`` (or the fold-over slice)."""
+    """Smallest draw that selects slice ``index``."""
     return 0 if index == 0 else thresholds[index - 1]
 
 
@@ -108,17 +108,18 @@ def test_sampler_config_validation():
 def test_forced_trajectories():
     config = SamplerConfig(p=2, seed=0)
     init = _initial_selector(config.p, config.initial_tail_cutoff)
+    assert init == config._selector
     # force first draw height 0: chain stops immediately, empty partition
-    lam = sample_partition(config, StubStream([k_forcing(init.thresholds, 0)]))
+    lam = sample_partition(config, StubStream([k_forcing(init, 0)]))
     assert lam == Partition()
     # force column heights 2, 1, 0: partition with columns (2,1), i.e. [2,1]
-    k2 = k_forcing(init.thresholds, 2)
+    k2 = k_forcing(init, 2)
     k1 = k_forcing(kernel_row(2, 2).thresholds, 1)
     k0 = k_forcing(kernel_row(1, 2).thresholds, 0)
     lam = sample_partition(config, StubStream([k2, k1, k0]))
     assert lam == Partition([2, 1])
     # force 3, 3, 0: columns (3,3) give [2,2,2]
-    k3 = k_forcing(init.thresholds, 3)
+    k3 = k_forcing(init, 3)
     k33 = k_forcing(kernel_row(3, 2).thresholds, 3)
     k30 = k_forcing(kernel_row(3, 2).thresholds, 0)
     lam = sample_partition(config, StubStream([k3, k33, k30]))
@@ -128,11 +129,16 @@ def test_forced_trajectories():
 def test_fold_over_draw_selects_largest_height():
     config = SamplerConfig(p=2, seed=0)
     init = _initial_selector(config.p, config.initial_tail_cutoff)
-    top = 2**64 - 1  # past every threshold: the residual slice
-    height = init.heights[-1]
-    # first draw folds to the largest retained height, second walks it to 0
-    lam = sample_partition(config, StubStream([top, 0]))
-    assert lam.conjugate().parts == (height,)
+    height = initial_column_distribution(config.p, config.initial_tail_cutoff)[-1][0]
+    # one threshold per retained height, the last 2^64 as in every kernel row
+    assert len(init) == height + 1 and init[-1] == 2**64
+    assert kernel_row(height, config.p).thresholds[-1] == 2**64
+    # every draw from the start of the largest height's slice through the
+    # residual slice past the retained weight selects that height, and a
+    # second draw walks it to 0
+    for top in (init[-2], 2**64 - 1):
+        lam = sample_partition(config, StubStream([top, 0]))
+        assert lam.conjugate().parts == (height,)
 
 
 def test_runaway_chain_raises():
@@ -218,6 +224,14 @@ def test_compiled_chain_matches_exact_reference(p, cutoff):
     for t in range(2000):
         expected = reference.sample(substream(config.seed, t))
         assert sample_partition(config, substream(config.seed, t)) == expected, t
+    # first draws on both sides of each first-column threshold ceil(c * 2^64)
+    # of the cumulative weights c, and the largest draw: after a draw of 0
+    # walks the first column to 0, the sample is that column alone
+    edges = [draw_threshold(c) for c in reference.initial]
+    for k in sorted({k for t in edges for k in (t - 1, t) if k < 2**64} | {2**64 - 1}):
+        height = reference.select(reference.initial, k)
+        lam = sample_partition(config, StubStream([k, 0]))
+        assert lam == reference.sample(StubStream([k, 0])) == Partition([1] * height), k
 
 
 def test_configs_differing_in_cutoff_share_no_selector():
@@ -228,9 +242,9 @@ def test_configs_differing_in_cutoff_share_no_selector():
 
     a, b = configs()
     runs = [list(sample_partitions(config, 300)) for config in (a, b, a)]
-    assert a._selector is not b._selector
-    assert a._selector.heights != b._selector.heights
-    _initial_selector.cache_clear()
+    assert len(a._selector) > len(b._selector) == 2
+    # the selector is compiled per config, with no module-level cache to share
+    assert not hasattr(_initial_selector, "cache_clear")
     fresh_a, fresh_b = configs()
     assert runs == [list(sample_partitions(fresh_a, 300)), list(sample_partitions(fresh_b, 300)),
                     list(sample_partitions(fresh_a, 300))]
@@ -297,8 +311,6 @@ def test_splitmix_reference_values():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
-    frac = SplitMix64(0).next_fraction()
-    assert frac == Fraction(0xE220A8397B1DCDAF, 2**64)
 
 
 def test_next_u64_and_mix64_are_one_finalizer():

@@ -11,7 +11,6 @@ from clpart import sandpile
 from clpart.rng import substream
 from clpart.sandpile import (
     Graph,
-    GraphSampleRecord,
     erdos_renyi,
     p_sylow_partition,
     reduced_laplacian,
@@ -434,19 +433,23 @@ def test_run_experiment_methods_agree():
 
 
 def test_sample_graph_record_contract():
-    record = sample_graph_record(3, Fraction(2**64 - 1, 2**64), 3, seed=0, trial=0)
-    assert record.connected and record.partition == Partition([1])
-    assert not record.valuation_capped
+    assert sample_graph_record(3, Fraction(2**64 - 1, 2**64), 3, seed=0, trial=0) == (Partition([1]), False)
     # a graph that is almost surely disconnected
-    record = sample_graph_record(6, Fraction(1, 2**64), 2, seed=0, trial=0)
-    assert not record.connected and record.partition is None
-    # the record type enforces partition-iff-connected
-    with pytest.raises(ValueError):
-        GraphSampleRecord(n=3, q=Fraction(1, 2), seed=0, trial=0,
-                          connected=True, partition=None, valuation_capped=False)
-    with pytest.raises(ValueError):
-        GraphSampleRecord(n=3, q=Fraction(1, 2), seed=0, trial=0,
-                          connected=False, partition=Partition(), valuation_capped=False)
+    assert sample_graph_record(6, Fraction(1, 2**64), 2, seed=0, trial=0) is None
+    # seeded trials: None exactly for a disconnected graph, else the pair both
+    # Sylow routes give on the reduced Laplacian of the same graph
+    outcomes = set()
+    for seed, trial in itertools.product((5, 6), range(30)):
+        g = erdos_renyi(9, Fraction(1, 4), substream(seed, trial))
+        for method in ("plocal", "snf"):
+            got = sample_graph_record(9, "1/4", 2, seed, trial, cap=3, method=method)
+            if g.is_connected():
+                m = reduced_laplacian(g)
+                assert got == p_sylow_partition(m, 2, 3) == sylow_valuations_mod_prime_power(m, 2, 3)
+            else:
+                assert got is None
+            outcomes.add(got and got[1])
+    assert outcomes == {None, False, True}  # disconnected, uncapped and capped trials
 
 
 def _dist(masses: dict, tail=BoundedReal.exact(0)):
