@@ -9,6 +9,10 @@ of (seed, trial index).
 Per-trial substreams are derived by mixing seed and index through the
 finalizer separately and XORing, so trial streams are decorrelated and can be
 consumed independently (and in parallel) without coordination.
+
+Draw j of a stream is mix64(state + j*GOLDEN_GAMMA), a pure function of the
+state and j, so ``draws_below`` computes a run of draws together, one 128-bit
+lane per draw in a single int, and compares each with a threshold.
 """
 
 from __future__ import annotations
@@ -19,12 +23,19 @@ from functools import lru_cache
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
+# Most draws ``draws_below`` packs into one int (128 bits each), so no int
+# grows with the count.  Per draw the packed route measured 78 / 61 / 57 /
+# 56 / 56 ns at 64 / 256 / 1024 / 4096 / 8192 lanes, flat from 512 up,
+# against ~330 ns per next_u64 call (Python 3.11.7, 2 vCPUs).
+DRAW_BLOCK = 1024
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer (avalanching bijection on 64-bit words).
 
     ``SplitMix64.next_u64`` repeats these three lines inline, one Python call
-    per draw; a test pins the two copies to each other.
+    per draw; a test pins the two copies to each other.  ``draws_below``
+    applies them to many lanes of one int, and tests pin it to ``next_u64``.
     """
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
@@ -45,6 +56,62 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64  # mix64, inline
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
+
+
+def require_seed(seed: int) -> int:
+    """Return seed if 0 <= seed < 2^64; raise ValueError otherwise.
+
+    Streams reduce their seed mod 2^64, so a seed outside that range would
+    repeat another seed's draws under a different name.
+    """
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
+@lru_cache(maxsize=8)
+def _lanes(count: int) -> tuple[int, int, int]:
+    """For ``count`` 128-bit lanes: 1 in each, 2^64 - 1 in each, and
+    (k+1)*GOLDEN_GAMMA mod 2^64 in lane k."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    steps = int.from_bytes(b"".join(((k + 1) * GOLDEN_GAMMA & MASK64).to_bytes(16, "little")
+                                    for k in range(count)), "little")
+    return ones, ones * MASK64, steps
+
+
+def draws_below(stream, threshold: int, count: int):
+    """One flag per draw of the stream's next ``count`` draws: true exactly
+    when the draw is below ``threshold`` (0 <= threshold <= 2^64).  The stream
+    is left where ``count`` calls to ``next_u64`` would leave it.
+
+    A stream whose type is exactly ``SplitMix64`` is advanced in blocks of at
+    most DRAW_BLOCK draws, each one int of 128-bit lanes: lane k holds
+    state + (k+1)*GOLDEN_GAMMA and runs through the finalizer.  Each
+    xor-shift is masked to the low 64 bits of every lane, so a multiply by a
+    64-bit constant stays below 2^128 and no lane carries into the next.
+    Then the complement of the draw plus the threshold reaches bit 64
+    exactly when the draw is below the threshold, and that bit is byte 8 of
+    the lane.  Any other stream (a subclass, a test stub, a counting
+    wrapper) is drawn from one ``next_u64`` call at a time: that route is
+    the packed one's oracle.
+    """
+    if not 0 <= threshold <= MASK64 + 1:
+        raise ValueError(f"threshold must lie in [0, 2^64], got {threshold}")
+    if type(stream) is not SplitMix64:
+        draw = stream.next_u64
+        return [draw() < threshold for _ in range(count)]
+    flags = bytearray()
+    while count > 0:
+        block = min(count, DRAW_BLOCK)
+        ones, low, steps = _lanes(block)
+        z = (steps + stream.state * ones) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        z = (z ^ (z >> 31) ^ low) + threshold * ones  # bits 97..127 of a lane: unread
+        flags += z.to_bytes(16 * block, "little")[8::16]
+        stream.state = (stream.state + block * GOLDEN_GAMMA) & MASK64
+        count -= block
+    return flags
 
 
 def draw_threshold(x: Fraction) -> int:

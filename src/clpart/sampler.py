@@ -37,7 +37,7 @@ from itertools import accumulate
 from .measures import MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Partition
 from .qseries import as_fraction, column_step, fraction_str, lower_qpoch, require_prime
-from .rng import draw_threshold, substream
+from .rng import draw_threshold, require_seed, substream
 
 # No realistic sample can reach this many columns (each positive height is
 # left in finite expected time); hitting it means a bug, not bad luck.
@@ -54,6 +54,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         require_prime(self.p)
+        require_seed(self.seed)
         object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(self.initial_tail_cutoff))
 
     @cached_property

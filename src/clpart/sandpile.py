@@ -19,13 +19,24 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, compress
 
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition
 from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
-from .rng import draw_threshold, substream
+from .rng import draw_threshold, draws_below, require_seed, substream
 
 DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
+
+# Largest vertex count and valuation cap a trial accepts.  The Laplacian is
+# n x n and the elimination grows like n^3 times its lane width, which grows
+# with cap, so huge values would run for hours.  One p = 2, q = 1/2 trial at
+# n = 500 took 0.27 s at cap 12 and 0.96 s at cap 64 (plocal 0.22 / 0.92 s;
+# at n = 800, cap 12: 0.84 s); at cap 64 and n = 500 it took 1.9 s at p = 3
+# and 18 s at p = 101 (Python 3.11.7, 2 vCPUs).  The benchmark asks for 40.
+MAX_VERTICES = 500
+MAX_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -81,22 +92,26 @@ class Graph:
         return found == self.n
 
 
+@lru_cache(maxsize=4)
+def _vertex_pairs(n: int) -> tuple:
+    """The binom(n,2) pairs u < v < n in lexicographic order."""
+    return tuple(combinations(range(n), 2))
+
+
 def erdos_renyi(n: int, q, stream) -> Graph:
     """G(n, q): each of the binom(n,2) edges included independently.
 
     Inclusion compares a 64-bit draw k (as k/2^64) against the exact rational
     q, in the fixed lexicographic edge order, so graphs are a pure function
-    of the stream state.
+    of the stream state.  The draws are taken together by ``draws_below``.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _require_vertices(n)
     q = as_fraction(q)
     if not (0 < q < 1):
         raise ValueError(f"edge probability must lie strictly in (0,1), got {q}")
-    threshold = draw_threshold(q)
-    draw = stream.next_u64  # bound once; the stream may be any object with next_u64
+    pairs = _vertex_pairs(n)
     return Graph._canonical(n, frozenset(
-        [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < threshold]))
+        compress(pairs, draws_below(stream, draw_threshold(q), len(pairs)))))
 
 
 def reduced_laplacian(g: Graph, root: int | None = None) -> list[list[int]]:
@@ -211,9 +226,18 @@ def _non_divisible_entry(m, t, d):
     return None
 
 
+def _require_vertices(n: int) -> None:
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
+
+
 def _require_cap(cap: int) -> None:
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if cap > MAX_CAP:
+        raise ValueError(f"cap={cap} exceeds the valuation cap {MAX_CAP}")
 
 
 def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
@@ -309,9 +333,11 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
 
 
-def _require_trial_args(p: int, cap: int, method: str) -> None:
+def _require_trial_args(n: int, p: int, seed: int, cap: int, method: str) -> None:
     """The domain of a trial, checked whether or not its graph is connected."""
+    _require_vertices(n)
     require_prime(p)
+    require_seed(seed)
     _require_cap(cap)
     if method not in ("plocal", "snf"):
         raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
@@ -321,7 +347,7 @@ def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEF
                         method: str = "plocal") -> tuple[Partition, bool] | None:
     """One experiment trial, deterministically from (seed, trial): None for a
     disconnected graph, else the (partition, capped) pair of the chosen route."""
-    _require_trial_args(p, cap, method)
+    _require_trial_args(n, p, seed, cap, method)
     g = erdos_renyi(n, q, substream(seed, trial))
     if not g.is_connected():
         return None
@@ -355,10 +381,10 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
 
     Deterministic given (seed, trial index); disconnected graphs are counted
     and skipped, so frequencies condition on connectivity.  The arguments are
-    checked before the first trial, so a bad cap or method is refused even
-    when every graph would be disconnected.
+    checked before the first trial, so a bad n, seed, cap or method is
+    refused even when every graph would be disconnected.
     """
-    _require_trial_args(p, cap, method)
+    _require_trial_args(n, p, seed, cap, method)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     q = as_fraction(q)

@@ -332,6 +332,29 @@ def test_graphs_domain_errors(capsys):
     assert code == 2
 
 
+GRAPHS = ["graphs", "--n", "6", "--q", "1/2", "--p", "2", "--trials", "3"]
+SAMPLE = ["sample", "--p", "2", "--trials", "3"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([*SAMPLE, "--seed=-1"], "seed must lie in [0, 2^64), got -1"),
+    ([*SAMPLE, "--seed", str(2**64)], f"seed must lie in [0, 2^64), got {2**64}"),
+    ([*GRAPHS, "--seed=-1"], "seed must lie in [0, 2^64), got -1"),
+    ([*GRAPHS, "--seed", str(2**64)], f"seed must lie in [0, 2^64), got {2**64}"),
+    ([*GRAPHS, "--seed", "1", "--n", "501"], "n=501 exceeds the vertex cap 500"),
+    ([*GRAPHS, "--seed", "1", "--n", "1000000"], "n=1000000 exceeds the vertex cap 500"),
+    ([*GRAPHS, "--seed", "1", "--cap", "65"], "cap=65 exceeds the valuation cap 64"),
+])
+def test_out_of_range_graph_and_seed_arguments_exit_2_before_any_output(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_largest_seed_is_accepted(capsys):
+    code, out, _ = run(capsys, [*SAMPLE, "--seed", str(2**64 - 1)])
+    assert code == 0 and out.count("\n") == 3
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "recursions", "--p", "2,3", "--a-max", "8"])
     assert code == 0

@@ -8,7 +8,16 @@ import pytest
 from clpart.measures import even_qpoch, inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
 from clpart.partitions import Partition
 from clpart.qseries import column_step, lower_qpoch
-from clpart.rng import GOLDEN_GAMMA, MASK64, SplitMix64, draw_threshold, mix64, substream
+from clpart.rng import (
+    DRAW_BLOCK,
+    GOLDEN_GAMMA,
+    MASK64,
+    SplitMix64,
+    draw_threshold,
+    draws_below,
+    mix64,
+    substream,
+)
 from clpart.sampler import (
     MAX_COLUMNS,
     SamplerConfig,
@@ -103,6 +112,11 @@ def test_sampler_config_validation():
         SamplerConfig(p=1, seed=0)
     with pytest.raises(ValueError):
         SamplerConfig(p=2, seed=0, initial_tail_cutoff=Fraction(3, 2))
+    # a stream reduces its seed mod 2^64: -1 would repeat 2^64 - 1's samples
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            SamplerConfig(p=2, seed=seed)
+    assert SamplerConfig(p=2, seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_forced_trajectories():
@@ -319,6 +333,44 @@ def test_next_u64_and_mix64_are_one_finalizer():
     rng = random.Random(64)
     for z in [rng.getrandbits(64) for _ in range(1000)] + [0, 1, MASK64]:
         assert SplitMix64((z - GOLDEN_GAMMA) % 2**64).next_u64() == mix64(z)
+
+
+class OneDrawAtATime:
+    """A SplitMix64 behind a plain next_u64, so draws_below takes the per-draw route."""
+
+    def __init__(self, seed):
+        self.inner = SplitMix64(seed)
+
+    def next_u64(self):
+        return self.inner.next_u64()
+
+
+DRAW_COUNTS = [1, 2, 779, 780, 781, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3]
+DRAW_THRESHOLDS = [1, 2, 2**63, 2**64 - 1, 2**64] + [draw_threshold(Fraction(k, 10))
+                                                     for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("count", DRAW_COUNTS)
+def test_packed_draws_below_matches_one_draw_at_a_time(count):
+    for seed in (0, 1, 5, 0x0123456789ABCDEF, 2**64 - 1):
+        for threshold in DRAW_THRESHOLDS:
+            packed, oracle = SplitMix64(seed), OneDrawAtATime(seed)
+            flags = draws_below(packed, threshold, count)
+            assert len(flags) == count
+            assert list(flags) == draws_below(oracle, threshold, count)
+            assert packed.state == oracle.inner.state
+
+
+def test_draws_below_edge_cases():
+    stream = SplitMix64(7)
+    assert list(draws_below(stream, 2**63, 0)) == [] and stream.state == 7
+    assert list(draws_below(stream, 0, 5)) == [False] * 5
+    assert list(draws_below(stream, 2**64, 5)) == [True] * 5
+    assert stream.state == (7 + 10 * GOLDEN_GAMMA) % 2**64
+    for route in (SplitMix64(7), OneDrawAtATime(7)):
+        for threshold in (-1, 2**64 + 1):
+            with pytest.raises(ValueError, match="threshold"):
+                draws_below(route, threshold, 3)
 
 
 def test_max_columns_constant_sane():

@@ -8,8 +8,10 @@ from clpart.measures import PartitionDistribution
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
 from clpart import sandpile
-from clpart.rng import substream
+from clpart.rng import DRAW_BLOCK, SplitMix64, substream
 from clpart.sandpile import (
+    MAX_CAP,
+    MAX_VERTICES,
     Graph,
     erdos_renyi,
     p_sylow_partition,
@@ -321,6 +323,9 @@ def test_erdos_renyi_determinism_and_domain():
         erdos_renyi(5, Fraction(1), substream(0, 0))
     with pytest.raises(ValueError):
         erdos_renyi(5, Fraction(0), substream(0, 0))
+    with pytest.raises(ValueError, match="exceeds the vertex cap"):
+        erdos_renyi(MAX_VERTICES + 1, Fraction(1, 2), substream(0, 0))
+    sandpile._require_trial_args(MAX_VERTICES, 2, 2**64 - 1, MAX_CAP, "plocal")  # the caps are in range
 
 
 def test_erdos_renyi_builds_canonical_graphs():
@@ -353,6 +358,30 @@ def test_reduced_laplacian_matches_its_definition_at_every_root():
     m = reduced_laplacian(g)
     m[0][0] += 1  # a fresh matrix each call: changing one leaves the next as it was
     assert reduced_laplacian(g) == _literal_reduced_laplacian(g, g.n - 1)
+
+
+class CountingDraws:
+    """A SplitMix64 behind a plain next_u64 that counts its calls: the per-draw route."""
+
+    def __init__(self, seed):
+        self.inner = SplitMix64(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return self.inner.next_u64()
+
+
+def test_erdos_renyi_packed_draws_match_one_draw_at_a_time():
+    # n = 46 and 72 need two and three blocks of packed draws
+    assert 46 * 45 // 2 > DRAW_BLOCK and 72 * 71 // 2 > 2 * DRAW_BLOCK
+    for t, n in enumerate((2, 3, 7, 40, 46, 72)):
+        for q in (Fraction(1, 2), Fraction(1, 3), Fraction(7, 10), Fraction(1, 2**64)):
+            seed = 1000 + t
+            packed, oracle = SplitMix64(seed), CountingDraws(seed)
+            assert erdos_renyi(n, q, packed) == erdos_renyi(n, q, oracle)
+            assert oracle.draws == n * (n - 1) // 2
+            assert packed.state == oracle.inner.state
 
 
 def test_erdos_renyi_forced_edge():
@@ -390,6 +419,11 @@ def test_run_experiment_forced_triangle():
     ({"trials": 0}, "trials"),
     ({"cap": 0}, "cap"),
     ({"method": "bogus"}, "method"),
+    ({"seed": -1}, "seed must lie in"),
+    ({"seed": 2**64}, "seed must lie in"),
+    ({"n": 1}, "n must be >= 2"),
+    ({"n": MAX_VERTICES + 1}, "exceeds the vertex cap"),
+    ({"cap": MAX_CAP + 1}, "exceeds the valuation cap"),
 ])
 def test_run_experiment_checks_arguments_before_first_trial(bad, message, monkeypatch):
     # q = 1/1000 leaves every graph on 6 vertices disconnected, so a check made
