@@ -350,11 +350,6 @@ def test_out_of_range_graph_and_seed_arguments_exit_2_before_any_output(capsys, 
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
-def test_largest_seed_is_accepted(capsys):
-    code, out, _ = run(capsys, [*SAMPLE, "--seed", str(2**64 - 1)])
-    assert code == 0 and out.count("\n") == 3
-
-
 def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "recursions", "--p", "2,3", "--a-max", "8"])
     assert code == 0
