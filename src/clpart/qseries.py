@@ -131,16 +131,42 @@ class BoundedReal:
         return f"{float(self.mid)!r} +/- {float(self.rad)!r}"
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly for every p below PRIME_LIMIT (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017; PRIME_LIMIT itself
+# is a strong pseudoprime to all 13).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def require_prime(p: int) -> int:
-    """Return p if it is prime; raise ValueError otherwise."""
+    """Return p if it is prime; raise ValueError otherwise.
+
+    Deterministic Miller-Rabin to PRIME_BASES, so the time grows like
+    log(p)^3; p >= PRIME_LIMIT is refused, since those bases do not decide it.
+    """
     if p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"p must be prime, got {p} = {d} * {p // d}")
-        d += 1
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"p={p} is too large to be certified prime (limit {PRIME_LIMIT})")
+    if p in PRIME_BASES:
+        return p
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in PRIME_BASES:
+        if p % a == 0:
+            raise ValueError(f"p must be prime, got {p} = {a} * {p // a}")
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # a strong probable prime reaches p - 1 before 1
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            raise ValueError(f"p must be prime, got {p} (base {a} is a Miller-Rabin witness)")
     return p
 
 

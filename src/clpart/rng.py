@@ -12,11 +12,15 @@ consumed independently (and in parallel) without coordination.
 
 Draw j of a stream is mix64(state + j*GOLDEN_GAMMA), a pure function of the
 state and j, so ``draws_below`` computes a run of draws together, one 128-bit
-lane per draw in a single int, and compares each with a threshold.
+lane per draw in a single int, and compares each with a threshold.  In the
+same way ``substream_draws`` computes a block of trials' substream states and
+their first draws, one lane per trial.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,8 +38,9 @@ def mix64(z: int) -> int:
     """SplitMix64 finalizer (avalanching bijection on 64-bit words).
 
     ``SplitMix64.next_u64`` repeats these three lines inline, one Python call
-    per draw; a test pins the two copies to each other.  ``draws_below``
-    applies them to many lanes of one int, and tests pin it to ``next_u64``.
+    per draw; a test pins the two copies to each other.  ``_mix_lanes``
+    applies them to many lanes of one int, and tests pin its users to
+    ``next_u64`` and ``substream``.
     """
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
@@ -79,6 +84,28 @@ def _lanes(count: int) -> tuple[int, int, int]:
     return ones, ones * MASK64, steps
 
 
+def _mix_lanes(z: int, low: int) -> int:
+    """mix64 of the low 64 bits of every 128-bit lane of z, lane by lane.
+
+    ``low`` holds 2^64 - 1 in each lane.  Each xor-shift is masked to the low
+    64 bits of every lane, so a multiply by a 64-bit constant stays below
+    2^128 and no lane carries into the next.  A result lane's bits 64..96 are
+    0; its bits 97..127 hold the next lane's low bits and are never read.
+    """
+    z &= low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    return z ^ (z >> 31)
+
+
+def _low_words(z: int, count: int) -> array:
+    """The low 64 bits of each of the ``count`` 128-bit lanes of z."""
+    words = array("Q", z.to_bytes(16 * count, "little"))[::2]
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def draws_below(stream, threshold: int, count: int):
     """One flag per draw of the stream's next ``count`` draws: true exactly
     when the draw is below ``threshold`` (0 <= threshold <= 2^64).  The stream
@@ -86,10 +113,8 @@ def draws_below(stream, threshold: int, count: int):
 
     A stream whose type is exactly ``SplitMix64`` is advanced in blocks of at
     most DRAW_BLOCK draws, each one int of 128-bit lanes: lane k holds
-    state + (k+1)*GOLDEN_GAMMA and runs through the finalizer.  Each
-    xor-shift is masked to the low 64 bits of every lane, so a multiply by a
-    64-bit constant stays below 2^128 and no lane carries into the next.
-    Then the complement of the draw plus the threshold reaches bit 64
+    state + (k+1)*GOLDEN_GAMMA and runs through ``_mix_lanes``.  Then the
+    complement of the draw plus the threshold reaches bit 64
     exactly when the draw is below the threshold, and that bit is byte 8 of
     the lane.  Any other stream (a subclass, a test stub, a counting
     wrapper) is drawn from one ``next_u64`` call at a time: that route is
@@ -104,10 +129,7 @@ def draws_below(stream, threshold: int, count: int):
     while count > 0:
         block = min(count, DRAW_BLOCK)
         ones, low, steps = _lanes(block)
-        z = (steps + stream.state * ones) & low
-        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
-        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-        z = (z ^ (z >> 31) ^ low) + threshold * ones  # bits 97..127 of a lane: unread
+        z = (_mix_lanes(steps + stream.state * ones, low) ^ low) + threshold * ones
         flags += z.to_bytes(16 * block, "little")[8::16]
         stream.state = (stream.state + block * GOLDEN_GAMMA) & MASK64
         count -= block
@@ -134,3 +156,23 @@ def substream(seed: int, index: int) -> SplitMix64:
     if index < 0:
         raise ValueError("index must be >= 0")
     return SplitMix64(_mixed_seed(seed) ^ mix64((index + 1) * GOLDEN_GAMMA))
+
+
+def substream_draws(seed: int, start: int, count: int, k: int) -> tuple[array, list[array]]:
+    """``substream`` and its first ``k`` draws for trials start..start+count-1.
+
+    Returns (states, draws): states[i] is ``substream(seed, start + i).state``
+    and draws[j][i] that stream's draw j + 1, each an array of 64-bit words.
+    All of them come from one int of ``count`` 128-bit lanes (callers keep
+    count to DRAW_BLOCK): lane i of steps + (start*GOLDEN_GAMMA)*ones holds
+    (start+i+1)*GOLDEN_GAMMA, which ``_mix_lanes`` mixes as ``substream``
+    does, and draw j is the mix of state + j*GOLDEN_GAMMA.
+    """
+    if start < 0:
+        raise ValueError("index must be >= 0")
+    ones, low, steps = _lanes(count)
+    states = _mix_lanes(steps + (start * GOLDEN_GAMMA & MASK64) * ones, low)
+    states ^= _mixed_seed(seed) * ones
+    draws = [_low_words(_mix_lanes(states + (j * GOLDEN_GAMMA & MASK64) * ones, low), count)
+             for j in range(1, k + 1)]
+    return _low_words(states, count), draws

@@ -16,6 +16,13 @@ compiled once per SamplerConfig, kernel rows once per (height, p), and each
 distinct column tuple is turned into its Partition once, after which the
 same immutable instance is returned.
 
+``sample_partition`` runs one trial on one stream.  ``sample_partitions`` and
+``empirical_distribution`` take the block route: per block of DRAW_BLOCK
+trials, one lane pass of ``rng.substream_draws`` computes every trial's
+stream state and first CHAIN_DRAWS draws, so most chains are a few
+``bisect_right`` calls on draws already made.  ``sample_partition`` on
+``substream(seed, t)`` is that route's oracle.
+
 All selection is inverse-CDF over exact rational cumulative weights, compared
 against a uniform 64-bit draw k read as the rational k/2^64.  Cumulative
 weights are precompiled to integer thresholds, so a draw is integer
@@ -32,18 +39,33 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .measures import MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Partition
 from .qseries import as_fraction, column_step, fraction_str, lower_qpoch, require_prime
-from .rng import draw_threshold, require_seed, substream
+from .rng import (
+    DRAW_BLOCK,
+    GOLDEN_GAMMA,
+    SplitMix64,
+    draw_threshold,
+    require_seed,
+    substream,
+    substream_draws,
+)
 
 # No realistic sample can reach this many columns (each positive height is
 # left in finite expected time); hitting it means a bug, not bad luck.
 MAX_COLUMNS = 10**4
 
 DEFAULT_CUTOFF = Fraction(1, 10**12)
+
+# Draws per trial that the block route computes with the trial's substream
+# state.  At p = 2 a chain ends after 1 / 2 / 3 / 4 / 5 draws in 41.7 / 29.1 /
+# 14.6 / 7.3 / 3.7 % of trials; 100k p = 2 trials of empirical_distribution
+# took 0.230 / 0.173 / 0.152 / 0.126 / 0.137 / 0.138 s at 1 / 2 / 3 / 4 / 5 / 6
+# draws (min of 11), against 0.53 s one trial at a time (Python 3.11.7, 2 vCPUs).
+CHAIN_DRAWS = 4
 
 
 @dataclass(frozen=True)
@@ -61,6 +83,12 @@ class SamplerConfig:
     def _selector(self) -> tuple[int, ...]:
         # The first-column thresholds, compiled once per config.
         return _initial_selector(self.p, self.initial_tail_cutoff)
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        # Kernel-row thresholds for every height the selector can return;
+        # heights never rise along the chain, so no other row is reached.
+        return tuple(kernel_row(a, self.p).thresholds for a in range(len(self._selector)))
 
 
 def _require_cutoff(cutoff) -> Fraction:
@@ -159,20 +187,75 @@ def _partition_of_columns(columns: tuple[int, ...]) -> Partition:
     return Partition(columns).conjugate()
 
 
-def sample_partition(config: SamplerConfig, stream) -> Partition:
-    """Draw one partition; ``stream`` supplies uniform 64-bit words.
-
-    Samples with the same column heights return the same Partition instance.
-    """
-    height = bisect_right(config._selector, stream.next_u64())
-    columns = []
+def _finish_chain(columns: list[int], height: int, p: int, draw) -> tuple[int, ...]:
+    """The column heights of a chain that has reached ``height`` after
+    ``columns``, drawing each further step from ``draw``."""
     while height > 0:
         columns.append(height)
         if len(columns) > MAX_COLUMNS:
             raise RuntimeError(f"column count exceeded {MAX_COLUMNS}; aborting")
-        row = kernel_row(height, config.p)
-        height = bisect_right(row.thresholds, stream.next_u64())
-    return _partition_of_columns(tuple(columns))
+        height = bisect_right(kernel_row(height, p).thresholds, draw())
+    return tuple(columns)
+
+
+def sample_partition(config: SamplerConfig, stream) -> Partition:
+    """Draw one partition; ``stream`` supplies uniform 64-bit words.
+
+    Samples with the same column heights return the same Partition instance.
+    This is the one-trial route, and the oracle of the block route below.
+    """
+    draw = stream.next_u64
+    return _partition_of_columns(
+        _finish_chain([], bisect_right(config._selector, draw()), config.p, draw))
+
+
+def _block_columns(config: SamplerConfig, trials: int) -> Iterator[tuple[int, ...]]:
+    """The column heights of trials 0..trials-1, the same as ``sample_partition``
+    on ``substream(config.seed, t)`` gives.
+
+    Per block of DRAW_BLOCK trials, ``substream_draws`` computes every trial's
+    stream state and its first CHAIN_DRAWS draws together; a chain still
+    running after them goes on from the stream those draws leave.
+    """
+    selector, rows, p = config._selector, config._rows, config.p
+    skip = CHAIN_DRAWS * GOLDEN_GAMMA
+    for start in range(0, trials, DRAW_BLOCK):
+        states, (first, *later) = substream_draws(config.seed, start, min(DRAW_BLOCK, trials - start),
+                                                  CHAIN_DRAWS)
+        for i, height in enumerate(map(bisect_right, repeat(selector), first)):
+            if not height:
+                yield ()
+                continue
+            columns = []
+            for draws in later:
+                columns.append(height)
+                height = bisect_right(rows[height], draws[i])
+                if not height:
+                    yield tuple(columns)
+                    break
+            else:
+                yield _finish_chain(columns, height, p, SplitMix64(states[i] + skip).next_u64)
+
+
+def _block_route() -> bool:
+    """Whether sampling may take ``_block_columns``.
+
+    It may only while this module's ``substream`` and ``sample_partition``
+    are its own: a caller that replaced either one (a tracer counting
+    substreams, chains and draws per trial, or a test injecting a fault) is
+    owed one call of each per trial, so it gets the per-trial route.  This
+    is the rule by which ``rng.draws_below`` draws one at a time from any
+    stream that is not a plain SplitMix64.
+    """
+    return substream is _own_substream and sample_partition is _own_sample_partition
+
+
+_own_substream, _own_sample_partition = substream, sample_partition
+
+
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]:
@@ -182,8 +265,9 @@ def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]
     of (seed, t).  ``trials`` is checked when this is called, before any
     sample is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_trials(trials)
+    if _block_route():
+        return map(_partition_of_columns, _block_columns(config, trials))
     return (sample_partition(config, substream(config.seed, t)) for t in range(trials))
 
 
@@ -191,9 +275,17 @@ def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistr
     """Frequency table over the samples of ``sample_partitions(config, trials)``.
 
     The table is a pure function of (seed, trials), and merges of disjoint
-    trial ranges agree with a single run.
+    trial ranges agree with a single run.  On the block route it counts
+    column tuples and builds each distinct one's Partition once; distinct
+    tuples are distinct partitions, and both counts keep first-occurrence
+    order, so the table is the one ``Counter`` of the partitions gives.
     """
-    counts = Counter(sample_partitions(config, trials))
+    _require_trials(trials)
+    if _block_route():
+        counts = {_partition_of_columns(columns): n
+                  for columns, n in Counter(_block_columns(config, trials)).items()}
+    else:
+        counts = Counter(sample_partitions(config, trials))
     params = {"trials": trials, "seed": config.seed,
               "cutoff": fraction_str(config.initial_tail_cutoff)}
     return frequency_table(config.p, "empirical", params, counts, trials)

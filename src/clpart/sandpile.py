@@ -38,6 +38,13 @@ DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 MAX_VERTICES = 500
 MAX_CAP = 64
 
+# Largest matrix (rows) and vertex count the Smith normal form route accepts:
+# its integer elimination's entries grow with n.  On one q = 1/2 graph (seed
+# 1, trial 0, p = 2, cap 12) it took 0.05 / 0.72 / 1.8 / 5.9 / 38 s at n = 50 /
+# 80 / 100 / 120 / 150 and did not finish in 300 s at n = 200 (Python
+# 3.11.7, 2 vCPUs).
+MAX_SNF_VERTICES = 100
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -249,6 +256,8 @@ def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     """
     require_prime(p)
     _require_cap(cap)
+    if len(matrix) > MAX_SNF_VERTICES:
+        raise ValueError(f"a {len(matrix)}-row matrix exceeds the SNF cap {MAX_SNF_VERTICES}")
     diag = smith_normal_form(matrix)
     if any(d == 0 for d in diag):
         raise ValueError("singular matrix: sandpile group undefined (disconnected graph?)")
@@ -341,6 +350,8 @@ def _require_trial_args(n: int, p: int, seed: int, cap: int, method: str) -> Non
     _require_cap(cap)
     if method not in ("plocal", "snf"):
         raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
+    if method == "snf" and n > MAX_SNF_VERTICES:
+        raise ValueError(f"n={n} exceeds the SNF vertex cap {MAX_SNF_VERTICES}")
 
 
 def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEFAULT_VALUATION_CAP,

@@ -305,6 +305,18 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, name, error, 
     assert err == "internal error: broken on purpose\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--summary"]])
+def test_runaway_chain_on_the_block_route_exits_3(capsys, monkeypatch, mode):
+    # every kernel row keeps its height, so each chain that starts above 0 runs
+    # past the column cap after its block draws
+    monkeypatch.setattr(sampler, "kernel_row", lambda a, p: sampler.KernelRow(
+        masses=(), thresholds=(0,) * a + (2**64,)))
+    assert sampler._block_route()
+    code, out, err = run(capsys, ["sample", "--p", "2", "--trials", "5", "--seed", "1", *mode])
+    assert code == 3 and out == ""
+    assert err == f"internal error: column count exceeded {sampler.MAX_COLUMNS}; aborting\n"
+
+
 def test_sample_requires_seed(capsys):
     code, _, _ = run(capsys, ["sample", "--p", "2", "--trials", "1"])
     assert code == 2
@@ -344,6 +356,7 @@ SAMPLE = ["sample", "--p", "2", "--trials", "3"]
     ([*GRAPHS, "--seed", "1", "--n", "501"], "n=501 exceeds the vertex cap 500"),
     ([*GRAPHS, "--seed", "1", "--n", "1000000"], "n=1000000 exceeds the vertex cap 500"),
     ([*GRAPHS, "--seed", "1", "--cap", "65"], "cap=65 exceeds the valuation cap 64"),
+    ([*GRAPHS, "--seed", "1", "--n", "101", "--method", "snf"], "n=101 exceeds the SNF vertex cap 100"),
 ])
 def test_out_of_range_graph_and_seed_arguments_exit_2_before_any_output(capsys, argv, error):
     code, out, err = run(capsys, argv)

@@ -1,5 +1,6 @@
 """Every public function that takes p enforces that p is prime."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,3 +56,29 @@ def test_non_prime_p_raises(name, p):
 
 def test_require_prime_accepts_primes():
     assert [require_prime(p) for p in (2, 3, 5, 7, 97)] == [2, 3, 5, 7, 97]
+    assert require_prime(100000000000031) == 100000000000031  # the first prime above 10^14
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_require_prime_agrees_with_trial_division_below_1e5():
+    for n in range(-2, 10**5):
+        try:
+            accepted = require_prime(n) == n
+        except ValueError:
+            accepted = False
+        assert accepted == _is_prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [
+    56052361,                   # 211 * 421 * 631: a^((n-1)/2) = 1 mod n for every a prime to n
+    3215031751,                 # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,        # strong pseudoprime to bases 2 ... 31
+    318665857834031151167461,   # strong pseudoprime to bases 2 ... 37; base 41 catches it
+    3317044064679887385961981,  # strong pseudoprime to all 13 bases: beyond the proven range
+])
+def test_require_prime_refuses_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match="prime"):
+        require_prime(n)

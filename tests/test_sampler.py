@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -17,8 +18,11 @@ from clpart.rng import (
     draws_below,
     mix64,
     substream,
+    substream_draws,
 )
+from clpart import sampler
 from clpart.sampler import (
+    CHAIN_DRAWS,
     MAX_COLUMNS,
     SamplerConfig,
     _initial_selector,
@@ -371,6 +375,64 @@ def test_draws_below_edge_cases():
         for threshold in (-1, 2**64 + 1):
             with pytest.raises(ValueError, match="threshold"):
                 draws_below(route, threshold, 3)
+
+
+SUBSTREAM_SEEDS = (0, 1, 0x0123456789ABCDEF, 2**64 - 1)
+
+
+# start*GOLDEN_GAMMA is above 2^64 at 2^40 + 3 and above 2^128 at 2^70 + 5
+@pytest.mark.parametrize("start", [0, DRAW_BLOCK, 2**40 + 3, 2**70 + 5])
+def test_substream_draws_match_substream(start):
+    for seed in SUBSTREAM_SEEDS:
+        for count in (1, 7, DRAW_BLOCK):
+            for k in (1, CHAIN_DRAWS, CHAIN_DRAWS + 2):
+                states, draws = substream_draws(seed, start, count, k)
+                assert len(states) == count and len(draws) == k
+                for i in (range(count) if count < DRAW_BLOCK else (0, 1, 500, count - 1)):
+                    stream = substream(seed, start + i)
+                    assert states[i] == stream.state
+                    assert [d[i] for d in draws] == [stream.next_u64() for _ in range(k)]
+    with pytest.raises(ValueError, match="index"):
+        substream_draws(1, -1, 3, 2)
+
+
+BLOCK_TRIALS = [1, 2, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_route_matches_per_trial_route(p):
+    assert sampler._block_route()
+    continued = 0
+    for seed in SUBSTREAM_SEEDS:
+        for cutoff in (Fraction(1, 10**12), Fraction(1, 1000), Fraction(1, 2)):
+            config = SamplerConfig(p=p, seed=seed, initial_tail_cutoff=cutoff)
+            oracle = [sample_partition(config, substream(seed, t)) for t in range(max(BLOCK_TRIALS))]
+            # a chain of c columns takes c + 1 draws: past CHAIN_DRAWS it goes on
+            # from the stream the block's draws leave
+            continued += sum(lam.parts[0] >= CHAIN_DRAWS for lam in oracle if lam.parts)
+            for trials in BLOCK_TRIALS:
+                assert list(sample_partitions(config, trials)) == oracle[:trials]
+                counts = empirical_distribution(config, trials).counts
+                assert list(counts.items()) == list(Counter(oracle[:trials]).items())
+    assert continued > 0
+
+
+@pytest.mark.parametrize("name", ["substream", "sample_partition"])
+def test_replaced_functions_get_one_call_per_trial(name, monkeypatch):
+    config = SamplerConfig(p=2, seed=3)
+    expected = list(sample_partitions(config, 40))
+    table = empirical_distribution(config, 40)
+    calls = []
+    own = getattr(sampler, name)
+
+    def counted(*args):
+        calls.append(args)
+        return own(*args)
+
+    monkeypatch.setattr(sampler, name, counted)
+    assert not sampler._block_route()
+    assert list(sample_partitions(config, 40)) == expected and len(calls) == 40
+    assert empirical_distribution(config, 40) == table and len(calls) == 80
 
 
 def test_max_columns_constant_sane():

@@ -11,6 +11,7 @@ from clpart import sandpile
 from clpart.rng import DRAW_BLOCK, SplitMix64, substream
 from clpart.sandpile import (
     MAX_CAP,
+    MAX_SNF_VERTICES,
     MAX_VERTICES,
     Graph,
     erdos_renyi,
@@ -151,6 +152,12 @@ def test_p_sylow_partition_examples():
     assert p_sylow_partition(m4, 2, cap=2) == (Partition([2, 2]), True)
     with pytest.raises(ValueError):
         p_sylow_partition([[0, 0], [0, 0]], 2)  # singular
+    # the integer elimination's entries grow with n, so its size is capped
+    size = MAX_SNF_VERTICES + 1
+    with pytest.raises(ValueError, match="exceeds the SNF cap"):
+        p_sylow_partition([[int(i == j) for j in range(size)] for i in range(size)], 2)
+    sandpile._require_trial_args(MAX_SNF_VERTICES, 2, 1, 12, "snf")
+    sandpile._require_trial_args(MAX_SNF_VERTICES + 1, 2, 1, 12, "plocal")
 
 
 def test_plocal_route_matches_reference():
@@ -424,6 +431,7 @@ def test_run_experiment_forced_triangle():
     ({"n": 1}, "n must be >= 2"),
     ({"n": MAX_VERTICES + 1}, "exceeds the vertex cap"),
     ({"cap": MAX_CAP + 1}, "exceeds the valuation cap"),
+    ({"n": MAX_SNF_VERTICES + 1, "method": "snf"}, "exceeds the SNF vertex cap"),
 ])
 def test_run_experiment_checks_arguments_before_first_trial(bad, message, monkeypatch):
     # q = 1/1000 leaves every graph on 6 vertices disconnected, so a check made
