@@ -214,7 +214,9 @@ def cmd_sample(args) -> int:
         dist = empirical_distribution(config, args.trials)
         payload = _dumps(dist)
     else:
-        payload = (f"{lam}\n" for lam in sample_partitions(config, args.trials))
+        lines = {}  # a run has few distinct partitions: render each once
+        payload = (lines.get(lam) or lines.setdefault(lam, f"{lam}\n")
+                   for lam in sample_partitions(config, args.trials))
     _write_output(args, payload, "sample", _param_dict(args))
     return 0
 

@@ -3,6 +3,10 @@
 Pipeline per trial: draw an Erdos-Renyi graph, skip it if disconnected
 (recorded, not resampled), present the sandpile group by the reduced
 Laplacian, and read off the p-Sylow partition from the Smith normal form.
+Connectivity is a graph search over per-vertex neighbour bitmasks.
+At p = 2 the plocal route exits before the Laplacian when the spanning-tree
+count (the group's order) is odd: the 2-part is then trivial.  The parity is
+a rank pass mod 2 over the same masks (``Graph.odd_spanning_trees``).
 
 Two Smith-form routes are provided.  ``smith_normal_form`` is the reference:
 classical elimination over the integers with minimal-absolute-value pivoting,
@@ -19,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, compress
 
 from .measures import PartitionDistribution, frequency_table
@@ -74,29 +78,57 @@ class Graph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.n)]
+    @cached_property
+    def masks(self) -> tuple:
+        """Neighbour masks: bit v of ``masks[u]`` is set iff {u, v} is an edge."""
+        bits = [1 << v for v in range(self.n)]
+        masks = [0] * self.n
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+            masks[u] |= bits[v]
+            masks[v] |= bits[u]
+        return tuple(masks)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        found = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    found += 1
-                    stack.append(v)
-        return found == self.n
+        """Search from vertex 0, taking the lowest unvisited frontier vertex's mask per step."""
+        masks = self.masks
+        seen = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = masks[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen == (1 << self.n) - 1
+
+    def odd_spanning_trees(self) -> bool:
+        """Whether the spanning-tree count is odd.
+
+        By the matrix-tree theorem it is the determinant of the reduced
+        Laplacian (root n - 1, as in ``reduced_laplacian``), so it is odd iff
+        that matrix is invertible mod 2.  Row u is mask u with bit u set to the
+        degree parity and the root's bit dropped; the rows sit in byte-aligned
+        lanes of one int.  Each column c takes ``col``, bit 0 of every lane
+        whose row has bit c, and XORs the lowest such row into all of them with
+        one multiply; the pivot row zeroes itself, so it never pivots again.  A
+        zero ``col`` means the matrix is singular mod 2.
+        """
+        r = self.n - 1
+        if r == 0:
+            return True  # one vertex, one (empty) spanning tree
+        nbytes = (r + 7) // 8
+        width = 8 * nbytes
+        rowmask = (1 << width) - 1
+        low = (1 << r) - 1
+        grid = int.from_bytes(b"".join(
+            ((m | (m.bit_count() & 1) << u) & low).to_bytes(nbytes, "little")
+            for u, m in enumerate(self.masks[:r])), "little")
+        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * r, "little")
+        for c in range(r):
+            col = grid >> c & ones
+            if not col:
+                return False
+            grid ^= col * (grid >> (col & -col).bit_length() - 1 & rowmask)
+        return True
 
 
 @lru_cache(maxsize=4)
@@ -357,11 +389,20 @@ def _require_trial_args(n: int, p: int, seed: int, cap: int, method: str) -> Non
 def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEFAULT_VALUATION_CAP,
                         method: str = "plocal") -> tuple[Partition, bool] | None:
     """One experiment trial, deterministically from (seed, trial): None for a
-    disconnected graph, else the (partition, capped) pair of the chosen route."""
+    disconnected graph, else the (partition, capped) pair of the chosen route.
+
+    At p = 2 the plocal route first checks the spanning-tree count's parity:
+    when it is odd the 2-part of the sandpile group is trivial, and the trial
+    returns (empty partition, False), the elimination's answer when every
+    pivot is a unit, without building the Laplacian.  The SNF route never
+    takes this exit, so it stays an independent reference.
+    """
     _require_trial_args(n, p, seed, cap, method)
     g = erdos_renyi(n, q, substream(seed, trial))
     if not g.is_connected():
         return None
+    if method == "plocal" and p == 2 and g.odd_spanning_trees():
+        return Partition(), False
     # module globals, read per call, so a route wrapped for tracing is the one called
     route = p_sylow_partition if method == "snf" else sylow_valuations_mod_prime_power
     return route(reduced_laplacian(g), p, cap)

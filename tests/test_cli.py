@@ -9,6 +9,7 @@ import pytest
 from clpart import cli, measures, sampler
 from clpart.cli import _run_checks, main
 from clpart.measures import tabulate
+from clpart.partitions import Partition
 from clpart.sampler import SamplerConfig, empirical_distribution
 from clpart.sandpile import run_experiment
 
@@ -276,6 +277,22 @@ def test_sample_lines_deterministic(capsys):
     assert len(out1.strip().splitlines()) == 3
     for line in out1.strip().splitlines():
         assert line.startswith("[") and line.endswith("]")
+
+
+def test_sample_lines_render_each_distinct_partition_once(capsys, monkeypatch):
+    config = SamplerConfig(p=2, seed=7)
+    expected = "".join(f"{lam}\n" for lam in sampler.sample_partitions(config, 2000))
+    rendered = []
+    real_str = Partition.__str__
+
+    def counting_str(lam):
+        rendered.append(lam)
+        return real_str(lam)
+
+    monkeypatch.setattr(Partition, "__str__", counting_str)
+    code, out, _ = run(capsys, ["sample", "--p", "2", "--trials", "2000", "--seed", "7"])
+    assert code == 0 and out == expected
+    assert len(rendered) == len(set(rendered)) == len(set(out.splitlines())) < 2000
 
 
 def test_sample_rejects_bad_p(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,103 @@ def test_connectivity():
     assert K3.is_connected()
     assert not Graph(n=3, edges=frozenset({(0, 1)})).is_connected()
     assert Graph(n=1, edges=frozenset()).is_connected()
+
+
+def _graph(n, pairs):
+    return Graph(n=n, edges=frozenset(pairs))
+
+
+def _tree_count_families():
+    """(graph, spanning-tree count) for families whose counts have closed forms."""
+    for n in range(1, 10):
+        yield complete_graph(n), n ** (n - 2) if n > 1 else 1  # Cayley
+    for n in range(3, 11):
+        yield _graph(n, ((v, (v + 1) % n) for v in range(n))), n  # cycle C_n
+    for n in range(1, 10):
+        yield _graph(n, ((v, v + 1) for v in range(n - 1))), 1  # path
+        yield _graph(n, ((0, v) for v in range(1, n))), 1  # star
+    for a, b in itertools.product(range(1, 6), repeat=2):
+        pairs = ((u, a + v) for u in range(a) for v in range(b))
+        yield _graph(a + b, pairs), a ** (b - 1) * b ** (a - 1)  # K_{a,b}
+
+
+def test_odd_spanning_trees_on_known_families():
+    parities = set()
+    for g, trees in _tree_count_families():
+        odd = trees % 2 == 1
+        diag = smith_normal_form(reduced_laplacian(g))
+        assert g.odd_spanning_trees() == odd, (g, trees)
+        assert (math.prod(diag) % 2 == 1) == odd, (g, trees)
+        parities.add(odd)
+    assert parities == {False, True}
+
+
+def test_odd_spanning_trees_iff_plocal_finds_no_2_part():
+    # the reduced Laplacian has n - 1 rows and columns: n = 9 and 65 fill one
+    # and eight byte lanes exactly, n = 8 and 64 fall one short, 10 and 66 spill over
+    seen = set()
+    for n, q in itertools.product((2, 8, 9, 10, 40, 64, 65, 66, 100), ("1/10", "1/2", "9/10")):
+        for trial in range(6):
+            g = erdos_renyi(n, Fraction(q), substream(31, trial))
+            if not g.is_connected():
+                continue
+            odd = g.odd_spanning_trees()
+            got = sylow_valuations_mod_prime_power(reduced_laplacian(g), 2, 12)
+            assert odd == (got[0] == Partition()), (n, q, trial)
+            seen.add((n, odd))
+    assert {odd for _, odd in seen} == {False, True}
+    assert {(40, False), (40, True), (100, False), (100, True)} <= seen
+
+
+def test_is_connected_iff_reduced_laplacian_nonsingular():
+    cases = [_graph(1, ()), _graph(2, ()), _graph(2, [(0, 1)]),
+             _graph(5, K4.edges),  # last vertex isolated
+             _graph(5, [(0, 1), (2, 3), (3, 4)]),
+             _graph(4, [(1, 2), (2, 3)])]  # vertex 0 isolated
+    for n, q, trial in itertools.product((2, 3, 6, 9, 12), ("1/10", "1/4", "1/2"), range(5)):
+        cases.append(erdos_renyi(n, Fraction(q), substream(17, trial)))
+    outcomes = set()
+    for g in cases:
+        nonsingular = all(smith_normal_form(reduced_laplacian(g)))
+        assert g.is_connected() == nonsingular, g
+        outcomes.add(nonsingular)
+    assert outcomes == {False, True}
+
+
+def test_masks_of_validated_and_sampled_graphs_agree():
+    g = _graph(4, [(3, 1), (0, 2), (1, 0)])
+    assert g.masks == (0b0110, 0b1001, 0b0001, 0b0010)
+    for n in (2, 9, 40):
+        sampled = erdos_renyi(n, Fraction(1, 2), substream(3, n))
+        rebuilt = Graph(n, frozenset((v, u) for u, v in sampled.edges))  # unordered pairs
+        assert rebuilt == sampled and hash(rebuilt) == hash(sampled)
+        assert rebuilt.masks == sampled.masks
+        for u, v in itertools.combinations(range(n), 2):
+            assert (sampled.masks[u] >> v & 1) == ((u, v) in sampled.edges) == (sampled.masks[v] >> u & 1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_plocal_runs_only_where_the_parity_exit_does_not(monkeypatch, p):
+    calls = []
+    real = sandpile.sylow_valuations_mod_prime_power
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sandpile, "sylow_valuations_mod_prime_power", counting)
+    result = run_experiment(40, Fraction(1, 2), p, 200, seed=8)
+    connected = 200 - result.discarded_disconnected
+    if p == 3:
+        assert len(calls) == connected
+        return
+    # kappa is even exactly when the 2-part is nontrivial
+    assert len(calls) == connected - result.distribution.counts[Partition()]
+    assert 0 < len(calls) < connected
+    plocal = run_experiment(20, Fraction(1, 2), p, 120, seed=8)
+    snf = run_experiment(20, Fraction(1, 2), p, 120, seed=8, method="snf")
+    assert plocal.distribution.counts == snf.distribution.counts
+    assert plocal.capped_count == snf.capped_count == 0
 
 
 def test_reduced_laplacian_examples():
