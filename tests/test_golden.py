@@ -40,6 +40,11 @@ CASES = {
     # benchmark scale at p = 2: the one-AND reduction mod 2^12
     "graphs-plocal-n40-p2": ["graphs", "--n", "40", "--q", "1/2", "--p", "2", "--trials", "40",
                              "--seed", "9"],
+    # p = 2 at the cap: 16 capped trials, [2,1] and [2,2] in the support
+    "graphs-plocal-n40-p2-capped": ["graphs", "--n", "40", "--q", "1/2", "--p", "2", "--trials", "60",
+                                    "--seed", "7", "--cap", "2"],
+    "graphs-plocal-n100-p2": ["graphs", "--n", "100", "--q", "1/2", "--p", "2", "--trials", "12",
+                              "--seed", "3"],
     "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
                    "--seed", "4", "--method", "snf"],
     # benchmark scale: 7 of the 60 trials hit the cap
@@ -62,6 +67,10 @@ GOLDEN = {
         "bd7d93c5815f1f020ee053b0470892f0b6e2caaa2c536a4d79f7aa98e18aed05"),
     "graphs-plocal-n40-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "ed90ff136490bae324a47fa6ea6f1c0d2103bb91d352a9c4e0852747a1dcd8d0"),
+    "graphs-plocal-n40-p2-capped": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4675a888b64fc41ce41ab6d9fb774a1103e8e87284de5a5123579fc77f189121"),
+    "graphs-plocal-n100-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f90cf93867b14139f79fb36b5ee07cf1976607c10e87972d6e90667d92ab82a8"),
     "graphs-snf": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "5c8e69493f7cac97d949ba521a170c94a07fd5c25d926d371dbe6b1647ca7e84"),
     "pmf-cl": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",
