@@ -49,6 +49,7 @@ from .sandpile import (
     smith_normal_form,
     sylow_valuations_mod_prime_power,
     tv_distance,
+    two_sylow_partition,
 )
 from .rng import SplitMix64, substream
 

@@ -4,9 +4,11 @@ Pipeline per trial: draw an Erdos-Renyi graph, skip it if disconnected
 (recorded, not resampled), present the sandpile group by the reduced
 Laplacian, and read off the p-Sylow partition from the Smith normal form.
 Connectivity is a graph search over per-vertex neighbour bitmasks.
-At p = 2 the plocal route exits before the Laplacian when the spanning-tree
-count (the group's order) is odd: the 2-part is then trivial.  The parity is
-a rank pass mod 2 over the same masks (``Graph.odd_spanning_trees``).
+At p = 2 the plocal route never builds the Laplacian: ``two_sylow_partition``
+runs one Gauss-Jordan pass mod 2 over the same masks, which ends the trial
+when the spanning-tree count (the group's order) is odd, and otherwise
+lifts the k x k 2-adic Schur complement of the unit block (k the corank mod
+2) and eliminates only that.
 
 Two Smith-form routes are provided.  ``smith_normal_form`` is the reference:
 classical elimination over the integers with minimal-absolute-value pivoting,
@@ -36,9 +38,13 @@ DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 # Largest vertex count and valuation cap a trial accepts.  The Laplacian is
 # n x n and the elimination grows like n^3 times its lane width, which grows
 # with cap, so huge values would run for hours.  One p = 2, q = 1/2 trial at
-# n = 500 took 0.27 s at cap 12 and 0.96 s at cap 64 (plocal 0.22 / 0.92 s;
-# at n = 800, cap 12: 0.84 s); at cap 64 and n = 500 it took 1.9 s at p = 3
-# and 18 s at p = 101 (Python 3.11.7, 2 vCPUs).  The benchmark asks for 40.
+# n = 500 took 0.27 s at cap 12 and 0.96 s at cap 64 on the full elimination
+# (at n = 800, cap 12: 0.84 s); at cap 64 and n = 500 it took 1.9 s at p = 3
+# and 18 s at p = 101 (Python 3.11.7, 2 vCPUs).  On a busier host of the same
+# kind the p = 2 route of ``two_sylow_partition`` took 0.30 s at both caps
+# (full elimination 0.66 / 3.1 s), but a near-complete graph (q = 1 - 10^-6,
+# corank 498) took 27 / 87 s at cap 12 / 64 (full elimination 30 / 73 s):
+# its Schur complement is nearly the whole matrix.  The benchmark asks for 40.
 MAX_VERTICES = 500
 MAX_CAP = 64
 
@@ -58,11 +64,14 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        _require_int(self.n, "vertex count")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canon = set()
         for e in self.edges:
             u, v = e
+            _require_int(u, "vertex label")
+            _require_int(v, "vertex label")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -100,35 +109,10 @@ class Graph:
             frontier |= new
         return seen == (1 << self.n) - 1
 
-    def odd_spanning_trees(self) -> bool:
-        """Whether the spanning-tree count is odd.
 
-        By the matrix-tree theorem it is the determinant of the reduced
-        Laplacian (root n - 1, as in ``reduced_laplacian``), so it is odd iff
-        that matrix is invertible mod 2.  Row u is mask u with bit u set to the
-        degree parity and the root's bit dropped; the rows sit in byte-aligned
-        lanes of one int.  Each column c takes ``col``, bit 0 of every lane
-        whose row has bit c, and XORs the lowest such row into all of them with
-        one multiply; the pivot row zeroes itself, so it never pivots again.  A
-        zero ``col`` means the matrix is singular mod 2.
-        """
-        r = self.n - 1
-        if r == 0:
-            return True  # one vertex, one (empty) spanning tree
-        nbytes = (r + 7) // 8
-        width = 8 * nbytes
-        rowmask = (1 << width) - 1
-        low = (1 << r) - 1
-        grid = int.from_bytes(b"".join(
-            ((m | (m.bit_count() & 1) << u) & low).to_bytes(nbytes, "little")
-            for u, m in enumerate(self.masks[:r])), "little")
-        ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * r, "little")
-        for c in range(r):
-            col = grid >> c & ones
-            if not col:
-                return False
-            grid ^= col * (grid >> (col & -col).bit_length() - 1 & rowmask)
-        return True
+def _require_int(x, what: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an int, got {x!r}")
 
 
 @lru_cache(maxsize=4)
@@ -374,6 +358,111 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
 
 
+def _pivots_mod_2(g: Graph) -> tuple[list, list, list]:
+    """Gauss-Jordan elimination of the reduced Laplacian L (root n - 1) mod 2.
+
+    Row u is mask u with bit u set to the degree parity and the root's bit
+    dropped, followed by bit r + u (an identity augment, r = n - 1); the rows
+    sit in byte-aligned lanes of one int.  Each column c takes ``col``, bit 0
+    of every lane whose row has bit c, pivots on the lowest such lane that is
+    not a pivot row yet, and XORs that row into every other lane of ``col``
+    (earlier pivot rows included) with one multiply.  A column with no such
+    lane is free.  Returns (pivots, free, spare): a pair (c, a) per pivot
+    column c, where ``a``, the augment of its pivot row, is row c of A^-1 mod
+    2 for A = L[D, P] (pivot rows by pivot columns) as a mask over the rows
+    D; the free columns; and the rows that never pivoted.  There are as many
+    free columns as spare rows: the corank of L mod 2.
+    """
+    r = g.n - 1
+    if r == 0:
+        return [], [], []  # one vertex: L is 0 x 0
+    nbytes = (2 * r + 7) // 8
+    width = 8 * nbytes
+    rowmask = (1 << width) - 1
+    low = (1 << r) - 1
+    grid = int.from_bytes(b"".join(
+        ((m | (m.bit_count() & 1) << u) & low | 1 << r + u).to_bytes(nbytes, "little")
+        for u, m in enumerate(g.masks[:r])), "little")
+    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * r, "little")
+    unused = ones  # bit 0 of every lane that is not a pivot row yet
+    pivots, free = [], []
+    for c in range(r):
+        col = grid >> c & ones
+        lane = col & unused
+        if not lane:
+            free.append(c)
+            continue
+        lane &= -lane
+        unused ^= lane
+        shift = lane.bit_length() - 1
+        grid ^= (col ^ lane) * (grid >> shift & rowmask)
+        pivots.append((c, shift))
+    return ([(c, grid >> shift + r & low) for c, shift in pivots], free,
+            [u for u in range(r) if unused >> u * width & 1])
+
+
+def _det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for t in range(n - 1):
+        if not m[t][t]:
+            swap = next((i for i in range(t + 1, n) if m[i][t]), None)
+            if swap is None:
+                return 0
+            m[t], m[swap] = m[swap], m[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
+        prev = m[t][t]
+    return sign * m[-1][-1]
+
+
+def two_sylow_partition(g: Graph, cap: int = DEFAULT_VALUATION_CAP) -> tuple[Partition, bool]:
+    """Same pair as ``sylow_valuations_mod_prime_power(reduced_laplacian(g), 2, cap)``.
+
+    ``_pivots_mod_2`` splits the reduced Laplacian L into k spare rows and k
+    free columns and a block A = L[D, P] that is invertible mod 2, where k is
+    the corank of L mod 2, the number of parts; k = 0 is an odd
+    spanning-tree count and the empty partition.  A is then a unit over the
+    2-adic integers, so the 2-part of coker L is that of the k x k Schur
+    complement.  L is symmetric, so this route takes it as S = L[F, R] -
+    L[F, D] B^-1 L[P, R] with B = L[P, D] = A^T (F the free columns, R the
+    spare rows), and B^-1 x is the XOR of the rows c of A^-1 over the odd
+    x_c.  Dixon lifting: Z starts as L[:, R]; lift t sets y = B^-1 (Z[P] /
+    2^t mod 2) per column and Z -= 2^t L y, where (L y)_i is degree_i y_i -
+    popcount(mask_i & y).  After t lifts Z[P] = 0 and Z[F] = S mod 2^t.
+    Since S = 0 mod 2, det S = 0 mod 2^k; lifting stops at the first t > k
+    where det S != 0 mod 2^t (every valuation is then below t, so S mod 2^t
+    fixes them) or at t = cap, and Z[F] goes to one
+    ``sylow_valuations_mod_prime_power`` call.
+    """
+    _require_cap(cap)
+    pivots, free, spare = _pivots_mod_2(g)
+    if not free:
+        return Partition(), False
+    k = len(free)
+    masks = g.masks[:g.n - 1]
+    degrees = [m.bit_count() for m in masks]
+    zs = [[degrees[q] if i == q else -(masks[q] >> i & 1) for i in range(len(masks))]
+          for q in spare]
+    for t in range(cap):
+        for z in zs:
+            y = 0
+            for c, a in pivots:
+                if z[c] >> t & 1:
+                    y ^= a
+            if y:
+                z[:] = [zi - ((d if y >> i & 1 else 0) - (m & y).bit_count() << t)
+                        for i, (zi, d, m) in enumerate(zip(z, degrees, masks))]
+        if k <= t < cap - 1 and _det([[z[i] for z in zs] for i in free]) % (2 << t):
+            break
+    # module global, read per call, so a route wrapped for tracing is the one called
+    return sylow_valuations_mod_prime_power([[z[i] for z in zs] for i in free], 2, cap)
+
+
 def _require_trial_args(n: int, p: int, seed: int, cap: int, method: str) -> None:
     """The domain of a trial, checked whether or not its graph is connected."""
     _require_vertices(n)
@@ -391,18 +480,18 @@ def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEF
     """One experiment trial, deterministically from (seed, trial): None for a
     disconnected graph, else the (partition, capped) pair of the chosen route.
 
-    At p = 2 the plocal route first checks the spanning-tree count's parity:
-    when it is odd the 2-part of the sandpile group is trivial, and the trial
-    returns (empty partition, False), the elimination's answer when every
-    pivot is a unit, without building the Laplacian.  The SNF route never
-    takes this exit, so it stays an independent reference.
+    At p = 2 the plocal route is ``two_sylow_partition``, which works on the
+    graph's neighbour masks and returns the elimination's pair without
+    building the Laplacian; an odd spanning-tree count gives (empty
+    partition, False) after one pass mod 2.  The SNF route never takes it,
+    so it stays an independent reference.
     """
     _require_trial_args(n, p, seed, cap, method)
     g = erdos_renyi(n, q, substream(seed, trial))
     if not g.is_connected():
         return None
-    if method == "plocal" and p == 2 and g.odd_spanning_trees():
-        return Partition(), False
+    if method == "plocal" and p == 2:
+        return two_sylow_partition(g, cap)
     # module globals, read per call, so a route wrapped for tracing is the one called
     route = p_sylow_partition if method == "snf" else sylow_valuations_mod_prime_power
     return route(reduced_laplacian(g), p, cap)

@@ -1,4 +1,5 @@
-"""Every public function that takes p enforces that p is prime."""
+"""Every public function that takes p enforces that p is prime, and a graph's
+vertex count and labels are ints."""
 
 import math
 from fractions import Fraction
@@ -19,7 +20,14 @@ from clpart.measures import (
 from clpart.partitions import Partition
 from clpart.qseries import d_lambda, deformed_constant, odd_constant, require_prime
 from clpart.sampler import SamplerConfig, initial_column_distribution, kernel, kernel_row
-from clpart.sandpile import p_sylow_partition, sample_graph_record, sylow_valuations_mod_prime_power
+from clpart.sandpile import (
+    MAX_CAP,
+    Graph,
+    p_sylow_partition,
+    sample_graph_record,
+    sylow_valuations_mod_prime_power,
+    two_sylow_partition,
+)
 
 LAM = Partition([2, 1])
 HALF = Fraction(1, 2)
@@ -82,3 +90,24 @@ def test_require_prime_agrees_with_trial_division_below_1e5():
 def test_require_prime_refuses_strong_pseudoprimes(n):
     with pytest.raises(ValueError, match="prime"):
         require_prime(n)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (2.5, ()), (3.0, ()), (True, ()), ("3", ()), (Fraction(3), ()),
+    (3, [(0, 1.5)]), (3, [(0.0, 1)]), (3, [(True, 2)]), (3, [(0, False)]), (3, [("0", 1)]),
+], ids=["n-float", "n-integral-float", "n-bool", "n-str", "n-fraction",
+        "label-float", "label-integral-float", "label-true", "label-false", "label-str"])
+def test_graph_refuses_non_int_vertex_count_and_labels(n, edges):
+    with pytest.raises(ValueError, match="must be an int"):
+        Graph(n, frozenset(edges))
+
+
+def test_graph_accepts_int_vertex_count_and_labels():
+    g = Graph(3, frozenset({(2, 0), (1, 2)}))
+    assert g.edges == {(0, 2), (1, 2)} and g.masks == (0b100, 0b100, 0b011)
+
+
+@pytest.mark.parametrize("cap", [0, -1, MAX_CAP + 1])
+def test_two_sylow_partition_refuses_cap_out_of_range(cap):
+    with pytest.raises(ValueError, match="cap"):
+        two_sylow_partition(Graph(3, frozenset({(0, 1), (1, 2)})), cap)

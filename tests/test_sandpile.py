@@ -23,6 +23,7 @@ from clpart.sandpile import (
     smith_normal_form,
     sylow_valuations_mod_prime_power,
     tv_distance,
+    two_sylow_partition,
 )
 
 
@@ -120,32 +121,141 @@ def _tree_count_families():
         yield _graph(a + b, pairs), a ** (b - 1) * b ** (a - 1)  # K_{a,b}
 
 
+def _mod_2_corank_checked(g):
+    """The pass's free-column count, after checking its pieces against L mod 2."""
+    pivots, free, spare = sandpile._pivots_mod_2(g)
+    m = reduced_laplacian(g)
+    cols = [c for c, _ in pivots]
+    assert sorted(cols + free) == list(range(g.n - 1)) and len(free) == len(spare)
+    for c, a in pivots:  # a = row c of A^-1 mod 2, a mask over the pivot rows
+        assert not any(a >> u & 1 for u in spare)
+        product = [sum(m[u][j] for u in range(g.n - 1) if a >> u & 1) % 2 for j in cols]
+        assert product == [int(j == c) for j in cols], (g, c)
+    return len(free)
+
+
 def test_odd_spanning_trees_on_known_families():
+    # the spanning-tree count is odd iff the pass finds no free column, and
+    # the free columns are as many as the even entries of the Smith diagonal
     parities = set()
     for g, trees in _tree_count_families():
         odd = trees % 2 == 1
         diag = smith_normal_form(reduced_laplacian(g))
-        assert g.odd_spanning_trees() == odd, (g, trees)
+        k = _mod_2_corank_checked(g)
+        assert (k == 0) == odd, (g, trees)
         assert (math.prod(diag) % 2 == 1) == odd, (g, trees)
+        assert k == sum(d % 2 == 0 for d in diag), (g, diag)
         parities.add(odd)
     assert parities == {False, True}
 
 
 def test_odd_spanning_trees_iff_plocal_finds_no_2_part():
-    # the reduced Laplacian has n - 1 rows and columns: n = 9 and 65 fill one
-    # and eight byte lanes exactly, n = 8 and 64 fall one short, 10 and 66 spill over
+    # the pass packs n - 1 rows of 2(n - 1) bits: n = 5 and 9 fill one and
+    # two byte lanes exactly, n = 8, 64 and 65 fall short, 10 and 66 spill over
     seen = set()
     for n, q in itertools.product((2, 8, 9, 10, 40, 64, 65, 66, 100), ("1/10", "1/2", "9/10")):
         for trial in range(6):
             g = erdos_renyi(n, Fraction(q), substream(31, trial))
             if not g.is_connected():
                 continue
-            odd = g.odd_spanning_trees()
+            k = len(sandpile._pivots_mod_2(g)[1])
             got = sylow_valuations_mod_prime_power(reduced_laplacian(g), 2, 12)
-            assert odd == (got[0] == Partition()), (n, q, trial)
-            seen.add((n, odd))
+            assert (k == 0) == (got[0] == Partition()), (n, q, trial)
+            assert k == len(got[0].parts), (n, q, trial)
+            seen.add((n, k == 0))
     assert {odd for _, odd in seen} == {False, True}
     assert {(40, False), (40, True), (100, False), (100, True)} <= seen
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_det_matches_the_permutation_expansion():
+    # the early stop of two_sylow_partition reads det S mod 2^t from this
+    rng = random.Random(29)
+    swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = [[rng.choice((0, 0, 1, -2, 3, 8)) for _ in range(n)] for _ in range(n)]
+        swapped += n > 2 and m[0][0] == 0 and any(row[0] for row in m)
+        assert sandpile._det(m) == _leibniz_det(m), m
+    assert swapped > 10
+    assert sandpile._det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+
+
+CAPS = (1, 2, 3, 12)
+
+
+def test_two_sylow_partition_matches_both_routes():
+    lengths, capped = set(), 0
+    for n, q in itertools.product((2, 8, 9, 10, 40, 64, 65, 66, 100), ("1/10", "1/2", "9/10")):
+        for trial in range(4):
+            g = erdos_renyi(n, Fraction(q), substream(47, trial))
+            m = reduced_laplacian(g)
+            for cap in CAPS:
+                got = two_sylow_partition(g, cap)
+                assert got == sylow_valuations_mod_prime_power(m, 2, cap), (n, q, trial, cap)
+                if n <= 40 and g.is_connected():
+                    assert got == p_sylow_partition(m, 2, cap), (n, q, trial, cap)
+                lengths.add(len(got[0].parts))
+                capped += got[1]
+    assert max(lengths) >= 2 and 0 in lengths
+    assert capped > 0
+
+
+def test_two_sylow_partition_on_disconnected_graphs():
+    # a singular L: each zero divisor is a part equal to the cap, as on the
+    # elimination route
+    cases = [_graph(2, ()), _graph(3, ()), _graph(5, K4.edges),
+             _graph(5, [(1, 2), (2, 3), (3, 4)]), _graph(6, [(0, 1), (2, 3), (4, 5)]),
+             _graph(8, complete_graph(4).edges | {(u + 4, v + 4) for u, v in complete_graph(4).edges})]
+    for n, trial in itertools.product((6, 12, 40), range(8)):
+        g = erdos_renyi(n, Fraction(1, 10), substream(53, trial))
+        if not g.is_connected():
+            cases.append(g)
+    assert len(cases) > 20
+    for g in cases:
+        m = reduced_laplacian(g)
+        for cap in CAPS:
+            got = two_sylow_partition(g, cap)
+            assert got == sylow_valuations_mod_prime_power(m, 2, cap), (g, cap)
+            assert got[1], (g, cap)
+    assert two_sylow_partition(_graph(2, ()), 5) == (Partition([5]), True)
+    assert two_sylow_partition(_graph(1, ()), 5) == (Partition(), False)  # L is 0 x 0
+
+
+def _two_part(group, cap):
+    """(partition, capped) of the 2-parts of a list of cyclic orders."""
+    vals = [min((d & -d).bit_length() - 1, cap) for d in group]
+    return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
+
+
+def test_two_sylow_partition_on_known_families():
+    families = []
+    for n in range(2, 19):
+        families.append((complete_graph(n), [n] * (n - 2)))  # K_n: (Z/n)^(n-2)
+    families.append((complete_graph(34), [34] * 32))
+    for n in range(3, 40):
+        families.append((_graph(n, ((v, (v + 1) % n) for v in range(n))), [n]))  # C_n: Z/n
+    for a, b in itertools.product(range(2, 9), repeat=2):
+        # K_{a,b}: (Z/a)^(b-2) + (Z/b)^(a-2) + Z/ab
+        pairs = ((u, a + v) for u in range(a) for v in range(b))
+        families.append((_graph(a + b, pairs), [a] * (b - 2) + [b] * (a - 2) + [a * b]))
+    long_lengths = 0
+    for g, group in families:
+        for cap in CAPS:
+            assert two_sylow_partition(g, cap) == _two_part(group, cap), (g.n, group, cap)
+        long_lengths += len(_two_part(group, 12)[0].parts) >= 3
+    assert long_lengths > 10
+    # K_16: (Z/16)^14, fourteen parts of valuation 4
+    assert two_sylow_partition(complete_graph(16), 12) == (Partition([4] * 14), False)
+    assert two_sylow_partition(complete_graph(16), 3) == (Partition([3] * 14), True)
 
 
 def test_is_connected_iff_reduced_laplacian_nonsingular():

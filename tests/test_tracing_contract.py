@@ -22,7 +22,9 @@ COMMANDS = {
                 "cli.serialize", "cli.write"]),
     "sample-lines": ([["sample", "--p", "2", "--trials", "50", "--seed", "1"]],
                      ["rng.substream", "sampler.sample_partition", "sampler.kernel_row"]),
-    "graphs": ([["graphs", "--n", "8", "--q", "1/2", "--p", "2", "--trials", "5", "--seed", "1"]],
+    # p = 2 trials never build the Laplacian (two_sylow_partition), so p = 3 reaches it
+    "graphs": ([["graphs", "--n", "8", "--q", "1/2", "--p", "2", "--trials", "5", "--seed", "1"],
+                ["graphs", "--n", "8", "--q", "1/2", "--p", "3", "--trials", "5", "--seed", "1"]],
                ["rng.substream", "sandpile.erdos_renyi", "sandpile.is_connected",
                 "sandpile.reduced_laplacian", "sandpile.plocal"]),
     # the table spans come from pmf --max-size alone: no verify suite enumerates
