@@ -37,14 +37,13 @@ DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 
 # Largest vertex count and valuation cap a trial accepts.  The Laplacian is
 # n x n and the elimination grows like n^3 times its lane width, which grows
-# with cap, so huge values would run for hours.  One p = 2, q = 1/2 trial at
-# n = 500 took 0.27 s at cap 12 and 0.96 s at cap 64 on the full elimination
-# (at n = 800, cap 12: 0.84 s); at cap 64 and n = 500 it took 1.9 s at p = 3
-# and 18 s at p = 101 (Python 3.11.7, 2 vCPUs).  On a busier host of the same
-# kind the p = 2 route of ``two_sylow_partition`` took 0.30 s at both caps
-# (full elimination 0.66 / 3.1 s), but a near-complete graph (q = 1 - 10^-6,
-# corank 498) took 27 / 87 s at cap 12 / 64 (full elimination 30 / 73 s):
-# its Schur complement is nearly the whole matrix.  The benchmark asks for 40.
+# with cap, so huge values would run for hours.  One q = 1/2 trial at n = 500
+# and cap 64 took 1.9 s at p = 3 and 18 s at p = 101 (Python 3.11.7, 2
+# vCPUs).  At p = 2 (``two_sylow_partition``) it took 0.30 s at caps 12 and
+# 64 on a busier host of the same kind, where eliminating the whole
+# Laplacian took 0.66 / 3.1 s; a near-complete graph (q = 1 - 10^-6, corank
+# 498), whose Schur complement is nearly the whole matrix, took 27 / 87 s
+# there (whole Laplacian 30 / 73 s).  The benchmark asks for 40.
 MAX_VERTICES = 500
 MAX_CAP = 64
 
