@@ -26,6 +26,12 @@ CASES = {
     "table-cl-json": TABLE + ["--measure", "cl"],
     "table-cl-csv": TABLE + ["--measure", "cl", "--format", "csv"],
     "table-cl-json-p2": ["pmf", "--measure", "cl", "--p", "2", "--max-size", "12"],
+    # larger tables: many partitions share one mass, and long runs of equal parts
+    "table-cl-json-p2-size20": ["pmf", "--measure", "cl", "--p", "2", "--max-size", "20"],
+    "table-truncated-json-p2-r3": ["pmf", "--measure", "truncated", "--p", "2", "--r", "3",
+                                   "--max-size", "14"],
+    "table-deformed-json-p5": ["pmf", "--measure", "deformed", "--p", "5", "--u", "3/2",
+                               "--max-size", "10"],
     "table-deformed-json": TABLE + ["--measure", "deformed", "--u", "1/2"],
     "table-deformed-csv": TABLE + ["--measure", "deformed", "--u", "1/2", "--format", "csv"],
     "table-truncated-json": TABLE + ["--measure", "truncated", "--r", "2"],
@@ -95,14 +101,20 @@ GOLDEN = {
         "2c420ed2805405f2cd3342383f70ac2bc465db812c7e6cb7c3f895d5d062dc43"),
     "table-cl-json-p2": ("e6a31354e06e43de0e160bf33c51e1a37a8b594fea4ae565432ccaff7bb9410a",
         "caedd7967c5aa7f2bf37d8adc75dbcc317737a7fef97f47150942bb663bbb8d9"),
+    "table-cl-json-p2-size20": ("40d0ae739d4b6dd9a5220efe6c7d7a435c2fac7e5683ae96e394039f597b588f",
+        "7dac511ad2d2ea4d7d3e8665b61554202c7e866e7dca43750aedf646626ea7c7"),
     "table-deformed-csv": ("c8ff72931290d36b996db863f3c72805ed5da6a7a7d94a0cb08bc10e2c691ec7",
         "48137d1b73f4d60e1122da8a9af1659cd79828340d4a2eec70a047103034e292"),
     "table-deformed-json": ("c8ff72931290d36b996db863f3c72805ed5da6a7a7d94a0cb08bc10e2c691ec7",
         "a6ae72bdc7d5b7e7a263f54f8065f662ed0bba5ee67d262e37ecdef49dce6442"),
+    "table-deformed-json-p5": ("1ed898ee82441ed016560cc19f0c77bcc6141361f1bed77fc8270ad387e64e53",
+        "20556cdce1a74a12ef3d0159778660728e2b91fb8d792dcaebdddbf86fcdae2b"),
     "table-truncated-csv": ("bd4844296a9a8403d4345d5b0cab5b78acf3fd196c85cd158d701cec723dcdaa",
         "b5e842b6bb0d5365b2df94dff5af6029d489a8acc19e564ab5e3f0c1bf630176"),
     "table-truncated-json": ("bd4844296a9a8403d4345d5b0cab5b78acf3fd196c85cd158d701cec723dcdaa",
         "13d9d5d38832ba2c32a85e541cb9fa10e1d0f99efdc657840b8ff494152a542a"),
+    "table-truncated-json-p2-r3": ("18a0679f27281626ef54f4de53eeb1a3a93f585f3ce31bdcf8761270f220a31a",
+        "4e16150ec6b23c572af730fb42d392b56133d5439b99ba2e7049a2b8497ab3ac"),
     "verify-chain": ("f3e3389fcfbe8c2e0d89b6e29530bcf38a16277376f1d79c98e65a5e8c70b4a9",
         None),
     "verify-identities": ("d6bf11822a5f67320d227183eb8b9b404bea6b93a3a4381c17fd6bec67d68229",
