@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions
+from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions, require_int
 from .qseries import (
     BoundedReal,
     as_fraction,
@@ -313,8 +313,7 @@ class PartitionDistribution:
         """
         constant = self.constant.enclosure
         rendered = {}
-        for lam in self.sorted_partitions():
-            r = self.entries[lam]
+        for lam, r in sorted(self.entries.items(), key=lambda entry: entry[0].sort_key()):
             key = (r.numerator, r.denominator)
             text = rendered.get(key)
             if text is None:
@@ -362,10 +361,14 @@ class PartitionDistribution:
 
         The fields are (partition, count or None, mid, rad) in canonical
         order, with mid and rad as fraction strings rendered once per
-        distinct rational (entries sharing a mass share the strings).
+        distinct rational (entries sharing a mass share the strings).  The
+        mids and rads of different rationals share many of their numerators
+        and denominators, so each distinct int is converted to decimal once.
         """
         counts = self.counts
-        rendered = self._rendered(lambda enc: (fraction_str(enc.mid), fraction_str(enc.rad)))
+        digits = _Digits().__getitem__
+        rendered = self._rendered(lambda enc: (fraction_str(enc.mid, digits),
+                                               fraction_str(enc.rad, digits)))
         return self._json_head(), (
             (lam, None if counts is None else counts.get(lam, 0), mid, rad)
             for lam, (mid, rad) in rendered)
@@ -376,6 +379,14 @@ class PartitionDistribution:
                 lambda enc: (repr(float(enc.mid)), repr(float(enc.rad)))):
             rows.append([str(lam), mid, rad])
         return rows
+
+
+class _Digits(dict):
+    """int -> its decimal text, converted on first lookup."""
+
+    def __missing__(self, i):
+        text = self[i] = str(i)
+        return text
 
 
 def frequency_table(p: int, measure: str, params: dict, counts: dict,
@@ -427,6 +438,7 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     needs r).  The tail enclosure covers everything outside the table.
     """
     require_prime(p)
+    require_int(max_size, "max_size")
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     if max_size > ENUMERATION_CAP:
@@ -434,18 +446,63 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     param, value, mass, tail = _measure(measure, u, r)
     if tail is None:
         raise ValueError(f"measure {measure!r} has no table; use cl")
+    if param == "u":
+        value = require_deformation(p, value)
     if param == "r":
         _require_parts_count("r", r, 1)  # r < 1 would leave the table empty
 
+    # An entry's rational is _weight's 1 / (p^exponent numerator) times the
+    # family's factor, which depends on one statistic: none (cl), the size
+    # (deformed, u^|lam|) or the length (truncated).  Each distinct
+    # (exponent, numerator, statistic) gets one Fraction, shared by its entries.
+    evens = [even_qpoch(p, k).numerator for k in range(max_size // 2 + 1)]
+    most_parts = r if param == "r" else max_size
     entries: dict[Partition, Fraction] = {}
+    rationals: dict[tuple, Fraction] = {}
     for n in range(max_size + 1):
         for lam in enumerate_partitions(n):
-            if param != "r" or lam.length <= r:  # truncated: at most r parts
-                entries[lam] = mass(lam, p, value).rational
+            length = len(lam.parts)
+            if length > most_parts:
+                continue  # truncated: at most r parts
+            statistic = n if param == "u" else length if param == "r" else 0
+            key = _weight_key(lam.parts, evens, statistic)
+            rational = rationals.get(key)
+            if rational is None:
+                rational = Fraction(1, p ** key[0] * key[1])
+                if param == "u":
+                    rational *= value**n
+                elif param == "r":
+                    rational *= _truncated_factor(p, r, length)
+                rationals[key] = rational
+            entries[lam] = rational
     params = {} if param is None else {param: fraction_str(u) if param == "u" else r}
     return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
                                  constant=mass(Partition(), p, value).constant,
                                  tail_mass=BoundedReal.from_endpoints(0, tail(p, value, max_size)))
+
+
+def _weight_key(parts: tuple, evens: list, statistic: int) -> tuple:
+    """(n(lam) + |lam| - E, N, statistic), with d_lambda = N / p^E as in
+    d_lambda_pair, from one pass over the weakly decreasing ``parts`` and
+    their runs; evens[k] is the numerator of even_qpoch(p, k).
+
+    _weight(lam, p) is 1 / (p^key[0] key[1]); n(lam) + |lam| is
+    sum_i i lambda_i, with i counted from 1.
+    """
+    total = exponent = run = prev = i = 0
+    numerator = 1
+    for x in parts + (0,):
+        if x == prev:
+            run += 1
+        else:
+            if run > 1:
+                k = run >> 1
+                numerator *= evens[k]
+                exponent += k * (k + 1)
+            prev, run = x, 1
+        i += 1
+        total += i * x
+    return total - exponent, numerator, statistic
 
 
 @lru_cache(maxsize=None)

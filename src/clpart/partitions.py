@@ -7,7 +7,7 @@ so they are immutable and hashable.
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, neg
 
 # Exact-arithmetic desk scale; enumeration requests above this are refused
 # rather than silently truncated.
@@ -60,7 +60,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def __str__(self):
-        return "[" + ",".join(str(x) for x in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: part j of the conjugate is #{i : lambda_i >= j}."""
@@ -90,7 +90,7 @@ class Partition:
 
     def sort_key(self):
         """Canonical global order: by size, then reverse lexicographic on parts."""
-        return (self.size, tuple(-x for x in self.parts))
+        return (sum(self.parts), tuple(map(neg, self.parts)))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -108,23 +108,70 @@ class Partition:
         return cls(parts)
 
 
+# Sets a Partition's parts without Partition.__init__'s checks, for callers
+# whose parts are positive and weakly decreasing by construction.
+_set_parts = Partition.parts.__set__
+
+
+def require_int(x, what: str) -> None:
+    """Raise ValueError unless x is an int; bool, float and Fraction are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an int, got {x!r}")
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, in reverse lexicographic order ([n] first, [1,...,1] last).
 
     The order is fixed so distribution tables are byte-stable across runs.
-    n is capped at ENUMERATION_CAP to keep exact arithmetic desk-scale.
+    n must be an int, and is capped at ENUMERATION_CAP to keep exact
+    arithmetic desk-scale.
     """
+    require_int(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    return [Partition(parts) for parts in _descending(n, n)]
+    return _walk(n)
 
 
-def _descending(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending(n - first, first):
-            yield (first,) + rest
+def _walk(n: int) -> list[Partition]:
+    """The partitions of n >= 0 in reverse lexicographic order, by Zoghbi and
+    Stojmenovic's ZS1 ("Fast algorithms for generating integer partitions",
+    Int. J. Comput. Math. 70, 1998).
+
+    x[:m] is the current partition and x[:h] its parts above 1; x[h:] holds
+    1s.  The next partition lowers the last part above 1 by one and refills
+    the rest, the freed units included, with copies of the lowered part and
+    a remainder.  Every x[:m] is weakly decreasing and positive, so each
+    Partition is built without Partition.__init__'s checks.
+    """
+    new, set_parts = object.__new__, _set_parts
+    lam = new(Partition)
+    set_parts(lam, (n,) if n else ())
+    out = [lam]
+    x = [n] + [1] * (n - 1)
+    m = h = 1
+    while x[0] > 1:
+        if x[h - 1] == 2:
+            x[h - 1] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h - 1] - 1
+            t = m - h + 1  # the lowered part's freed unit and the m - h trailing 1s
+            x[h - 1] = r
+            while t >= r:
+                x[h] = r
+                h += 1
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    x[h] = t
+                    h += 1
+        lam = new(Partition)
+        set_parts(lam, tuple(x[:m]))
+        out.append(lam)
+    return out

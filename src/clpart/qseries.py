@@ -37,10 +37,14 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def fraction_str(x: Fraction) -> str:
-    """Render as "num/den" (denominator always explicit, for stable JSON)."""
+def fraction_str(x: Fraction, digits=str) -> str:
+    """Render as "num/den" (denominator always explicit, for stable JSON).
+
+    ``digits`` turns an int into its decimal text; a caller that renders many
+    fractions sharing big numerators or denominators can pass a cached one.
+    """
     x = as_fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{digits(x.numerator)}/{digits(x.denominator)}"
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, compress
 
 from .measures import PartitionDistribution, frequency_table
-from .partitions import Partition
+from .partitions import Partition, require_int
 from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
 from .rng import draw_threshold, draws_below, require_seed, substream
 
@@ -63,14 +63,14 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
-        _require_int(self.n, "vertex count")
+        require_int(self.n, "vertex count")
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         canon = set()
         for e in self.edges:
             u, v = e
-            _require_int(u, "vertex label")
-            _require_int(v, "vertex label")
+            require_int(u, "vertex label")
+            require_int(v, "vertex label")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -107,11 +107,6 @@ class Graph:
             seen |= new
             frontier |= new
         return seen == (1 << self.n) - 1
-
-
-def _require_int(x, what: str) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an int, got {x!r}")
 
 
 @lru_cache(maxsize=4)

@@ -1,5 +1,5 @@
 """Every public function that takes p enforces that p is prime, and a graph's
-vertex count and labels are ints."""
+vertex count and labels and a partition size to enumerate or tabulate are ints."""
 
 import math
 from fractions import Fraction
@@ -17,7 +17,7 @@ from clpart.measures import (
     solve_parts_recursion,
     tabulate,
 )
-from clpart.partitions import Partition
+from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import d_lambda, deformed_constant, odd_constant, require_prime
 from clpart.sampler import SamplerConfig, initial_column_distribution, kernel, kernel_row
 from clpart.sandpile import (
@@ -111,3 +111,19 @@ def test_graph_accepts_int_vertex_count_and_labels():
 def test_two_sylow_partition_refuses_cap_out_of_range(cap):
     with pytest.raises(ValueError, match="cap"):
         two_sylow_partition(Graph(3, frozenset({(0, 1), (1, 2)})), cap)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", Fraction(3), None],
+                         ids=["true", "false", "integral-float", "float", "str", "fraction",
+                              "none"])
+def test_enumeration_and_tables_refuse_non_int_sizes(n):
+    with pytest.raises(ValueError, match="n must be an int"):
+        enumerate_partitions(n)
+    for kwargs in ({}, {"measure": "deformed", "u": HALF}, {"measure": "truncated", "r": 2}):
+        with pytest.raises(ValueError, match="max_size must be an int"):
+            tabulate(2, n, **kwargs)
+
+
+def test_enumeration_and_tables_accept_int_sizes():
+    assert enumerate_partitions(1) == [Partition([1])]
+    assert set(tabulate(2, 1).entries) == {Partition(), Partition([1])}

@@ -134,7 +134,7 @@ def test_size_length_layers_do_not_enumerate(monkeypatch):
     def refuse(*args):
         raise AssertionError("size_length_layers enumerated partitions")
 
-    monkeypatch.setattr(clpart.partitions, "_descending", refuse)
+    monkeypatch.setattr(clpart.partitions, "_walk", refuse)
     monkeypatch.setattr(clpart.measures, "enumerate_partitions", refuse)
     layers = size_length_layers.__wrapped__(2, 40)
     assert len(layers) == 1 + 40 * 41 // 2
@@ -281,6 +281,38 @@ def test_tabulate_deformed_and_truncated_normalized():
     assert all(lam.length <= 2 for lam in dist.entries)
 
 
+# every table family with its per-partition mass function, the oracle for
+# tabulate's keyed weights
+FAMILIES = {
+    "cl": ({}, lambda lam, p: pmf(lam, p)),
+    "deformed-1/2": ({"measure": "deformed", "u": Fraction(1, 2)},
+                     lambda lam, p: pmf_deformed(lam, p, Fraction(1, 2))),
+    "deformed-3/2": ({"measure": "deformed", "u": Fraction(3, 2)},
+                     lambda lam, p: pmf_deformed(lam, p, Fraction(3, 2))),
+    "truncated-1": ({"measure": "truncated", "r": 1},
+                    lambda lam, p: MassValue(pmf_truncated(lam, p, 1))),
+    "truncated-3": ({"measure": "truncated", "r": 3},
+                    lambda lam, p: MassValue(pmf_truncated(lam, p, 3))),
+    "truncated-16": ({"measure": "truncated", "r": 16},
+                     lambda lam, p: MassValue(pmf_truncated(lam, p, 16))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tabulate_equals_the_per_partition_mass(p, family):
+    kwargs, mass = FAMILIES[family]
+    r = kwargs.get("r")
+    for max_size in (0, 1, 16):
+        dist = tabulate(p, max_size, **kwargs)
+        expected = {lam: mass(lam, p).rational
+                    for n in range(max_size + 1) for lam in enumerate_partitions(n)
+                    if r is None or lam.length <= r}
+        assert dist.entries == expected
+        assert list(dist.entries) == dist.sorted_partitions()
+        assert dist.constant is mass(Partition(), p).constant
+
+
 def test_tabulate_argument_validation():
     with pytest.raises(ValueError):
         tabulate(2, 100)
@@ -367,9 +399,9 @@ def test_table_outputs_render_each_distinct_rational_once(monkeypatch):
     expected_csv = [[lam, repr(float(m.mid)), repr(float(m.rad))] for lam, m in masses]
     calls = {"fraction_str": 0, "mul": 0}
 
-    def counted_fraction_str(x):
+    def counted_fraction_str(x, *digits):
         calls["fraction_str"] += 1
-        return fraction_str(x)
+        return fraction_str(x, *digits)
 
     def counted_mul(self, other, mul=BoundedReal.__mul__):
         calls["mul"] += 1
@@ -384,3 +416,24 @@ def test_table_outputs_render_each_distinct_rational_once(monkeypatch):
     calls.update(fraction_str=0, mul=0)
     assert dist.to_csv_rows()[1:] == expected_csv
     assert calls == {"fraction_str": 0, "mul": distinct}
+
+
+def test_table_json_converts_each_distinct_int_once(monkeypatch):
+    dist = tabulate(2, 16)
+    masses = {dist.constant.enclosure * r for r in set(dist.entries.values())}
+    ints = {i for m in masses for x in (m.mid, m.rad) for i in (x.numerator, x.denominator)}
+    # the rationals' mids and rads share ints, so caching pays
+    assert len(ints) < 4 * len(masses)
+    converted = []
+    real = measures._Digits.__missing__
+
+    def counted(self, i):
+        converted.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(measures._Digits, "__missing__", counted)
+    for _ in range(2):  # the cache lives for one json_parts call
+        converted.clear()
+        rows = dist.to_json_dict()["entries"]
+        assert sorted(converted) == sorted(ints)
+    assert len(rows) == len(dist.entries)

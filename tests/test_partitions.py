@@ -88,6 +88,25 @@ def test_enumeration_order_and_small_cases():
             assert a.parts > b.parts
 
 
+def _descending(n, max_part):
+    """Reference enumeration: the partitions of n with parts <= max_part, as
+    tuples in reverse lexicographic order, by recursion on the first part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _descending(n - first, first):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_recursive_reference():
+    for n in range(31):
+        lams = enumerate_partitions(n)
+        assert [lam.parts for lam in lams] == list(_descending(n, n))
+        # the walk builds its partitions unchecked: each must pass the checks
+        assert all(type(lam) is Partition and Partition(lam.parts) == lam for lam in lams)
+
+
 def test_enumeration_counts_match_recurrence():
     counts = partition_counts_pentagonal(40)
     for n in range(41):
