@@ -51,6 +51,17 @@ CASES = {
                                     "--seed", "7", "--cap", "2"],
     "graphs-plocal-n100-p2": ["graphs", "--n", "100", "--q", "1/2", "--p", "2", "--trials", "12",
                               "--seed", "3"],
+    # dense graphs with a large corank, at p = 2 (the Schur route) and p = 3
+    "graphs-plocal-n40-dense-p2": ["graphs", "--n", "40", "--q", "9/10", "--p", "2", "--trials", "20",
+                                   "--seed", "1"],
+    "graphs-plocal-n40-dense-p3": ["graphs", "--n", "40", "--q", "9/10", "--p", "3", "--trials", "20",
+                                   "--seed", "1"],
+    # 2 of 20 trials disconnected; the 1770 edge draws span two blocks of packed draws
+    "graphs-plocal-n60-sparse-p2": ["graphs", "--n", "60", "--q", "1/10", "--p", "2", "--trials", "20",
+                                    "--seed", "8"],
+    # the smallest rows: 3 draws per trial, 43 of 50 trials disconnected
+    "graphs-plocal-n3-p2": ["graphs", "--n", "3", "--q", "1/3", "--p", "2", "--trials", "50",
+                            "--seed", "2"],
     "graphs-snf": ["graphs", "--n", "9", "--q", "1/2", "--p", "3", "--trials", "30",
                    "--seed", "4", "--method", "snf"],
     # benchmark scale: 7 of the 60 trials hit the cap
@@ -69,14 +80,22 @@ GOLDEN = {
         "d21f8e6444435688346726ec39659f61b35db4f60746026ad1228387238ef4c9"),
     "graphs-plocal": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3cc6ec3bbed55bbe03b6c611adaa37ebc5dc9a8d337719a04b1ee91ee2f2e6a8"),
+    "graphs-plocal-n3-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ebe7b4dcbe335b811e8ebf9ce68745433336d8e0f5e5ac5e56c4a6137d3d6e4c"),
     "graphs-plocal-n40-capped": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "bd7d93c5815f1f020ee053b0470892f0b6e2caaa2c536a4d79f7aa98e18aed05"),
+    "graphs-plocal-n40-dense-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0b97d5e9d198744faed674dac3af6f5153663fdc10e50b75185fe706affab952"),
+    "graphs-plocal-n40-dense-p3": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a87a6443c2bfc265675040f9c21f200b6a735927892b1221538c2bbb3aacfbfb"),
     "graphs-plocal-n40-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "ed90ff136490bae324a47fa6ea6f1c0d2103bb91d352a9c4e0852747a1dcd8d0"),
     "graphs-plocal-n40-p2-capped": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "4675a888b64fc41ce41ab6d9fb774a1103e8e87284de5a5123579fc77f189121"),
     "graphs-plocal-n100-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "f90cf93867b14139f79fb36b5ee07cf1976607c10e87972d6e90667d92ab82a8"),
+    "graphs-plocal-n60-sparse-p2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a84863b43ac4341c26e7c76c8cbc48c30dc6d163ada5c73bef0676b0d2bdaadb"),
     "graphs-snf": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "5c8e69493f7cac97d949ba521a170c94a07fd5c25d926d371dbe6b1647ca7e84"),
     "pmf-cl": ("b8ac65bcd97afc2a07ec5bce069873518589a809815b9b0521898f2143f6888d",
