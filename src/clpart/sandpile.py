@@ -3,7 +3,9 @@
 Pipeline per trial: draw an Erdos-Renyi graph, skip it if disconnected
 (recorded, not resampled), present the sandpile group by the reduced
 Laplacian, and read off the p-Sylow partition from the Smith normal form.
-Connectivity is a graph search over per-vertex neighbour bitmasks.
+A graph is its per-vertex neighbour bitmasks: ``erdos_renyi`` writes the
+edge draws' flags straight into them, and connectivity is a graph search
+over them.
 At p = 2 the plocal route never builds the Laplacian: ``two_sylow_partition``
 runs one Gauss-Jordan pass mod 2 over the same masks, which ends the trial
 when the spanning-tree count (the group's order) is odd, and otherwise
@@ -22,11 +24,10 @@ entry, with no per-entry reduction mod p^cap.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations, compress
 
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition, require_int
@@ -37,13 +38,14 @@ DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 
 # Largest vertex count and valuation cap a trial accepts.  The Laplacian is
 # n x n and the elimination grows like n^3 times its lane width, which grows
-# with cap, so huge values would run for hours.  One q = 1/2 trial at n = 500
-# and cap 64 took 1.9 s at p = 3 and 18 s at p = 101 (Python 3.11.7, 2
-# vCPUs).  At p = 2 (``two_sylow_partition``) it took 0.30 s at caps 12 and
-# 64 on a busier host of the same kind, where eliminating the whole
-# Laplacian took 0.66 / 3.1 s; a near-complete graph (q = 1 - 10^-6, corank
-# 498), whose Schur complement is nearly the whole matrix, took 27 / 87 s
-# there (whole Laplacian 30 / 73 s).  The benchmark asks for 40.
+# with cap, so huge values would run for hours.  The vertex cap was sized at
+# q = 1/2: one such trial at n = 500 and cap 64 took 1.9 s at p = 3 and 18 s
+# at p = 101 (Python 3.11.7, 2 vCPUs).  At p = 2 (``two_sylow_partition``) it
+# took 0.30 s at caps 12 and 64 on a busier host of the same kind, where
+# eliminating the whole Laplacian took 0.66 / 3.1 s.  Dense graphs cost far
+# more: a near-complete one (q = 1 - 10^-6, corank 498), whose Schur
+# complement is nearly the whole matrix, took 27 / 87 s there at caps 12 /
+# 64 (whole Laplacian 30 / 73 s).  The benchmark asks for 40.
 MAX_VERTICES = 500
 MAX_CAP = 64
 
@@ -55,46 +57,86 @@ MAX_CAP = 64
 MAX_SNF_VERTICES = 100
 
 
-@dataclass(frozen=True)
+# Bytes 0 and 1 as the ASCII digits '0' and '1', and back to 0 and -1.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_NEGATED = bytes.maketrans(b"01", b"\x00\xff")
+
+
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1, held as neighbour masks.
 
-    n: int
-    edges: frozenset
+    Bit v of ``masks[u]`` is set iff {u, v} is an edge.  ``edges``, the
+    frozenset of pairs u < v, is derived from the masks on first access.
+    Graphs are equal, and hash alike, when they have the same n and edges.
+    """
 
-    def __post_init__(self):
-        require_int(self.n, "vertex count")
-        if self.n < 1:
+    __slots__ = ("n", "masks", "_edges")
+
+    def __init__(self, n: int, edges):
+        require_int(n, "vertex count")
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        canon = set()
-        for e in self.edges:
+        masks = [0] * n
+        for e in edges:
             u, v = e
             require_int(u, "vertex label")
             require_int(v, "vertex label")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e} outside vertex range")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._init(n, tuple(masks))
+
+    def _init(self, n: int, masks: tuple) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_edges", None)
 
     @classmethod
-    def _canonical(cls, n: int, edges: frozenset) -> "Graph":
-        """A graph whose edges are already pairs u < v < n (n >= 1): not checked again."""
+    def _from_flags(cls, n: int, flags) -> "Graph":
+        """The graph on n >= 2 vertices with edge {u, v} iff the flag of the
+        pair u < v, in lexicographic pair order, is 1 (flags are 0 or 1, as
+        bytes or bools): not checked again.
+
+        Row u's flags go into row u of an n x n adjacency bytearray and, with
+        step n, into its column u; one ``translate`` makes the bytes ASCII
+        digits, and the text reversed once reads, n digits at a time, as the
+        masks from u = n - 1 down, most significant bit first.
+        """
+        adj = bytearray(n * n)
+        start = 0
+        for u in range(n - 1):
+            row = flags[start:start + n - 1 - u]
+            adj[u * n + u + 1:u * n + n] = row
+            adj[(u + 1) * n + u::n] = row
+            start += n - 1 - u
+        text = adj.translate(_DIGITS)[::-1]
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        g._init(n, tuple(int(text[i:i + n], 2) for i in range(n * n - n, -1, -n)))
         return g
 
-    @cached_property
-    def masks(self) -> tuple:
-        """Neighbour masks: bit v of ``masks[u]`` is set iff {u, v} is an edge."""
-        bits = [1 << v for v in range(self.n)]
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= bits[v]
-            masks[v] |= bits[u]
-        return tuple(masks)
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(
+                (u, v) for u, m in enumerate(self.masks) for v in range(u + 1, self.n) if m >> v & 1))
+        return self._edges
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Graph is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.n, self.masks))
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     def is_connected(self) -> bool:
         """Search from vertex 0, taking the lowest unvisited frontier vertex's mask per step."""
@@ -109,50 +151,42 @@ class Graph:
         return seen == (1 << self.n) - 1
 
 
-@lru_cache(maxsize=4)
-def _vertex_pairs(n: int) -> tuple:
-    """The binom(n,2) pairs u < v < n in lexicographic order."""
-    return tuple(combinations(range(n), 2))
-
-
 def erdos_renyi(n: int, q, stream) -> Graph:
     """G(n, q): each of the binom(n,2) edges included independently.
 
     Inclusion compares a 64-bit draw k (as k/2^64) against the exact rational
     q, in the fixed lexicographic edge order, so graphs are a pure function
-    of the stream state.  The draws are taken together by ``draws_below``.
+    of the stream state.  The draws are taken together by ``draws_below``,
+    and their flags become the neighbour masks with no per-edge step.
     """
     _require_vertices(n)
     q = as_fraction(q)
     if not (0 < q < 1):
         raise ValueError(f"edge probability must lie strictly in (0,1), got {q}")
-    pairs = _vertex_pairs(n)
-    return Graph._canonical(n, frozenset(
-        compress(pairs, draws_below(stream, draw_threshold(q), len(pairs)))))
+    return Graph._from_flags(n, draws_below(stream, draw_threshold(q), n * (n - 1) // 2))
 
 
 def reduced_laplacian(g: Graph, root: int | None = None) -> list[list[int]]:
     """Graph Laplacian with the root's row and column deleted.
 
     Root defaults to the highest-labeled vertex; the Sylow partition does not
-    depend on the choice.
+    depend on the choice.  The masks' binary digits, joined and reversed
+    once, translate to the 0 / -1 adjacency entries of all rows together;
+    each row then takes its degree on the diagonal.
     """
     if root is None:
         root = g.n - 1
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} outside vertex range")
-    n = g.n
-    m = [[0] * n for _ in range(n)]
-    degree = [0] * n
-    for u, v in g.edges:  # a simple graph: each pair at most once
-        m[u][v] = m[v][u] = -1
-        degree[u] += 1
-        degree[v] += 1
-    for v, row in enumerate(m):
-        row[v] = degree[v]
-    del m[root]
-    for row in m:
+    n, masks = g.n, g.masks
+    digits = f"0{n}b"
+    flat = array("b", "".join([format(m, digits) for m in reversed(masks)])[::-1]
+                 .encode().translate(_NEGATED)).tolist()
+    m = [flat[i:i + n] for i in range(0, n * n, n)]
+    for u, row in enumerate(m):
+        row[u] = masks[u].bit_count()
         del row[root]
+    del m[root]
     return m
 
 

@@ -9,7 +9,7 @@ from clpart.measures import PartitionDistribution
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
 from clpart import sandpile
-from clpart.rng import DRAW_BLOCK, SplitMix64, substream
+from clpart.rng import DRAW_BLOCK, SplitMix64, draw_threshold, substream
 from clpart.sandpile import (
     MAX_CAP,
     MAX_SNF_VERTICES,
@@ -566,13 +566,46 @@ def _literal_reduced_laplacian(g, root):
 
 
 def test_reduced_laplacian_matches_its_definition_at_every_root():
-    for t in range(8):
-        g = erdos_renyi(3 + 2 * t, Fraction(1, 2), substream(43, t))
+    rng = random.Random(43)
+    validated = [Graph(1, ()), Graph(2, {(1, 0)}), complete_graph(5)]
+    for n in (3, 6, 11):
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
+        assert g.edges == set(pairs)  # each pair given in a random orientation
+        validated.append(g)
+    sampled = [erdos_renyi(3 + 2 * t, Fraction(1 + t % 3, 4), substream(43, t)) for t in range(8)]
+    for g in validated + sampled:
         for root in range(g.n):
             assert reduced_laplacian(g, root) == _literal_reduced_laplacian(g, root)
     m = reduced_laplacian(g)
     m[0][0] += 1  # a fresh matrix each call: changing one leaves the next as it was
     assert reduced_laplacian(g) == _literal_reduced_laplacian(g, g.n - 1)
+
+
+def _rebuilt_one_draw_at_a_time(n, q, seed):
+    """G(n, q) from the stream of ``seed`` by the definition alone: one draw per
+    pair of ``combinations``, an edge below ``draw_threshold(q)``, and the
+    validated constructor."""
+    draw, threshold = SplitMix64(seed).next_u64, draw_threshold(q)
+    return Graph(n, frozenset(e for e in itertools.combinations(range(n), 2) if draw() < threshold))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 46, 72, 200])
+def test_erdos_renyi_matches_an_independent_construction(n):
+    for t, q in enumerate((Fraction(1, 2), Fraction(1, 3), Fraction(7, 10),
+                           Fraction(1, 2**64), 1 - Fraction(1, 2**64))):
+        seed = 7000 + 10 * n + t
+        g, rebuilt = erdos_renyi(n, q, SplitMix64(seed)), _rebuilt_one_draw_at_a_time(n, q, seed)
+        assert g == rebuilt and hash(g) == hash(rebuilt) and g.masks == rebuilt.masks
+        assert len(g.masks) == n
+        for u, m in enumerate(g.masks):
+            assert not m >> u & 1 and 0 <= m < 1 << n
+            assert all((g.masks[v] >> u & 1) == (m >> v & 1) for v in range(n))
+        assert isinstance(g.edges, frozenset) and g.edges == rebuilt.edges
+        assert all(type(u) is int and type(v) is int and 0 <= u < v < n for u, v in g.edges)
+        assert sum(m.bit_count() for m in g.masks) == 2 * len(g.edges)
+    assert erdos_renyi(n, Fraction(1, 2**64), SplitMix64(1)) == Graph(n, ())
+    assert erdos_renyi(n, 1 - Fraction(1, 2**64), SplitMix64(1)) == complete_graph(n)
 
 
 class CountingDraws:
