@@ -304,9 +304,12 @@ def _chain_checks(primes, a_max):
         yield (f"kernel-ratio-identity p={p} a<={a_max}", ok_ratio,
                "P(b) / (p^binom(a+1,2) P(a) (1/p^2)_floor((a-b)/2)) = K(a,b) exactly")
         entries = initial_column_distribution(p, DEFAULT_CUTOFF)
-        ok_init = all(mass.rational == pmf_parts(a, p).rational for a, mass in entries)
-        yield (f"initial-column-distribution p={p}", ok_init,
-               f"{len(entries)} heights retained, tail below {DEFAULT_CUTOFF}")
+        try:
+            ok_init = [mass for _, mass in entries] == solve_parts_recursion(p, len(entries) - 1)
+            detail = f"{len(entries)} heights retained, tail below {DEFAULT_CUTOFF}"
+        except ArithmeticError as exc:  # the two recursions disagree
+            ok_init, detail = False, str(exc)
+        yield (f"initial-column-distribution p={p}", ok_init, detail)
 
 
 def cmd_verify(args) -> int:

@@ -20,8 +20,8 @@ from .qseries import (
     BoundedReal,
     as_fraction,
     column_step,
-    d_lambda_pair,
     deformed_constant,
+    even_numerators,
     even_qpoch,
     fraction_str,
     lower_qpoch,
@@ -29,6 +29,7 @@ from .qseries import (
     require_deformation,
     require_prime,
     upper_qpoch,
+    weight_key,
 )
 
 # Largest max_size the series DP accepts.  Its O(N^3) exact steps took
@@ -107,13 +108,11 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
 def _weight(lam: Partition, p: int) -> Fraction:
     """1 / (p^(n(lam)+|lam|) d_lambda(lam, p)), the multiplicity form; p unchecked.
 
-    With d_lambda = N / p^E this is 1 / (p^(n(lam)+|lam|-E) N): one integer
-    denominator, already in lowest terms.  E <= n(lam) + |lam|, since a run of
-    m equal parts adds at least m(m+1)/2 to n(lam) + |lam| and at most
-    floor(m/2)(floor(m/2)+1) to E.
+    weight_key gives it as 1 / (p^e N): one integer denominator, already in
+    lowest terms.
     """
-    numerator, exponent = d_lambda_pair(lam.parts, p)
-    return Fraction(1, p ** (lam.n_stat() + lam.size - exponent) * numerator)
+    e, numerator = weight_key(lam.parts, even_numerators(p, lam.length // 2))
+    return Fraction(1, p**e * numerator)
 
 
 def pmf(lam: Partition, p: int) -> MassValue:
@@ -286,10 +285,12 @@ class PartitionDistribution:
     """A table partition -> mass, plus the mass provably outside the table.
 
     Every entry's mass is ``constant`` times its exact rational in
-    ``entries``.  ``tail_mass`` is a rigorous enclosure of the un-enumerated
-    mass computed from analytic bounds, never from 1 - (table total):
-    normalization checks stay meaningful.  ``counts`` is set on empirical
-    tables only.
+    ``entries``, which hold their partitions in canonical order
+    (Partition.sort_key): tabulate and frequency_table insert them so, and
+    the outputs list them as they are.  ``tail_mass`` is a rigorous enclosure
+    of the un-enumerated mass computed from analytic bounds, never from
+    1 - (table total): normalization checks stay meaningful.  ``counts`` is
+    set on empirical tables only.
     """
 
     p: int
@@ -300,11 +301,8 @@ class PartitionDistribution:
     tail_mass: BoundedReal = field(default_factory=lambda: BoundedReal.exact(0))
     counts: dict[Partition, int] | None = None
 
-    def sorted_partitions(self) -> list[Partition]:
-        return sorted(self.entries, key=Partition.sort_key)
-
     def _rendered(self, render):
-        """(partition, render(mass enclosure)) in canonical order.
+        """(partition, render(mass enclosure)) in the entries' canonical order.
 
         Each distinct rational is multiplied by the constant and rendered
         once: the base measure's depends only on n(lam) + |lam| and the
@@ -313,7 +311,7 @@ class PartitionDistribution:
         """
         constant = self.constant.enclosure
         rendered = {}
-        for lam, r in sorted(self.entries.items(), key=lambda entry: entry[0].sort_key()):
+        for lam, r in self.entries.items():
             key = (r.numerator, r.denominator)
             text = rendered.get(key)
             if text is None:
@@ -393,10 +391,12 @@ def frequency_table(p: int, measure: str, params: dict, counts: dict,
                     total: int) -> PartitionDistribution:
     """The empirical table of ``counts`` over ``total`` observations.
 
-    Masses are count/total with an exact-0 tail; ``counts`` is stored as a
-    plain dict, so looking up an unseen partition raises.
+    Masses are count/total with an exact-0 tail, in canonical order;
+    ``counts`` is stored as a plain dict, so looking up an unseen partition
+    raises.
     """
-    entries = {lam: Fraction(c, total) for lam, c in counts.items()}
+    entries = {lam: Fraction(counts[lam], total)
+               for lam in sorted(counts, key=Partition.sort_key)}
     return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
                                  counts=dict(counts))
 
@@ -451,11 +451,11 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     if param == "r":
         _require_parts_count("r", r, 1)  # r < 1 would leave the table empty
 
-    # An entry's rational is _weight's 1 / (p^exponent numerator) times the
-    # family's factor, which depends on one statistic: none (cl), the size
-    # (deformed, u^|lam|) or the length (truncated).  Each distinct
-    # (exponent, numerator, statistic) gets one Fraction, shared by its entries.
-    evens = [even_qpoch(p, k).numerator for k in range(max_size // 2 + 1)]
+    # An entry's rational is _weight's 1 / (p^e N) times the family's factor,
+    # which depends on one statistic: none (cl), the size (deformed, u^|lam|)
+    # or the length (truncated).  Each distinct ((e, N), statistic) gets one
+    # Fraction, shared by its entries.
+    evens = even_numerators(p, max_size // 2)
     most_parts = r if param == "r" else max_size
     entries: dict[Partition, Fraction] = {}
     rationals: dict[tuple, Fraction] = {}
@@ -465,10 +465,11 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
             if length > most_parts:
                 continue  # truncated: at most r parts
             statistic = n if param == "u" else length if param == "r" else 0
-            key = _weight_key(lam.parts, evens, statistic)
+            key = weight_key(lam.parts, evens), statistic
             rational = rationals.get(key)
             if rational is None:
-                rational = Fraction(1, p ** key[0] * key[1])
+                e, numerator = key[0]
+                rational = Fraction(1, p**e * numerator)
                 if param == "u":
                     rational *= value**n
                 elif param == "r":
@@ -479,30 +480,6 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
                                  constant=mass(Partition(), p, value).constant,
                                  tail_mass=BoundedReal.from_endpoints(0, tail(p, value, max_size)))
-
-
-def _weight_key(parts: tuple, evens: list, statistic: int) -> tuple:
-    """(n(lam) + |lam| - E, N, statistic), with d_lambda = N / p^E as in
-    d_lambda_pair, from one pass over the weakly decreasing ``parts`` and
-    their runs; evens[k] is the numerator of even_qpoch(p, k).
-
-    _weight(lam, p) is 1 / (p^key[0] key[1]); n(lam) + |lam| is
-    sum_i i lambda_i, with i counted from 1.
-    """
-    total = exponent = run = prev = i = 0
-    numerator = 1
-    for x in parts + (0,):
-        if x == prev:
-            run += 1
-        else:
-            if run > 1:
-                k = run >> 1
-                numerator *= evens[k]
-                exponent += k * (k + 1)
-            prev, run = x, 1
-        i += 1
-        total += i * x
-    return total - exponent, numerator, statistic
 
 
 @lru_cache(maxsize=None)

@@ -79,7 +79,7 @@ class Partition:
     def multiplicities(self) -> dict[int, int]:
         """Map part size -> multiplicity, for the sizes that occur.
 
-        The library reads d_lambda off runs of the parts (d_lambda_pair); this
+        The library reads d_lambda off runs of the parts (weight_key); this
         map is the independent oracle for it in
         test_weights_match_their_formulas_on_random_partitions.
         """

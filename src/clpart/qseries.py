@@ -255,27 +255,36 @@ def upper_qpoch(p: int, i: int) -> Fraction:
     return 1 + Fraction(1, p**i)
 
 
-def d_lambda_pair(parts: tuple[int, ...], p: int) -> tuple[int, int]:
-    """(N, E) with d_lambda = N / p^E, for a weakly decreasing tuple of positive
-    parts, p unchecked.
+def even_numerators(p: int, k: int) -> list[int]:
+    """[N_0, ..., N_k], N_j the numerator of even_qpoch(p, j); p unchecked."""
+    return [even_qpoch(p, j).numerator for j in range(k + 1)]
 
-    Each run of m equal parts contributes even_qpoch(p, k) with k = floor(m/2),
-    that is prod_{j<=k} (p^(2j) - 1) to N and k(k+1) to E; a trailing 0 closes
-    the last run.  N is prime to p, so N / p^E is in lowest terms.
+
+def weight_key(parts: tuple[int, ...], evens: list[int]) -> tuple[int, int]:
+    """(e, N) with 1 / (p^(n(lam)+|lam|) d_lambda) = 1 / (p^e N), in one pass
+    over a weakly decreasing tuple of positive parts and their runs.
+
+    ``evens`` is even_numerators(p, k) for some k >= half the longest run.
+    n(lam) + |lam| is sum_i i lambda_i, with i counted from 1.  A run of m
+    equal parts contributes even_qpoch(p, floor(m/2)) = N_k / p^(k(k+1)) to
+    d_lambda, so N_k to N and -k(k+1) to e; a trailing 0 closes the last run.
+    N is prime to p, so 1 / (p^e N) is in lowest terms, and e >= 0: the run
+    adds at least m(m+1)/2 >= k(k+1) to n(lam) + |lam|.
     """
-    numerator, exponent = 1, 0
-    run = 0
-    prev = 0
+    total = exponent = run = prev = i = 0
+    numerator = 1
     for x in parts + (0,):
         if x == prev:
             run += 1
         else:
-            if run >= 2:
-                k = run // 2
-                numerator *= even_qpoch(p, k).numerator
+            if run > 1:
+                k = run >> 1
+                numerator *= evens[k]
                 exponent += k * (k + 1)
             prev, run = x, 1
-    return numerator, exponent
+        i += 1
+        total += i * x
+    return total - exponent, numerator
 
 
 def column_step(a: int, b: int, p: int) -> Fraction:
@@ -291,8 +300,8 @@ def column_step(a: int, b: int, p: int) -> Fraction:
 
 def d_lambda(lam: Partition, p: int) -> Fraction:
     """prod_{i>=1} prod_{j=1}^{floor(m_i/2)} (1 - p^(-2j)), the symmetry weight of lam."""
-    numerator, exponent = d_lambda_pair(lam.parts, require_prime(p))
-    return Fraction(numerator, p**exponent)
+    e, numerator = weight_key(lam.parts, even_numerators(require_prime(p), lam.length // 2))
+    return Fraction(numerator, p ** (lam.n_stat() + lam.size - e))
 
 
 def _enclose_product(a: Fraction, r: Fraction, accept):

@@ -277,8 +277,8 @@ def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistr
     The table is a pure function of (seed, trials), and merges of disjoint
     trial ranges agree with a single run.  On the block route it counts
     column tuples and builds each distinct one's Partition once; distinct
-    tuples are distinct partitions, and both counts keep first-occurrence
-    order, so the table is the one ``Counter`` of the partitions gives.
+    tuples are distinct partitions, so the table is the one a ``Counter`` of
+    the partitions gives, in canonical order on either route.
     """
     _require_trials(trials)
     if _block_route():

@@ -326,9 +326,8 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     Row i is one int whose lane j, W = 2*bitlen(p^cap) + bitlen(n) + 1 bits
     wide, holds entry j as a nonnegative residue.  Each step pivots on an
     entry p^v*u of minimal valuation v, scales the pivot row by u^-1 and
-    reduces it mod p^cap (lane by lane; for p = 2 with one AND against the
-    active lanes' low cap bits), and clears the pivot column of every other
-    active row with one op, row += (p^cap - c/p^v)*pivot_row.  A lane grows
+    reduces it mod p^cap lane by lane, and clears the pivot column of every
+    other active row with one op, row += (p^cap - c/p^v)*pivot_row.  A lane grows
     by less than p^(2cap) per op, in at most n - 1 ops, so it stays below
     2^(W-1) and never carries into the next lane; lanes are read mod p^cap.
     Valuation >= cap reports cap with capped=True, and so does each zero
@@ -344,7 +343,6 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     lane = (1 << width) - 1
     cols = [width * j for j in range(n)]  # bit offsets of the active columns
     rows = [sum(x % mod << s for s, x in zip(cols, row) if x) for row in matrix]
-    low = sum(mod - 1 << s for s in cols) if p == 2 else None  # x & low: every lane mod 2^cap
 
     vals = []
     while rows:
@@ -372,11 +370,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
         pv = p**v
         inv = pow((pivot >> ps & lane) % mod // pv, -1, mod)
         # scale to the unit pivot p^v: lanes < p^cap, the pivot's own dropped
-        if low is None:
-            pivot = sum((pivot >> s & lane) * inv % mod << s for s in cols)
-        else:
-            low ^= mod - 1 << ps
-            pivot = (pivot & low) * inv & low  # lanes < 2^cap before the multiply: no carry
+        pivot = sum((pivot >> s & lane) * inv % mod << s for s in cols)
         for i, row in enumerate(rows):
             c = (row >> ps & lane) % mod
             if c:

@@ -8,7 +8,7 @@ import pytest
 
 from clpart import cli, measures, sampler
 from clpart.cli import _run_checks, main
-from clpart.measures import tabulate
+from clpart.measures import MassValue, tabulate
 from clpart.partitions import Partition
 from clpart.sampler import SamplerConfig, empirical_distribution
 from clpart.sandpile import run_experiment
@@ -309,6 +309,22 @@ def test_sample_summary_counts(capsys):
     assert sum(row["count"] for row in doc["entries"]) == 40
 
 
+@pytest.mark.parametrize("argv, build", [
+    (["sample", "--p", "3", "--trials", "300", "--seed", "5", "--summary"],
+     lambda: empirical_distribution(SamplerConfig(p=3, seed=5), 300)),
+    (["graphs", "--n", "9", "--q", "1/3", "--p", "2", "--trials", "30", "--seed", "3",
+      "--cap", "2"],
+     lambda: run_experiment(9, Fraction(1, 3), 2, 30, 3, cap=2).distribution),
+])
+def test_empirical_outputs_list_partitions_in_canonical_order(capsys, argv, build):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    in_json = [Partition.from_string(row["partition"]) for row in json.loads(out)["entries"]]
+    in_csv = [Partition.from_string(row[0]) for row in build().to_csv_rows()[1:]]
+    assert len(in_json) > 3
+    assert in_json == in_csv == sorted(in_json, key=Partition.sort_key)
+
+
 @pytest.mark.parametrize("name, error", [("sample_partition", RuntimeError),
                                          ("kernel_row", ArithmeticError)])
 @pytest.mark.parametrize("mode", [[], ["--summary"]])
@@ -413,6 +429,29 @@ def test_verify_prints_a_disagreement_as_fail(capsys, monkeypatch, suite, module
     lines = out.splitlines()
     assert lines[0].startswith(first_line)
     assert [line.split()[0] for line in lines[1:-1]] == ["PASS"] * (len(lines) - 2)
+    assert lines[-1] == "1 check(s) FAILED"
+
+
+@pytest.mark.parametrize("height", [5, 8])
+def test_chain_suite_fails_a_wrong_retained_mass(capsys, monkeypatch, height):
+    # pmf_parts wrong past a_max = 4, wherever the suite and the sampler read
+    # it: the kernel checks stop at a_max, the retained masses go to height 8
+    real = measures.pmf_parts
+
+    def one_mass_off(a, p):
+        mass = real(a, p)
+        if a == height:
+            mass = MassValue(mass.rational * Fraction(1001, 1000), mass.constant)
+        return mass
+
+    monkeypatch.setattr(cli, "pmf_parts", one_mass_off)
+    monkeypatch.setattr(sampler, "pmf_parts", one_mass_off)
+    code, out, err = run(capsys, ["verify", "--suite", "chain", "--p", "2", "--a-max", "4"])
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS", "PASS", "FAIL"]
+    assert lines[2] == ("FAIL initial-column-distribution p=2: "
+                        "9 heights retained, tail below 1/1000000000000")
     assert lines[-1] == "1 check(s) FAILED"
 
 

@@ -43,7 +43,7 @@ CASES = {
     # q so small that every graph is disconnected: "entries": []
     "graphs-all-disconnected": ["graphs", "--n", "12", "--q", "1/1000", "--p", "2", "--trials", "3",
                                 "--seed", "1"],
-    # benchmark scale at p = 2: the one-AND reduction mod 2^12
+    # benchmark scale at p = 2
     "graphs-plocal-n40-p2": ["graphs", "--n", "40", "--q", "1/2", "--p", "2", "--trials", "40",
                              "--seed", "9"],
     # p = 2 at the cap: 16 capped trials, [2,1] and [2,2] in the support

@@ -309,8 +309,18 @@ def test_tabulate_equals_the_per_partition_mass(p, family):
                     for n in range(max_size + 1) for lam in enumerate_partitions(n)
                     if r is None or lam.length <= r}
         assert dist.entries == expected
-        assert list(dist.entries) == dist.sorted_partitions()
+        assert list(dist.entries) == sorted(dist.entries, key=Partition.sort_key)
         assert dist.constant is mass(Partition(), p).constant
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tabulate_equals_the_conjugate_form(p):
+    # pmf_via_conjugate multiplies column steps and shares no weight code with
+    # weight_key, which builds the table and pmf alike
+    dist = tabulate(p, 14)
+    assert len(dist.entries) == sum(1 for n in range(15) for _ in enumerate_partitions(n))
+    for lam, rational in dist.entries.items():
+        assert rational == pmf_via_conjugate(lam, p).rational
 
 
 def test_tabulate_argument_validation():
@@ -393,7 +403,7 @@ def test_table_outputs_render_each_distinct_rational_once(monkeypatch):
     assert distinct < len(dist.entries)
     # oracle: every entry rendered on its own
     masses = [(str(lam), dist.constant.enclosure * dist.entries[lam])
-              for lam in dist.sorted_partitions()]
+              for lam in sorted(dist.entries, key=Partition.sort_key)]
     expected_json = [{"partition": lam, "mid": fraction_str(m.mid), "rad": fraction_str(m.rad)}
                      for lam, m in masses]
     expected_csv = [[lam, repr(float(m.mid)), repr(float(m.rad))] for lam, m in masses]
