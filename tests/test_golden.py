@@ -72,6 +72,12 @@ CASES = {
     "verify-identities-deep": ["verify", "--suite", "identities", "--p", "2,5", "--depth", "45"],
     "verify-recursions": ["verify", "--suite", "recursions", "--p", "2,5", "--a-max", "6"],
     "verify-chain": ["verify", "--suite", "chain", "--p", "3", "--a-max", "6"],
+    # the parts cap MAX_PARTS = 64 at four primes
+    "verify-recursions-cap": ["verify", "--suite", "recursions", "--p", "2,3,5,7", "--a-max", "64"],
+    # benchmark scale
+    "verify-chain-bench": ["verify", "--suite", "chain", "--p", "2,3", "--a-max", "30"],
+    # the series layers at N = 40 for two primes above 2
+    "verify-identities-p3-p7": ["verify", "--suite", "identities", "--p", "3,7", "--depth", "40"],
 }
 
 # name -> (stdout sha256, payload sha256 or None for commands without --output)
@@ -136,13 +142,19 @@ GOLDEN = {
         "4e16150ec6b23c572af730fb42d392b56133d5439b99ba2e7049a2b8497ab3ac"),
     "verify-chain": ("f3e3389fcfbe8c2e0d89b6e29530bcf38a16277376f1d79c98e65a5e8c70b4a9",
         None),
+    "verify-chain-bench": ("8e8fe2b97921742639782f9f3eb97aee779aab03b039de05ade2521aa48b419c",
+        None),
     "verify-identities": ("d6bf11822a5f67320d227183eb8b9b404bea6b93a3a4381c17fd6bec67d68229",
         None),
     "verify-identities-bench": ("12de770ff5c5dc0b63dcd1e0dfd901933e3eb6d205dcf32a411398a3c6c9214f",
         None),
     "verify-identities-deep": ("994463e7ea2b4f633e84e834c0461eb78db233bf5e87c76b0b12078f74c1aa83",
         None),
+    "verify-identities-p3-p7": ("eaa8d2c54eb3942027db4f38e54297a02c21ff5023bb89d4bae0e53d57945749",
+        None),
     "verify-recursions": ("12f4be07331dd247115ae2227bf5b11732544f17c751e47da2c0637ba0827f89",
+        None),
+    "verify-recursions-cap": ("980031d46d20be8d7930d2f4371754161a6d7e8bf494bcac2ca990b937dca47e",
         None),
 }
 
