@@ -56,7 +56,7 @@ from .sampler import (
     SamplerConfig,
     empirical_distribution,
     initial_column_distribution,
-    kernel,
+    kernel_numerators,
     kernel_row,
     sample_partitions,
 )
@@ -289,17 +289,22 @@ def _chain_checks(primes, a_max):
     for p in primes:
         parts = [pmf_parts(a, p).rational for a in range(a_max + 1)]  # refuses a_max > MAX_PARTS
         try:
-            ok_rows = all(sum(kernel_row(a, p).masses) == 1 for a in range(a_max + 1))
-            detail = "exact row sums = 1"
-        except ArithmeticError as exc:  # a row that does not sum to 1
+            for a in range(a_max + 1):
+                kernel_row(a, p)  # raises unless the row's exact sum is 1
+            ok_rows, detail = True, "exact row sums = 1"
+        except ArithmeticError as exc:
             ok_rows, detail = False, str(exc)
         yield (f"kernel-row-sums p={p} a<={a_max}", ok_rows, detail)
+        # With P(j) = n_j / d_j, E = (1/p^2)_floor((a-b)/2) = e / f and K(a, b) = k
+        # over p^binom(a+1,2), the identity P(b) / (p^binom(a+1,2) P(a) E) = K(a, b)
+        # cross-multiplies to n_b d_a f = k n_a d_b e, all ints.
         ok_ratio = True
         for a in range(a_max + 1):
-            for b in range(a + 1):
-                lhs = parts[b] / (Fraction(p) ** (a * (a + 1) // 2) * parts[a]
-                                  * even_qpoch(p, (a - b) // 2))
-                if lhs != kernel(a, b, p):
+            n_a, d_a = parts[a].numerator, parts[a].denominator
+            for b, k in enumerate(kernel_numerators(a, p)):
+                even = even_qpoch(p, (a - b) // 2)
+                if (parts[b].numerator * d_a * even.denominator
+                        != k * n_a * parts[b].denominator * even.numerator):
                     ok_ratio = False
         yield (f"kernel-ratio-identity p={p} a<={a_max}", ok_ratio,
                "P(b) / (p^binom(a+1,2) P(a) (1/p^2)_floor((a-b)/2)) = K(a,b) exactly")

@@ -24,6 +24,7 @@ from .qseries import (
     even_numerators,
     even_qpoch,
     fraction_str,
+    lower_numerators,
     lower_qpoch,
     odd_constant,
     require_deformation,
@@ -32,18 +33,20 @@ from .qseries import (
     weight_key,
 )
 
-# Largest max_size the series DP accepts.  Its O(N^3) exact steps took
-# 0.29 / 1.19 / 4.19 s at N = 64 / 96 / 128 (p = 2, Python 3.11.7, 2 vCPUs);
-# the verify suites use N <= 40, and larger requests are refused rather than
-# left running for hours.
+# Largest max_size the series DP accepts.  Its O(N^3) integer steps took
+# 0.04 / 0.29 / 1.29 s at N = 64 / 96 / 128 at p = 2, and 0.15 s at N = 64,
+# p = 7 (a fresh process, min of 3, Python 3.11.7, 2 vCPUs; the Fraction DP it
+# replaced took 0.31 / 0.83 / 4.4 s and 0.39 s); the verify suites use
+# N <= 40, and larger requests are refused rather than left running for hours.
 MAX_SERIES_SIZE = 128
 
 # Largest parts count the exact q-product routes accept: pmf_parts's a, the
 # truncated family's r and solve_parts_recursion's a_max.  The products'
 # sizes grow like k^2 log p bits, so a huge k would run for hours.  At 64 the
-# parts recursions took 0.08 / 0.11 / 0.20 / 0.74 s at p = 2 / 3 / 7 / 101,
-# and a truncated table to size 20 took 1.6 s at p = 101 (at 96: 0.36 s,
-# 2.0 s, 6.3 s and 5.6 s; Python 3.11.7, 2 vCPUs).  The benchmark asks for 50.
+# two parts recursions took 0.014 / 0.024 / 0.052 / 0.22 s at
+# p = 2 / 3 / 7 / 101, and a truncated table to size 20 took 0.11 s at
+# p = 101 (at 96: 0.08 / 0.12 / 0.34 / 1.7 s and 0.34 s; a fresh process, min
+# of 3, Python 3.11.7, 2 vCPUs).  The benchmark asks for 50.
 MAX_PARTS = 64
 
 
@@ -142,8 +145,7 @@ def pmf_size(n: int, p: int) -> MassValue:
         odd-constant * p^-n * sum_{j even, 0 <= j <= n} p^-(j/2) / ((1-1/p^2)...(1-1/p^j))
     """
     require_prime(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_size(n, "n")
     total = Fraction(0)
     for k in range(n // 2 + 1):  # k = j/2
         total += Fraction(1, p**k) / even_qpoch(p, k)
@@ -161,8 +163,16 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
     return MassValue(u**lam.size * _weight(lam, p), deformed(p, u))
 
 
+def _require_size(n: int, name: str) -> None:
+    """Check that the size called ``name`` is an int >= 0."""
+    require_int(n, name)
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def _require_parts_count(name: str, k: int, least: int = 0) -> None:
-    """Check least <= k <= MAX_PARTS for the parts count called ``name``."""
+    """Check that the parts count called ``name`` is an int in [least, MAX_PARTS]."""
+    require_int(k, name)
     if k < least:
         raise ValueError(f"{name} must be >= {least}")
     if k > MAX_PARTS:
@@ -196,15 +206,23 @@ def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
         (1-1/p)...(1-1/p^r) * sum_{s=0}^r P~(s) / ((1-1/p)...(1-1/p^(r-s)))
             = (1+1/p)...(1+1/p^r),
 
-    solved inductively from P~(0) = 1.
+    solved inductively from P~(0) = 1.  It runs on integers: with
+    P~(r) = Y_r / L_r, L_r the numerator of lower_qpoch(p, r) and U_r that of
+    upper_qpoch(p, r), multiplying by L_r gives
+
+        Y_r = U_r - sum_{s<r} Y_s p^((r-s)(r-s+1)/2) L_r / (L_s L_(r-s)),
+
+    and L_r / (L_s L_(r-s)) is a Gaussian binomial, so the division is exact.
     """
-    vals = [Fraction(1)]
+    lower = lower_numerators(p, a_max)
+    powers = [p ** (j * (j + 1) // 2) for j in range(a_max + 1)]
+    ys = [1]
     for r in range(1, a_max + 1):
-        acc = upper_qpoch(p, r) / lower_qpoch(p, r)
+        acc = upper_qpoch(p, r).numerator
         for s in range(r):
-            acc -= vals[s] / lower_qpoch(p, r - s)
-        vals.append(acc)
-    return vals
+            acc -= ys[s] * powers[r - s] * (lower[r] // (lower[s] * lower[r - s]))
+        ys.append(acc)
+    return [Fraction(y, d) for y, d in zip(ys, lower)]
 
 
 def _parts_recursion_kernel_form(p: int, a_max: int) -> list[Fraction]:
@@ -212,15 +230,31 @@ def _parts_recursion_kernel_form(p: int, a_max: int) -> list[Fraction]:
 
         sum_{b<=a} P~(b) / ( p^(binom(a+1,2)) P~(a) (1/p^2)_{floor((a-b)/2)} ) = 1,
 
-    solved inductively from P~(0) = 1.
+    solved inductively from P~(0) = 1.  It runs on integers: with
+    P~(a) = Y_a / L_a, L_a the numerator of lower_qpoch(p, a) and N_k that of
+    even_qpoch(p, k), multiplying by L_a gives
+
+        Y_a (p^(a(a+1)/2) - 1) = sum_{b<a} Y_b p^(k(k+1)) L_a / (L_b N_k),
+
+    k = floor((a-b)/2), where L_a / (L_b N_k) is an integer since 2k <= a - b.
+    A remainder in the division by p^(a(a+1)/2) - 1 means this P~(a) is no
+    integer over L_a, so it cannot equal the product form's: that raises
+    ArithmeticError, as any disagreement of the two does.
     """
-    vals = [Fraction(1)]
+    lower = lower_numerators(p, a_max)
+    evens = even_numerators(p, a_max // 2)
+    ys = [1]
     for a in range(1, a_max + 1):
-        acc = Fraction(0)
+        acc = 0
         for b in range(a):
-            acc += vals[b] / even_qpoch(p, (a - b) // 2)
-        vals.append(acc / (Fraction(p) ** (a * (a + 1) // 2) - 1))
-    return vals
+            k = (a - b) // 2
+            acc += ys[b] * p ** (k * (k + 1)) * (lower[a] // (lower[b] * evens[k]))
+        y, remainder = divmod(acc, p ** (a * (a + 1) // 2) - 1)
+        if remainder:
+            raise ArithmeticError(f"parts recursions disagree at p={p}: the kernel form "
+                                  f"leaves a remainder at a={a}")
+        ys.append(y)
+    return [Fraction(y, d) for y, d in zip(ys, lower)]
 
 
 def solve_parts_recursion(p: int, a_max: int) -> list[MassValue]:
@@ -438,9 +472,7 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     needs r).  The tail enclosure covers everything outside the table.
     """
     require_prime(p)
-    require_int(max_size, "max_size")
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
+    _require_size(max_size, "max_size")
     if max_size > ENUMERATION_CAP:
         raise ValueError(f"max_size={max_size} exceeds the enumeration cap {ENUMERATION_CAP}")
     param, value, mass, tail = _measure(measure, u, r)
@@ -482,7 +514,7 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
                                  tail_mass=BoundedReal.from_endpoints(0, tail(p, value, max_size)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def size_length_layers(p: int, max_size: int) -> dict:
     """(size, parts-count) -> sum of 1 / (p^(n(lam)+|lam|) d_lambda) over that cell.
 
@@ -495,17 +527,44 @@ def size_length_layers(p: int, max_size: int) -> dict:
 
     and the cell (a + s, a) holds p^-(a(a+1)/2) G(a, s).  This takes O(N^3)
     exact operations where enumerating the partitions takes O(p(<= N)).
-    ``max_size`` above MAX_SERIES_SIZE raises ValueError.
+
+    The DP runs on integers: G(a, s) = X(a, s) / (M_a p^(s(s+1)/2)), with
+    M_a = prod_{j>=1} (p^(2j) - 1)^floor(a/2j) and N_k the numerator of
+    even_qpoch(p, k), so column_step(a, b) = p^(k(k+1) - b(b+1)/2) / N_k gives
+
+        X(a, s) = sum_{b <= min(a, s)} [M_a / (N_k M_b)] p^(b(s-b) + k(k+1)) X(b, s - b),
+
+    k = floor((a-b)/2).  M_a / (N_k M_b) is an integer since a >= b + 2k (any
+    other M with integer coefficients gives the same cells), and each cell is
+    one Fraction.  ``max_size`` must be an int in
+    [0, MAX_SERIES_SIZE]; ValueError otherwise.
     """
     require_prime(p)
+    _require_size(max_size, "max_size")
     if max_size > MAX_SERIES_SIZE:
         raise ValueError(f"max_size={max_size} exceeds the series cap {MAX_SERIES_SIZE}")
-    grid = {(0, s): Fraction(s == 0) for s in range(max_size + 1)}
+    evens = even_numerators(p, max_size // 2)
+    factors = [p ** (2 * j) - 1 for j in range(max_size // 2 + 1)]
+    m = [1]  # M_a = M_(a-1) * prod_{2j | a} (p^(2j) - 1)
     for a in range(1, max_size + 1):
-        steps = [column_step(a, b, p) for b in range(a + 1)]
+        m.append(m[-1])
+        for j in range(1, a // 2 + 1):
+            if a % (2 * j) == 0:
+                m[a] *= factors[j]
+    powers = [p**e for e in range((max_size // 2 + 1) ** 2 + 1)]
+    x = [[1] + [0] * max_size]
+    for a in range(1, max_size + 1):
+        coefficients = []
+        for b in range(a + 1):
+            k = (a - b) // 2
+            coefficients.append(m[a] // (evens[k] * m[b]) * powers[k * (k + 1)])
+        row = []
+        x.append(row)  # the b = a term reads this row
         for s in range(max_size - a + 1):
-            grid[a, s] = sum(steps[b] * grid[b, s - b] for b in range(min(a, s) + 1))
-    return {(a + s, a): g / p ** (a * (a + 1) // 2) for (a, s), g in grid.items() if g}
+            row.append(sum(coefficients[b] * powers[b * (s - b)] * x[b][s - b]
+                           for b in range(min(a, s) + 1)))
+    return {(a + s, a): Fraction(v, m[a] * p ** ((s * (s + 1) + a * (a + 1)) // 2))
+            for a, row in enumerate(x) for s, v in enumerate(row) if v}
 
 
 def normalization_check(p: int, max_size: int):

@@ -256,8 +256,20 @@ def upper_qpoch(p: int, i: int) -> Fraction:
 
 
 def even_numerators(p: int, k: int) -> list[int]:
-    """[N_0, ..., N_k], N_j the numerator of even_qpoch(p, j); p unchecked."""
+    """[N_0, ..., N_k], N_j = (p^2-1)(p^4-1)...(p^(2j)-1) the numerator of
+    even_qpoch(p, j); p unchecked."""
     return [even_qpoch(p, j).numerator for j in range(k + 1)]
+
+
+def lower_numerators(p: int, k: int) -> list[int]:
+    """[L_0, ..., L_k], L_j = (p-1)(p^2-1)...(p^j-1) the numerator of
+    lower_qpoch(p, j); p unchecked.
+
+    p divides no p^i - 1, so lower_qpoch(p, j) = L_j / p^(j(j+1)/2) in lowest
+    terms, and L_r / (L_s L_(r-s)) is the Gaussian binomial [r choose s] at
+    q = p, an integer.
+    """
+    return [lower_qpoch(p, j).numerator for j in range(k + 1)]
 
 
 def weight_key(parts: tuple[int, ...], evens: list[int]) -> tuple[int, int]:

@@ -136,14 +136,15 @@ def draws_below(stream, threshold: int, count: int):
     return flags
 
 
-def draw_threshold(x: Fraction) -> int:
-    """ceil(x * 2^64) for a rational x in [0, 1].
+def draw_threshold(x: Fraction, denominator: int = 1) -> int:
+    """ceil(x / denominator * 2^64) for a rational x / denominator in [0, 1];
+    x is a Fraction or an int.
 
     A 64-bit draw k satisfies k < draw_threshold(x) exactly when the rational
     k / 2^64 is below x, so comparing draws against it is an exact Bernoulli(x)
     up to the 2^-64 grid; x = 1 maps to 2^64 and is never missed.
     """
-    return -((-x.numerator << 64) // x.denominator)
+    return -((-x.numerator << 64) // (x.denominator * denominator))
 
 
 # A run derives every trial's stream from one master seed, so its mix is

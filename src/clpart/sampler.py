@@ -42,8 +42,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 
 from .measures import MassValue, PartitionDistribution, frequency_table, pmf_parts
-from .partitions import Partition
-from .qseries import as_fraction, column_step, fraction_str, lower_qpoch, require_prime
+from .partitions import Partition, require_int
+from .qseries import as_fraction, even_numerators, fraction_str, lower_numerators, require_prime
 from .rng import (
     DRAW_BLOCK,
     GOLDEN_GAMMA,
@@ -99,15 +99,39 @@ def _require_cutoff(cutoff) -> Fraction:
     return cutoff
 
 
-def kernel(a: int, b: int, p: int) -> Fraction:
-    """Exact transition probability K(a, b) for 0 <= b <= a:
+@lru_cache(maxsize=None)
+def kernel_numerators(a: int, p: int) -> tuple[int, ...]:
+    """The numerators of K(a, 0..a) over p^(a(a+1)/2); a and p unchecked:
 
-        (1-1/p)...(1-1/p^a) / ( (1-1/p)...(1-1/p^b) ) * column_step(a, b, p)
+        K(a, b) = (1-1/p)...(1-1/p^a) / ( (1-1/p)...(1-1/p^b) ) * column_step(a, b, p)
+                = L_a / (L_b N_k) * p^(k(k+1)) / p^(a(a+1)/2),
+
+    k = floor((a-b)/2), with L_j the numerator of lower_qpoch(p, j) and N_k
+    that of even_qpoch(p, k).  L_a / (L_b N_k) is an integer since 2k <= a - b.
+    This is the one definition of K that ``kernel`` and ``kernel_row`` read.
     """
+    lower, evens = lower_numerators(p, a), even_numerators(p, a // 2)
+    row = []
+    for b in range(a + 1):
+        k = (a - b) // 2
+        row.append(lower[a] // (lower[b] * evens[k]) * p ** (k * (k + 1)))
+    return tuple(row)
+
+
+def _require_height(a: int) -> None:
+    """Check that the column height a is an int >= 0."""
+    require_int(a, "height a")
+    if a < 0:
+        raise ValueError(f"height a must be >= 0, got {a}")
+
+
+def kernel(a: int, b: int, p: int) -> Fraction:
+    """Exact transition probability K(a, b) for 0 <= b <= a (see kernel_numerators)."""
     require_prime(p)
+    _require_height(a)
     if not (0 <= b <= a):
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    return lower_qpoch(p, a) / lower_qpoch(p, b) * column_step(a, b, p)
+    return Fraction(kernel_numerators(a, p)[b], p ** (a * (a + 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -118,15 +142,25 @@ class KernelRow:
     thresholds: tuple[int, ...]  # draw_threshold of each cumulative mass
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kernel_row(a: int, p: int) -> KernelRow:
-    """Row K(a, 0..a); construction asserts the exact row sum is 1."""
-    masses = tuple(kernel(a, b, p) for b in range(a + 1))
-    total = sum(masses)
-    if total != 1:
-        raise ArithmeticError(f"kernel row a={a}, p={p} sums to {total}, not 1")
-    thresholds = tuple(map(draw_threshold, accumulate(masses)))
-    return KernelRow(masses=masses, thresholds=thresholds)
+    """Row K(a, 0..a); construction asserts the exact row sum is 1.
+
+    The row runs on the numerators over p^(a(a+1)/2): they must sum to it,
+    and each threshold is ceil(C_b 2^64 / p^(a(a+1)/2)) of the running sum
+    C_b, the draw_threshold of the cumulative mass.
+    """
+    require_prime(p)
+    _require_height(a)
+    denominator = p ** (a * (a + 1) // 2)
+    numerators = kernel_numerators(a, p)
+    total = sum(numerators)
+    if total != denominator:
+        raise ArithmeticError(
+            f"kernel row a={a}, p={p} sums to {Fraction(total, denominator)}, not 1")
+    return KernelRow(
+        masses=tuple(Fraction(n, denominator) for n in numerators),
+        thresholds=tuple(draw_threshold(c, denominator) for c in accumulate(numerators)))
 
 
 def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int, MassValue]]:

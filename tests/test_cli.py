@@ -413,8 +413,9 @@ def test_verify_suites_pass(capsys):
      lambda p, a_max: [Fraction(1)] * (a_max + 1),
      "FAIL parts-recursions-vs-closed-form p=2 a<=4: parts recursions disagree at p=2: "
      "[Fraction(1, 1), Fraction(1, 1), Fraction(1, 3)"),
-    ("chain", sampler, "kernel", lambda a, b, p: Fraction(1, 2),
-     "FAIL kernel-row-sums p=2 a<=4: kernel row a=0, p=2 sums to 1/2, not 1"),
+    ("chain", sampler, "kernel_numerators",
+     lambda a, p, real=sampler.kernel_numerators: tuple(2 * k for k in real(a, p)),
+     "FAIL kernel-row-sums p=2 a<=4: kernel row a=0, p=2 sums to 2, not 1"),
 ], ids=["recursions", "chain"])
 def test_verify_prints_a_disagreement_as_fail(capsys, monkeypatch, suite, module, name, broken,
                                               first_line):

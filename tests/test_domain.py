@@ -1,5 +1,6 @@
-"""Every public function that takes p enforces that p is prime, and a graph's
-vertex count and labels and a partition size to enumerate or tabulate are ints."""
+"""Every public function that takes p enforces that p is prime; a graph's
+vertex count and labels, a partition size to enumerate, tabulate or sum the
+series to, a parts count and a kernel height are ints, and none is negative."""
 
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from clpart.measures import (
+    deformed_series_check,
+    normalization_check,
     pmf,
     pmf_deformed,
     pmf_parts,
@@ -16,6 +19,7 @@ from clpart.measures import (
     size_length_layers,
     solve_parts_recursion,
     tabulate,
+    truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import d_lambda, deformed_constant, odd_constant, require_prime
@@ -127,3 +131,68 @@ def test_enumeration_and_tables_refuse_non_int_sizes(n):
 def test_enumeration_and_tables_accept_int_sizes():
     assert enumerate_partitions(1) == [Partition([1])]
     assert set(tabulate(2, 1).entries) == {Partition(), Partition([1])}
+
+
+NOT_INTS = [True, False, 2.0, Fraction(2), "2"]
+NOT_INT_IDS = ["true", "false", "float", "fraction", "str"]
+
+# name -> a call taking the checked argument
+SIZES = {
+    "pmf_size": ("n", lambda n: pmf_size(n, 2)),
+    "size_length_layers": ("max_size", lambda n: size_length_layers(2, n)),
+    "normalization_check": ("max_size", lambda n: normalization_check(2, n)),
+    "deformed_series_check": ("max_size", lambda n: deformed_series_check(2, HALF, n)),
+    "truncated_series_check": ("max_size", lambda n: truncated_series_check(2, 1, n)),
+}
+PARTS_COUNTS = {
+    "pmf_parts": ("a", lambda k: pmf_parts(k, 2)),
+    "solve_parts_recursion": ("a_max", lambda k: solve_parts_recursion(2, k)),
+    "pmf_truncated": ("r", lambda k: pmf_truncated(LAM, 2, k)),
+    "tabulate": ("r", lambda k: tabulate(2, 3, measure="truncated", r=k)),
+    "truncated_series_check": ("r", lambda k: truncated_series_check(2, k, 3)),
+}
+HEIGHTS = {
+    "kernel": lambda a: kernel(a, 0, 2),
+    "kernel_row": lambda a: kernel_row(a, 2),
+}
+
+
+@pytest.mark.parametrize("n", NOT_INTS, ids=NOT_INT_IDS)
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_series_and_size_marginal_refuse_non_int_sizes(name, n):
+    what, call = SIZES[name]
+    with pytest.raises(ValueError, match=f"{what} must be an int"):
+        call(n)
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_series_and_size_marginal_refuse_negative_sizes(name):
+    what, call = SIZES[name]
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match=f"{what} must be >= 0"):
+            call(n)
+
+
+@pytest.mark.parametrize("k", NOT_INTS, ids=NOT_INT_IDS)
+@pytest.mark.parametrize("name", sorted(PARTS_COUNTS))
+def test_parts_counts_refuse_non_ints(name, k):
+    what, call = PARTS_COUNTS[name]
+    with pytest.raises(ValueError, match=f"{what} must be an int"):
+        call(k)
+
+
+@pytest.mark.parametrize("a", [*NOT_INTS, -1, -2],
+                         ids=[*NOT_INT_IDS, "minus-one", "minus-two"])
+@pytest.mark.parametrize("name", sorted(HEIGHTS))
+def test_kernels_refuse_heights_that_are_not_ints_or_negative(name, a):
+    kernel_row(1, 2)  # a cached row of height 1 must not answer for True
+    with pytest.raises(ValueError, match="height a must be"):
+        HEIGHTS[name](a)
+
+
+def test_int_sizes_parts_counts_and_heights_are_accepted():
+    assert size_length_layers(2, 0) == {(0, 0): 1}
+    assert pmf_size(0, 2).rational == 1 and pmf_parts(0, 2).rational == 1
+    assert [v.rational for v in solve_parts_recursion(2, 1)] == [1, 1]
+    assert normalization_check(2, 0)[1]
+    assert kernel_row(0, 2).masses == (1,) and kernel(1, 0, 2) == HALF
