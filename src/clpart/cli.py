@@ -295,16 +295,16 @@ def _chain_checks(primes, a_max):
         except ArithmeticError as exc:
             ok_rows, detail = False, str(exc)
         yield (f"kernel-row-sums p={p} a<={a_max}", ok_rows, detail)
-        # With P(j) = n_j / d_j, E = (1/p^2)_floor((a-b)/2) = e / f and K(a, b) = k
-        # over p^binom(a+1,2), the identity P(b) / (p^binom(a+1,2) P(a) E) = K(a, b)
-        # cross-multiplies to n_b d_a f = k n_a d_b e, all ints.
+        # With P(j) = n_j / d_j, E = (1/p^2)_floor((a-b)/2) = e / f and
+        # K(a, b) = c / p^binom(a+1,2), the identity P(b) / (p^binom(a+1,2) P(a) E)
+        # = K(a, b) cross-multiplies to n_b d_a f = c n_a d_b e, all ints.
         ok_ratio = True
         for a in range(a_max + 1):
             n_a, d_a = parts[a].numerator, parts[a].denominator
-            for b, k in enumerate(kernel_numerators(a, p)):
+            for b, c in enumerate(kernel_numerators(a, p)):
                 even = even_qpoch(p, (a - b) // 2)
                 if (parts[b].numerator * d_a * even.denominator
-                        != k * n_a * parts[b].denominator * even.numerator):
+                        != c * n_a * parts[b].denominator * even.numerator):
                     ok_ratio = False
         yield (f"kernel-ratio-identity p={p} a<={a_max}", ok_ratio,
                "P(b) / (p^binom(a+1,2) P(a) (1/p^2)_floor((a-b)/2)) = K(a,b) exactly")

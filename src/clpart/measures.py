@@ -536,21 +536,20 @@ def size_length_layers(p: int, max_size: int) -> dict:
 
     k = floor((a-b)/2).  M_a / (N_k M_b) is an integer since a >= b + 2k (any
     other M with integer coefficients gives the same cells), and each cell is
-    one Fraction.  ``max_size`` must be an int in
-    [0, MAX_SERIES_SIZE]; ValueError otherwise.
+    one Fraction.  ``max_size`` must be an int in [0, MAX_SERIES_SIZE];
+    ValueError otherwise.
     """
     require_prime(p)
     _require_size(max_size, "max_size")
     if max_size > MAX_SERIES_SIZE:
         raise ValueError(f"max_size={max_size} exceeds the series cap {MAX_SERIES_SIZE}")
     evens = even_numerators(p, max_size // 2)
-    factors = [p ** (2 * j) - 1 for j in range(max_size // 2 + 1)]
     m = [1]  # M_a = M_(a-1) * prod_{2j | a} (p^(2j) - 1)
     for a in range(1, max_size + 1):
         m.append(m[-1])
         for j in range(1, a // 2 + 1):
             if a % (2 * j) == 0:
-                m[a] *= factors[j]
+                m[a] *= p ** (2 * j) - 1
     powers = [p**e for e in range((max_size // 2 + 1) ** 2 + 1)]
     x = [[1] + [0] * max_size]
     for a in range(1, max_size + 1):

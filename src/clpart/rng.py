@@ -136,7 +136,7 @@ def draws_below(stream, threshold: int, count: int):
     return flags
 
 
-def draw_threshold(x: Fraction, denominator: int = 1) -> int:
+def draw_threshold(x: Fraction | int, denominator: int = 1) -> int:
     """ceil(x / denominator * 2^64) for a rational x / denominator in [0, 1];
     x is a Fraction or an int.
 

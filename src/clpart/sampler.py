@@ -129,6 +129,7 @@ def kernel(a: int, b: int, p: int) -> Fraction:
     """Exact transition probability K(a, b) for 0 <= b <= a (see kernel_numerators)."""
     require_prime(p)
     _require_height(a)
+    require_int(b, "b")
     if not (0 <= b <= a):
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     return Fraction(kernel_numerators(a, p)[b], p ** (a * (a + 1) // 2))

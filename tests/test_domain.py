@@ -190,6 +190,12 @@ def test_kernels_refuse_heights_that_are_not_ints_or_negative(name, a):
         HEIGHTS[name](a)
 
 
+@pytest.mark.parametrize("b", NOT_INTS, ids=NOT_INT_IDS)
+def test_kernel_refuses_a_next_height_that_is_not_an_int(b):
+    with pytest.raises(ValueError, match="b must be an int"):
+        kernel(2, b, 2)
+
+
 def test_int_sizes_parts_counts_and_heights_are_accepted():
     assert size_length_layers(2, 0) == {(0, 0): 1}
     assert pmf_size(0, 2).rational == 1 and pmf_parts(0, 2).rational == 1

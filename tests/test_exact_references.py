@@ -19,7 +19,8 @@ from clpart.sampler import kernel, kernel_row
 
 PRIMES = (2, 3, 5, 7)
 
-# Half the series cap: the Fraction oracle takes ~0.2-0.5 s per prime here.
+# Half the series cap: the Fraction oracle takes 0.2-0.5 s per prime at this size
+# (Python 3.11.7, 2 vCPUs).
 LAYERS_SIZE = 64
 
 
