@@ -35,7 +35,6 @@ from . import __version__
 from .measures import (
     _MEASURES,
     _measure,
-    even_qpoch,
     normalization_check,
     pmf_parts,
     pmf_size,
@@ -46,6 +45,7 @@ from .measures import (
 )
 from .partitions import Partition
 from .qseries import (
+    even_numerators,
     fraction_str,
     require_prime,
     verify_euler_identity,
@@ -295,16 +295,17 @@ def _chain_checks(primes, a_max):
         except ArithmeticError as exc:
             ok_rows, detail = False, str(exc)
         yield (f"kernel-row-sums p={p} a<={a_max}", ok_rows, detail)
-        # With P(j) = n_j / d_j, E = (1/p^2)_floor((a-b)/2) = e / f and
-        # K(a, b) = c / p^binom(a+1,2), the identity P(b) / (p^binom(a+1,2) P(a) E)
-        # = K(a, b) cross-multiplies to n_b d_a f = c n_a d_b e, all ints.
+        # With P(j) = n_j / d_j, E = (1/p^2)_k = N_k / p^(k(k+1)), k = floor((a-b)/2),
+        # and K(a, b) = c / p^binom(a+1,2), the identity P(b) / (p^binom(a+1,2) P(a) E)
+        # = K(a, b) cross-multiplies to n_b d_a p^(k(k+1)) = c n_a d_b N_k, all ints.
+        evens = even_numerators(p, a_max // 2)
         ok_ratio = True
         for a in range(a_max + 1):
             n_a, d_a = parts[a].numerator, parts[a].denominator
             for b, c in enumerate(kernel_numerators(a, p)):
-                even = even_qpoch(p, (a - b) // 2)
-                if (parts[b].numerator * d_a * even.denominator
-                        != c * n_a * parts[b].denominator * even.numerator):
+                k = (a - b) // 2
+                if (parts[b].numerator * d_a * p ** (k * (k + 1))
+                        != c * n_a * parts[b].denominator * evens[k]):
                     ok_ratio = False
         yield (f"kernel-ratio-identity p={p} a<={a_max}", ok_ratio,
                "P(b) / (p^binom(a+1,2) P(a) (1/p^2)_floor((a-b)/2)) = K(a,b) exactly")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions, require_int
 from .qseries import (
@@ -22,13 +23,14 @@ from .qseries import (
     column_step,
     deformed_constant,
     even_numerators,
-    even_qpoch,
     fraction_str,
+    int_text,
     lower_numerators,
     lower_qpoch,
     odd_constant,
     require_deformation,
     require_prime,
+    upper_numerators,
     upper_qpoch,
     weight_key,
 )
@@ -135,21 +137,24 @@ def pmf_parts(a: int, p: int) -> MassValue:
     """
     require_prime(p)
     _require_parts_count("a", a)
-    denom = Fraction(p) ** (a * (a + 1) // 2) * lower_qpoch(p, a)
-    return MassValue(1 / denom, odd(p))
+    # p^(a(a+1)/2) (1-1/p)...(1-1/p^a) = (p-1)...(p^a-1) = L_a
+    return MassValue(Fraction(1, lower_numerators(p, a)[a]), odd(p))
 
 
 def pmf_size(n: int, p: int) -> MassValue:
     """Chance that a partition drawn from the measure has size n:
 
         odd-constant * p^-n * sum_{j even, 0 <= j <= n} p^-(j/2) / ((1-1/p^2)...(1-1/p^j))
+
+    The k = j/2 term is p^(k^2) / N_k (even_numerators), one integer over
+    N_K p^n, K = floor(n/2).  n is capped at MAX_SERIES_SIZE, like the series
+    layers whose sizes this marginal sums.
     """
     require_prime(p)
     _require_size(n, "n")
-    total = Fraction(0)
-    for k in range(n // 2 + 1):  # k = j/2
-        total += Fraction(1, p**k) / even_qpoch(p, k)
-    return MassValue(total / Fraction(p) ** n, odd(p))
+    evens = even_numerators(p, n // 2)
+    total = sum(p ** (k * k) * (evens[-1] // even) for k, even in enumerate(evens))
+    return MassValue(Fraction(total, evens[-1] * p**n), odd(p))
 
 
 def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
@@ -163,11 +168,13 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
     return MassValue(u**lam.size * _weight(lam, p), deformed(p, u))
 
 
-def _require_size(n: int, name: str) -> None:
-    """Check that the size called ``name`` is an int >= 0."""
+def _require_size(n: int, name: str, cap: int = MAX_SERIES_SIZE, what: str = "series") -> None:
+    """Check that the size called ``name`` is an int in [0, cap], ``what`` naming the cap."""
     require_int(n, name)
     if n < 0:
         raise ValueError(f"{name} must be >= 0")
+    if n > cap:
+        raise ValueError(f"{name}={n} exceeds the {what} cap {cap}")
 
 
 def _require_parts_count(name: str, k: int, least: int = 0) -> None:
@@ -214,11 +221,11 @@ def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
 
     and L_r / (L_s L_(r-s)) is a Gaussian binomial, so the division is exact.
     """
-    lower = lower_numerators(p, a_max)
+    lower, upper = lower_numerators(p, a_max), upper_numerators(p, a_max)
     powers = [p ** (j * (j + 1) // 2) for j in range(a_max + 1)]
     ys = [1]
     for r in range(1, a_max + 1):
-        acc = upper_qpoch(p, r).numerator
+        acc = upper[r]
         for s in range(r):
             acc -= ys[s] * powers[r - s] * (lower[r] // (lower[s] * lower[r - s]))
         ys.append(acc)
@@ -417,7 +424,7 @@ class _Digits(dict):
     """int -> its decimal text, converted on first lookup."""
 
     def __missing__(self, i):
-        text = self[i] = str(i)
+        text = self[i] = int_text(i)
         return text
 
 
@@ -472,9 +479,7 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     needs r).  The tail enclosure covers everything outside the table.
     """
     require_prime(p)
-    _require_size(max_size, "max_size")
-    if max_size > ENUMERATION_CAP:
-        raise ValueError(f"max_size={max_size} exceeds the enumeration cap {ENUMERATION_CAP}")
+    _require_size(max_size, "max_size", ENUMERATION_CAP, "enumeration")
     param, value, mass, tail = _measure(measure, u, r)
     if tail is None:
         raise ValueError(f"measure {measure!r} has no table; use cl")
@@ -541,15 +546,9 @@ def size_length_layers(p: int, max_size: int) -> dict:
     """
     require_prime(p)
     _require_size(max_size, "max_size")
-    if max_size > MAX_SERIES_SIZE:
-        raise ValueError(f"max_size={max_size} exceeds the series cap {MAX_SERIES_SIZE}")
     evens = even_numerators(p, max_size // 2)
-    m = [1]  # M_a = M_(a-1) * prod_{2j | a} (p^(2j) - 1)
-    for a in range(1, max_size + 1):
-        m.append(m[-1])
-        for j in range(1, a // 2 + 1):
-            if a % (2 * j) == 0:
-                m[a] *= p ** (2 * j) - 1
+    # M_a = prod_{i>=1} N_floor(a/2i): p^(2j) - 1 lies in N_floor(a/2i) for floor(a/2j) i's
+    m = [prod(evens[a // (2 * i)] for i in range(1, a // 2 + 1)) for a in range(max_size + 1)]
     powers = [p**e for e in range((max_size // 2 + 1) ** 2 + 1)]
     x = [[1] + [0] * max_size]
     for a in range(1, max_size + 1):
@@ -586,10 +585,10 @@ def deformed_series_check(p: int, u, max_size: int):
     rhs radius plus the geometric tail bound.
     """
     u = require_deformation(require_prime(p), u)
-    layers = size_length_layers(p, max_size)
-    partial = Fraction(0)
-    for (n, _), value in layers.items():
-        partial += u**n * value
+    by_size = {}  # the cells of each size summed first, then one u^n per size
+    for (n, _), value in size_length_layers(p, max_size).items():
+        by_size[n] = by_size.get(n, 0) + value
+    partial = sum(u**n * value for n, value in by_size.items())
     rhs = deformed(p, u).enclosure.reciprocal()
     tail = deformed_tail_bound(p, u, max_size)
     agree = abs(partial - rhs.mid) <= rhs.rad + tail

@@ -24,6 +24,8 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 
+from .partitions import require_int
+
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
@@ -64,14 +66,22 @@ class SplitMix64:
 
 
 def require_seed(seed: int) -> int:
-    """Return seed if 0 <= seed < 2^64; raise ValueError otherwise.
+    """Return seed if it is an int in [0, 2^64); raise ValueError otherwise.
 
     Streams reduce their seed mod 2^64, so a seed outside that range would
     repeat another seed's draws under a different name.
     """
+    require_int(seed, "seed")
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     return seed
+
+
+def require_trials(trials: int) -> None:
+    """Raise ValueError unless the trial count is an int >= 1."""
+    require_int(trials, "trials")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 @lru_cache(maxsize=8)

@@ -50,6 +50,7 @@ from .rng import (
     SplitMix64,
     draw_threshold,
     require_seed,
+    require_trials,
     substream,
     substream_draws,
 )
@@ -288,11 +289,6 @@ def _block_route() -> bool:
 _own_substream, _own_sample_partition = substream, sample_partition
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-
 def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]:
     """The partitions of trials 0, 1, ..., trials-1, lazily and in order.
 
@@ -300,7 +296,7 @@ def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]
     of (seed, t).  ``trials`` is checked when this is called, before any
     sample is drawn.
     """
-    _require_trials(trials)
+    require_trials(trials)
     if _block_route():
         return map(_partition_of_columns, _block_columns(config, trials))
     return (sample_partition(config, substream(config.seed, t)) for t in range(trials))
@@ -315,7 +311,7 @@ def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistr
     tuples are distinct partitions, so the table is the one a ``Counter`` of
     the partitions gives, in canonical order on either route.
     """
-    _require_trials(trials)
+    require_trials(trials)
     if _block_route():
         counts = {_partition_of_columns(columns): n
                   for columns, n in Counter(_block_columns(config, trials)).items()}

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition, require_int
 from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
-from .rng import draw_threshold, draws_below, require_seed, substream
+from .rng import draw_threshold, draws_below, require_seed, require_trials, substream
 
 DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 
@@ -278,6 +278,7 @@ def _non_divisible_entry(m, t, d):
 
 
 def _require_vertices(n: int) -> None:
+    require_int(n, "n")
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > MAX_VERTICES:
@@ -285,6 +286,7 @@ def _require_vertices(n: int) -> None:
 
 
 def _require_cap(cap: int) -> None:
+    require_int(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if cap > MAX_CAP:
@@ -548,8 +550,7 @@ def run_experiment(n: int, q, p: int, trials: int, seed: int,
     refused even when every graph would be disconnected.
     """
     _require_trial_args(n, p, seed, cap, method)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    require_trials(trials)
     q = as_fraction(q)
     counts = Counter()
     discarded = 0

@@ -12,7 +12,6 @@ from fractions import Fraction
 from clpart.measures import (
     PartitionDistribution,
     deformed_series_check,
-    even_qpoch,
     pmf,
     pmf_parts,
     pmf_size,
@@ -22,7 +21,13 @@ from clpart.measures import (
     truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
-from clpart.qseries import BoundedReal, odd_constant, verify_euler_identity, verify_qbinomial
+from clpart.qseries import (
+    BoundedReal,
+    even_qpoch,
+    odd_constant,
+    verify_euler_identity,
+    verify_qbinomial,
+)
 from clpart.sampler import SamplerConfig, empirical_distribution, kernel, kernel_row
 from clpart.sandpile import (
     Graph,

@@ -10,6 +10,7 @@ from clpart import cli, measures, sampler
 from clpart.cli import _run_checks, main
 from clpart.measures import MassValue, tabulate
 from clpart.partitions import Partition
+from clpart.qseries import fraction_str
 from clpart.sampler import SamplerConfig, empirical_distribution
 from clpart.sandpile import run_experiment
 
@@ -27,6 +28,17 @@ def test_pmf_single_mass(capsys):
     doc = json.loads(out[out.index("{"):])
     assert doc["rational"] == "1/6"
     assert doc["partition"] == "[1,1]"
+
+
+def test_pmf_single_mass_past_the_int_to_str_digit_limit(capsys):
+    # n(lam) + |lam| = 20100 for 200 ones: a ~6,000-digit denominator
+    lam = Partition([1] * 200)
+    code, out, _ = run(capsys, ["pmf", "--measure", "cl", "--p", "2", "--partition", str(lam)])
+    assert code == 0
+    doc = json.loads(out[out.index("{"):])
+    mass = measures.pmf(lam, 2)
+    assert doc["rational"] == fraction_str(mass.rational) and len(doc["rational"]) > 6000
+    assert doc["mass"] == mass.enclosure().to_json()
 
 
 def test_pmf_truncated_exact(capsys):
@@ -111,6 +123,19 @@ def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
     (["verify", "--suite", "chain", "--a-max", "65"], "a=65 exceeds the parts cap 64"),
 ])
 def test_parts_counts_above_the_cap_exit_2_before_any_output(capsys, argv, error):
+    code, out, err = run(capsys, [*argv, "--p", "2"])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["pmf", "--measure", "size", "--n", "129"], "n=129 exceeds the series cap 128"),
+    (["pmf", "--measure", "size", "--n", "100000"], "n=100000 exceeds the series cap 128"),
+    (["verify", "--suite", "identities", "--depth", "129"],
+     "terms=129 exceeds the series depth cap 128"),
+    (["verify", "--suite", "identities", "--depth", "100000"],
+     "terms=100000 exceeds the series depth cap 128"),
+])
+def test_series_sizes_and_depths_above_the_cap_exit_2_before_any_output(capsys, argv, error):
     code, out, err = run(capsys, [*argv, "--p", "2"])
     assert (code, out, err) == (2, "", f"error: {error}\n")
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from clpart.measures import (
+    MAX_SERIES_SIZE,
     deformed_series_check,
     normalization_check,
     pmf,
@@ -22,12 +23,29 @@ from clpart.measures import (
     truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
-from clpart.qseries import d_lambda, deformed_constant, odd_constant, require_prime
-from clpart.sampler import SamplerConfig, initial_column_distribution, kernel, kernel_row
+from clpart.qseries import (
+    MAX_EULER_TERMS,
+    d_lambda,
+    deformed_constant,
+    odd_constant,
+    require_prime,
+    verify_euler_identity,
+)
+from clpart.rng import substream
+from clpart.sampler import (
+    SamplerConfig,
+    empirical_distribution,
+    initial_column_distribution,
+    kernel,
+    kernel_row,
+    sample_partitions,
+)
 from clpart.sandpile import (
     MAX_CAP,
     Graph,
+    erdos_renyi,
     p_sylow_partition,
+    run_experiment,
     sample_graph_record,
     sylow_valuations_mod_prime_power,
     two_sylow_partition,
@@ -151,6 +169,28 @@ PARTS_COUNTS = {
     "tabulate": ("r", lambda k: tabulate(2, 3, measure="truncated", r=k)),
     "truncated_series_check": ("r", lambda k: truncated_series_check(2, k, 3)),
 }
+# name -> (argument, a call taking it): counts, seeds and primes outside the
+# size and parts families
+OTHER_INTS = {
+    "erdos_renyi": ("n", lambda n: erdos_renyi(n, HALF, substream(0, 0))),
+    "run_experiment-n": ("n", lambda n: run_experiment(n, HALF, 2, 2, 0)),
+    "run_experiment-trials": ("trials", lambda t: run_experiment(4, HALF, 2, t, 0)),
+    "run_experiment-seed": ("seed", lambda s: run_experiment(4, HALF, 2, 2, s)),
+    "run_experiment-cap": ("cap", lambda c: run_experiment(4, HALF, 2, 2, 0, cap=c)),
+    "sample_partitions": ("trials", lambda t: sample_partitions(SamplerConfig(2, seed=0), t)),
+    "empirical_distribution": ("trials",
+                               lambda t: empirical_distribution(SamplerConfig(2, seed=0), t)),
+    "SamplerConfig": ("seed", lambda s: SamplerConfig(2, seed=s)),
+    "require_prime": ("p", require_prime),
+    "verify_euler_identity": ("terms", lambda t: verify_euler_identity(HALF, HALF, t)),
+}
+# name -> (argument, its cap, a call taking it)
+SERIES_DEPTHS = {
+    "pmf_size": ("n", MAX_SERIES_SIZE, lambda n: pmf_size(n, 2)),
+    "size_length_layers": ("max_size", MAX_SERIES_SIZE, lambda n: size_length_layers(2, n)),
+    "verify_euler_identity": ("terms", MAX_EULER_TERMS,
+                              lambda t: verify_euler_identity(HALF, HALF, t)),
+}
 HEIGHTS = {
     "kernel": lambda a: kernel(a, 0, 2),
     "kernel_row": lambda a: kernel_row(a, 2),
@@ -179,6 +219,28 @@ def test_parts_counts_refuse_non_ints(name, k):
     what, call = PARTS_COUNTS[name]
     with pytest.raises(ValueError, match=f"{what} must be an int"):
         call(k)
+
+
+@pytest.mark.parametrize("x", [*NOT_INTS, 7.0, 2.5], ids=[*NOT_INT_IDS, "float-7", "float-2.5"])
+@pytest.mark.parametrize("name", sorted(OTHER_INTS))
+def test_counts_seeds_caps_and_primes_refuse_non_ints(name, x):
+    what, call = OTHER_INTS[name]
+    require_prime(7)  # a cached 7 must not answer for 7.0
+    with pytest.raises(ValueError, match=f"{what} must be an int"):
+        call(x)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_DEPTHS))
+def test_series_sizes_and_depths_above_their_caps_are_refused(name):
+    what, cap, call = SERIES_DEPTHS[name]
+    for n in (cap + 1, 10**5):
+        with pytest.raises(ValueError, match=f"{what}={n} exceeds the series"):
+            call(n)
+
+
+def test_series_sizes_and_depths_at_their_caps_are_accepted():
+    assert pmf_size(MAX_SERIES_SIZE, 2).rational > 0
+    assert verify_euler_identity(HALF, HALF, MAX_EULER_TERMS).agree
 
 
 @pytest.mark.parametrize("a", [*NOT_INTS, -1, -2],

@@ -185,6 +185,14 @@ def test_size_marginal_exact():
         assert total == pmf_size(n, 2).rational
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_pmf_of_a_thousand_ones_equals_the_conjugate_form(p):
+    # one run of 1000 equal parts reads N_500: an earlier cached route rebuilt
+    # each N_j, j > 256, from N_256 and took 20 s at p = 2
+    lam = Partition([1] * 1000)
+    assert pmf(lam, p).rational == pmf_via_conjugate(lam, p).rational
+
+
 def test_pmf_deformed_examples_and_domain():
     u = Fraction(1, 2)
     assert pmf_deformed(Partition(), 2, u).rational == 1
@@ -235,7 +243,7 @@ def test_truncated_table_computes_each_trailing_factor_once(monkeypatch):
     r = 5
     table = tabulate(2, 12, "truncated", r=r)
     assert len(table.entries) > 2 * (r + 1)
-    assert len(calls) <= 2 * (r + 1)
+    assert 0 < len(calls) <= 2 * (r + 1)  # the factor reads lower_qpoch through measures
 
 
 def test_solve_parts_recursion_examples():

@@ -6,16 +6,19 @@ import pytest
 
 from clpart.partitions import Partition
 from clpart.qseries import (
-    CACHED_FACTORS,
     BoundedReal,
     d_lambda,
     deformed_constant,
+    even_numerators,
     even_qpoch,
     finite_qpoch,
     fraction_str,
     gaussian_binomial,
+    int_text,
+    lower_numerators,
     lower_qpoch,
     odd_constant,
+    upper_numerators,
     upper_qpoch,
     verify_euler_identity,
     verify_qbinomial,
@@ -165,6 +168,20 @@ def test_bounded_real_basics():
     assert fraction_str(Fraction(2)) == "2/1"
 
 
+def test_int_text_past_the_int_to_str_digit_limit():
+    rng = random.Random(5)
+    for size in (1, 4300, 4301, 20000):
+        text = str(rng.randrange(1, 10)) + "".join(rng.choice("0123456789") for _ in range(size - 1))
+        n = 0
+        for start in range(0, size, 1000):  # int() of short chunks stays under the limit
+            chunk = text[start:start + 1000]
+            n = n * 10 ** len(chunk) + int(chunk)
+        assert int_text(n) == text and int_text(-n) == "-" + text
+        assert fraction_str(Fraction(1, n)) == "1/" + text
+    assert int_text(10**5000 + 7) == "1" + "0" * 4999 + "7"
+    assert int_text(0) == "0"
+
+
 def test_bounded_real_arithmetic_encloses_exact_results():
     rng = random.Random(11)
     for _ in range(200):
@@ -191,29 +208,45 @@ def test_bounded_real_reciprocal_requires_positive():
         BoundedReal(Fraction(1, 2), Fraction(1)).reciprocal()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_cached_qpochs_equal_literal_products_filled_out_of_order(p):
+def _literal_products(p):
+    """(numerators, view, exponent of p in the view's denominator, x, q) for each
+    finite q-product, whose literal value at k is finite_qpoch(x, q, k)."""
     t = Fraction(1, p)
-    literal = {
-        lower_qpoch: lambda k: finite_qpoch(t, t, k),
-        even_qpoch: lambda k: finite_qpoch(t * t, t * t, k),
-        upper_qpoch: lambda k: finite_qpoch(-t, t, k),
-    }
+    return [
+        (lower_numerators, lower_qpoch, lambda k: k * (k + 1) // 2, t, t),
+        (even_numerators, even_qpoch, lambda k: k * (k + 1), t * t, t * t),
+        (upper_numerators, upper_qpoch, lambda k: k * (k + 1) // 2, -t, t),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_qpochs_and_numerators_equal_literal_products_in_any_order(p):
     rng = random.Random(60 + p)
-    for cached, product in literal.items():
-        cached.cache_clear()
+    for numerators, view, exponent, x, q in _literal_products(p):
+        literal = [finite_qpoch(x, q, k) for k in range(61)]
+        assert numerators(p, 60) == [v * p ** exponent(k) for k, v in enumerate(literal)]
         ks = list(range(61))
         rng.shuffle(ks)
         for k in ks:
-            assert cached(p, k) == product(k), (cached.__name__, k)
+            assert numerators(p, k)[k] == literal[k] * p ** exponent(k), (numerators.__name__, k)
+            assert view(p, k) == literal[k], (view.__name__, k)
         with pytest.raises(ValueError):
-            cached(p, -1)
+            view(p, -1)
 
 
-def test_cached_qpochs_past_the_cache_and_the_recursion_limit():
-    t = Fraction(1, 3)
-    k = CACHED_FACTORS + 5  # continued from the last cached product, not stored
-    assert lower_qpoch(3, k) == finite_qpoch(t, t, k)
-    assert upper_qpoch(3, k) == finite_qpoch(-t, t, k)
+def test_qpochs_and_numerators_at_large_k():
+    k = 261  # past the 256 running products an earlier cache kept per p
+    for numerators, view, exponent, x, q in _literal_products(3):
+        literal = finite_qpoch(x, q, k)
+        assert view(3, k) == literal, view.__name__
+        assert numerators(3, k)[k] == literal * 3 ** exponent(k), numerators.__name__
+    # past the recursion limit, where finite_qpoch takes seconds per product:
+    # each list grows by its integer factors, and the view is in lowest terms
     k = sys.getrecursionlimit() + 1
-    assert lower_qpoch(2, k).denominator == 2 ** (k * (k + 1) // 2)
+    for numerators, _, exponent, x, q in _literal_products(2):
+        values = numerators(2, k)
+        factor = (1 - x * q ** (k - 1)) * 2 ** (exponent(k) - exponent(k - 1))
+        assert factor.denominator == 1, numerators.__name__
+        assert len(values) == k + 1 and values[k] == values[k - 1] * factor.numerator
+    view = lower_qpoch(2, k)
+    assert (view.numerator, view.denominator) == (lower_numerators(2, k)[k], 2 ** (k * (k + 1) // 2))

@@ -6,9 +6,9 @@ from itertools import accumulate
 
 import pytest
 
-from clpart.measures import even_qpoch, inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
+from clpart.measures import inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
 from clpart.partitions import Partition
-from clpart.qseries import column_step, lower_qpoch
+from clpart.qseries import column_step, even_qpoch, lower_qpoch
 from clpart.rng import (
     DRAW_BLOCK,
     GOLDEN_GAMMA,
