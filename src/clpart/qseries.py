@@ -237,6 +237,7 @@ def upper_numerators(p: int, k: int) -> list[int]:
 
 
 def _require_count(k: int) -> int:
+    """Return the factor count k, checked to be >= 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return k
