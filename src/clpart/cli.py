@@ -47,6 +47,7 @@ from .partitions import Partition
 from .qseries import (
     even_numerators,
     fraction_str,
+    kernel_numerators,
     require_prime,
     verify_euler_identity,
     verify_qbinomial,
@@ -56,7 +57,6 @@ from .sampler import (
     SamplerConfig,
     empirical_distribution,
     initial_column_distribution,
-    kernel_numerators,
     kernel_row,
     sample_partitions,
 )

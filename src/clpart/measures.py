@@ -20,18 +20,16 @@ from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions, requir
 from .qseries import (
     BoundedReal,
     as_fraction,
-    column_step,
     deformed_constant,
     even_numerators,
     fraction_str,
     int_text,
+    kernel_numerators,
     lower_numerators,
-    lower_qpoch,
     odd_constant,
     require_deformation,
     require_prime,
     upper_numerators,
-    upper_qpoch,
     weight_key,
 )
 
@@ -100,14 +98,22 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
 
     With mu the conjugate of lam (and mu_{l+1} = 0 past the last column):
 
-        odd-constant * p^-(mu_1(mu_1+1)/2) * prod_j column_step(mu_j, mu_{j+1}, p)
+        odd-constant * p^-(mu_1(mu_1+1)/2) * prod_j step(mu_j, mu_{j+1}),
+
+    where a column of height b after one of height a steps by
+    p^-(b(b+1)/2) / ((1-1/p^2)...(1-1/p^(2k))) = p^(k(k+1) - b(b+1)/2) / N_k,
+    k = floor((a-b)/2), N_k from even_numerators: one p-exponent and one
+    integer product over the columns, and one Fraction at the end.
     """
     require_prime(p)
     mu = lam.conjugate().parts + (0,)
-    rational = Fraction(1, p ** (mu[0] * (mu[0] + 1) // 2))
+    evens = even_numerators(p, mu[0] // 2)
+    exponent, denominator = mu[0] * (mu[0] + 1) // 2, 1
     for a, b in zip(mu, mu[1:]):
-        rational *= column_step(a, b, p)
-    return MassValue(rational, odd(p))
+        k = (a - b) // 2
+        exponent += b * (b + 1) // 2 - k * (k + 1)
+        denominator *= evens[k]
+    return MassValue(Fraction(1, p**exponent * denominator), odd(p))
 
 
 def _weight(lam: Partition, p: int) -> Fraction:
@@ -203,8 +209,11 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _truncated_factor(p: int, r: int, length: int) -> Fraction:
     """The first and last factors of pmf_truncated for a partition of ``length``
-    parts, one value per (p, r, length); p and r unchecked."""
-    return lower_qpoch(p, r) / (lower_qpoch(p, r - length) * upper_qpoch(p, r))
+    parts, one value per (p, r, length); p and r unchecked.  It is
+    L_r p^(m(m+1)/2) / (L_m U_r), m = r - length, with L and U from
+    lower_numerators and upper_numerators; L_r / L_m is an integer."""
+    lower, m = lower_numerators(p, r), r - length
+    return Fraction(lower[r] // lower[m] * p ** (m * (m + 1) // 2), upper_numerators(p, r)[r])
 
 
 def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
@@ -214,8 +223,8 @@ def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
             = (1+1/p)...(1+1/p^r),
 
     solved inductively from P~(0) = 1.  It runs on integers: with
-    P~(r) = Y_r / L_r, L_r the numerator of lower_qpoch(p, r) and U_r that of
-    upper_qpoch(p, r), multiplying by L_r gives
+    P~(r) = Y_r / L_r, L_r from lower_numerators and U_r from
+    upper_numerators (both over p^(r(r+1)/2)), multiplying by L_r gives
 
         Y_r = U_r - sum_{s<r} Y_s p^((r-s)(r-s+1)/2) L_r / (L_s L_(r-s)),
 
@@ -238,30 +247,26 @@ def _parts_recursion_kernel_form(p: int, a_max: int) -> list[Fraction]:
         sum_{b<=a} P~(b) / ( p^(binom(a+1,2)) P~(a) (1/p^2)_{floor((a-b)/2)} ) = 1,
 
     solved inductively from P~(0) = 1.  It runs on integers: with
-    P~(a) = Y_a / L_a, L_a the numerator of lower_qpoch(p, a) and N_k that of
-    even_qpoch(p, k), multiplying by L_a gives
+    P~(a) = Y_a / L_a, L_a from lower_numerators, multiplying by L_a gives
 
-        Y_a (p^(a(a+1)/2) - 1) = sum_{b<a} Y_b p^(k(k+1)) L_a / (L_b N_k),
+        Y_a (p^(a(a+1)/2) - 1) = sum_{b<a} Y_b C(a, b),
 
-    k = floor((a-b)/2), where L_a / (L_b N_k) is an integer since 2k <= a - b.
-    A remainder in the division by p^(a(a+1)/2) - 1 means this P~(a) is no
-    integer over L_a, so it cannot equal the product form's: that raises
-    ArithmeticError, as any disagreement of the two does.
+    where C(a, b) = kernel_numerators(a, p)[b], the integer numerator of the
+    sampler's kernel K(a, b) over p^(a(a+1)/2); so this recursion also checks
+    the integers the sampler draws from.  A remainder in the division by
+    p^(a(a+1)/2) - 1 means this P~(a) is no integer over L_a, so it cannot
+    equal the product form's: that raises ArithmeticError, as any
+    disagreement of the two does.
     """
-    lower = lower_numerators(p, a_max)
-    evens = even_numerators(p, a_max // 2)
     ys = [1]
     for a in range(1, a_max + 1):
-        acc = 0
-        for b in range(a):
-            k = (a - b) // 2
-            acc += ys[b] * p ** (k * (k + 1)) * (lower[a] // (lower[b] * evens[k]))
+        acc = sum(y * c for y, c in zip(ys, kernel_numerators(a, p)))  # ys stops at b = a - 1
         y, remainder = divmod(acc, p ** (a * (a + 1) // 2) - 1)
         if remainder:
             raise ArithmeticError(f"parts recursions disagree at p={p}: the kernel form "
                                   f"leaves a remainder at a={a}")
         ys.append(y)
-    return [Fraction(y, d) for y, d in zip(ys, lower)]
+    return [Fraction(y, d) for y, d in zip(ys, lower_numerators(p, a_max))]
 
 
 def solve_parts_recursion(p: int, a_max: int) -> list[MassValue]:
@@ -525,24 +530,29 @@ def size_length_layers(p: int, max_size: int) -> dict:
 
     A column DP; every generating-sum check and marginal is a cheap
     reweighting of this table.  The weight factorises over the conjugate's
-    columns, so with G(a, s) the summed column steps of all column sequences
-    of total s that follow a column of height a (G(0, s) = [s == 0]):
+    columns as in pmf_via_conjugate, so with G(a, s) the summed column steps
+    of all column sequences of total s that follow a column of height a
+    (G(0, s) = [s == 0]):
 
-        G(a, s) = sum_{b <= min(a, s)} column_step(a, b) G(b, s - b),
+        G(a, s) = sum_{b <= min(a, s)} step(a, b) G(b, s - b),
+        step(a, b) = p^-(b(b+1)/2) / ( (1-1/p^2)...(1-1/p^(2k)) ),  k = floor((a-b)/2),
 
     and the cell (a + s, a) holds p^-(a(a+1)/2) G(a, s).  This takes O(N^3)
     exact operations where enumerating the partitions takes O(p(<= N)).
 
     The DP runs on integers: G(a, s) = X(a, s) / (M_a p^(s(s+1)/2)), with
-    M_a = prod_{j>=1} (p^(2j) - 1)^floor(a/2j) and N_k the numerator of
-    even_qpoch(p, k), so column_step(a, b) = p^(k(k+1) - b(b+1)/2) / N_k gives
+    M_a = prod_{j>=1} (p^(2j) - 1)^floor(a/2j) and N_k from even_numerators,
+    so step(a, b) = p^(k(k+1) - b(b+1)/2) / N_k gives
 
-        X(a, s) = sum_{b <= min(a, s)} [M_a / (N_k M_b)] p^(b(s-b) + k(k+1)) X(b, s - b),
+        X(a, s) = sum_{b <= min(a, s)} [M_a / (N_k M_b)] p^(b(s-b) + k(k+1)) X(b, s - b).
 
-    k = floor((a-b)/2).  M_a / (N_k M_b) is an integer since a >= b + 2k (any
-    other M with integer coefficients gives the same cells), and each cell is
-    one Fraction.  ``max_size`` must be an int in [0, MAX_SERIES_SIZE];
-    ValueError otherwise.
+    M_a / (N_k M_b) is an integer since a >= b + 2k, and each cell is one
+    Fraction.  Any other M with integer coefficients gives the same cells:
+    L_a of lower_numerators does, which makes the coefficients the kernel's
+    kernel_numerators(a, p), but that DP ran 9-20 % slower (10.1 -> 11.8 ms
+    at N = 40, p = 2; 158 -> 190 ms at N = 64, p = 7; 1.41 -> 1.53 s at
+    N = 128, p = 2; min of 3-7, Python 3.11.7, 2 vCPUs), so M_a stays.
+    ``max_size`` must be an int in [0, MAX_SERIES_SIZE]; ValueError otherwise.
     """
     require_prime(p)
     _require_size(max_size, "max_size")
@@ -606,7 +616,8 @@ def truncated_series_check(p: int, r: int, max_size: int):
     """
     require_prime(p)
     _require_parts_count("r", r, 1)
-    rhs = upper_qpoch(p, r)  # trailing(lam) = rhs * _truncated_factor(p, r, l(lam))
+    # (1+1/p)...(1+1/p^r); trailing(lam) = rhs * _truncated_factor(p, r, l(lam))
+    rhs = Fraction(upper_numerators(p, r)[r], p ** (r * (r + 1) // 2))
     partial = rhs * sum(value * _truncated_factor(p, r, length)
                         for (_, length), value in size_length_layers(p, max_size).items()
                         if length <= r)

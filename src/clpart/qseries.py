@@ -1,10 +1,12 @@
 """Exact q-product arithmetic and rigorously enclosed infinite products.
 
-A finite product is a running product of integer factors over a known power
-of p, built per call (``*_numerators``); ``*_qpoch`` are its ``Fraction``
-views.  Infinite products are returned as midpoint/radius enclosures
-(:class:`BoundedReal`) so downstream checks can assert containment instead
-of approximate equality.  Tail bounds all come from the elementary inequality
+A finite product at q = 1/p is a running product of integer factors over a
+known power of p, built per call (``*_numerators``); the column chain's
+kernel coefficient is one quotient of them (``kernel_numerators``), and
+``finite_qpoch`` is the generic ``Fraction`` product.  Infinite products are
+returned as midpoint/radius enclosures (:class:`BoundedReal`) so downstream
+checks can assert containment instead of approximate equality.  Tail bounds
+all come from the elementary inequality
 
     prod(1 - a_i) >= 1 - sum(a_i)    for a_i in (0, 1),
 
@@ -218,44 +220,45 @@ def finite_qpoch(x, q, j: int) -> Fraction:
 
 
 def lower_numerators(p: int, k: int) -> list[int]:
-    """[L_0, ..., L_k], L_j = (p-1)(p^2-1)...(p^j-1) the numerator of lower_qpoch(p, j)
-    over p^(j(j+1)/2), in lowest terms since p divides no p^i - 1; p unchecked.
-    L_r / (L_s L_(r-s)) is the Gaussian binomial [r choose s] at q = p, an integer."""
+    """[L_0, ..., L_k], L_j = (p-1)(p^2-1)...(p^j-1), so that
+    (1-1/p)...(1-1/p^j) = L_j / p^(j(j+1)/2), in lowest terms since p divides
+    no p^i - 1; p unchecked.  L_r / (L_s L_(r-s)) is the Gaussian binomial
+    [r choose s] at q = p, an integer."""
     return list(accumulate((p**i - 1 for i in range(1, k + 1)), mul, initial=1))
 
 
 def even_numerators(p: int, k: int) -> list[int]:
-    """[N_0, ..., N_k], N_j = (p^2-1)(p^4-1)...(p^(2j)-1) the numerator of
-    even_qpoch(p, j), over p^(j(j+1)); p unchecked."""
+    """[N_0, ..., N_k], N_j = (p^2-1)(p^4-1)...(p^(2j)-1), so that
+    (1-1/p^2)...(1-1/p^(2j)) = N_j / p^(j(j+1)); p unchecked."""
     return list(accumulate((p ** (2 * i) - 1 for i in range(1, k + 1)), mul, initial=1))
 
 
 def upper_numerators(p: int, k: int) -> list[int]:
-    """[U_0, ..., U_k], U_j = (p+1)(p^2+1)...(p^j+1) the numerator of
-    upper_qpoch(p, j), over p^(j(j+1)/2); p unchecked."""
+    """[U_0, ..., U_k], U_j = (p+1)(p^2+1)...(p^j+1), so that
+    (1+1/p)...(1+1/p^j) = U_j / p^(j(j+1)/2); p unchecked."""
     return list(accumulate((p**i + 1 for i in range(1, k + 1)), mul, initial=1))
 
 
-def _require_count(k: int) -> int:
-    """Return the factor count k, checked to be >= 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return k
+@lru_cache(maxsize=None)
+def kernel_numerators(a: int, p: int) -> tuple[int, ...]:
+    """The numerators of the column kernel K(a, 0..a) over p^(a(a+1)/2); a and p
+    unchecked.  A column of height b follows one of height a with
 
+        K(a, b) = (1-1/p)...(1-1/p^a) / ( (1-1/p)...(1-1/p^b) )
+                  * p^-(b(b+1)/2) / ( (1-1/p^2)...(1-1/p^(2k)) )
+                = L_a / (L_b N_k) * p^(k(k+1)) / p^(a(a+1)/2),
 
-def lower_qpoch(p: int, k: int) -> Fraction:
-    """(1-1/p)(1-1/p^2)...(1-1/p^k) = L_k / p^(k(k+1)/2)."""
-    return Fraction(lower_numerators(p, _require_count(k))[k], p ** (k * (k + 1) // 2))
-
-
-def even_qpoch(p: int, k: int) -> Fraction:
-    """(1-1/p^2)(1-1/p^4)...(1-1/p^(2k)) = N_k / p^(k(k+1))."""
-    return Fraction(even_numerators(p, _require_count(k))[k], p ** (k * (k + 1)))
-
-
-def upper_qpoch(p: int, k: int) -> Fraction:
-    """(1+1/p)(1+1/p^2)...(1+1/p^k) = U_k / p^(k(k+1)/2)."""
-    return Fraction(upper_numerators(p, _require_count(k))[k], p ** (k * (k + 1) // 2))
+    k = floor((a-b)/2), with L_j from lower_numerators and N_k from
+    even_numerators.  L_a / (L_b N_k) is an integer since 2k <= a - b.  This is
+    the one definition of the coefficient: the sampler's kernel and rows, the
+    chain suite and the chain-consistency recursion for P(a) read it.
+    """
+    lower, evens = lower_numerators(p, a), even_numerators(p, a // 2)
+    row = []
+    for b in range(a + 1):
+        k = (a - b) // 2
+        row.append(lower[a] // (lower[b] * evens[k]) * p ** (k * (k + 1)))
+    return tuple(row)
 
 
 def weight_key(parts: tuple[int, ...], evens: list[int]) -> tuple[int, int]:
@@ -264,10 +267,10 @@ def weight_key(parts: tuple[int, ...], evens: list[int]) -> tuple[int, int]:
 
     ``evens`` is even_numerators(p, k) for some k >= half the longest run.
     n(lam) + |lam| is sum_i i lambda_i, with i counted from 1.  A run of m
-    equal parts contributes even_qpoch(p, floor(m/2)) = N_k / p^(k(k+1)) to
-    d_lambda, so N_k to N and -k(k+1) to e; a trailing 0 closes the last run.
-    N is prime to p, so 1 / (p^e N) is in lowest terms, and e >= 0: the run
-    adds at least m(m+1)/2 >= k(k+1) to n(lam) + |lam|.
+    equal parts contributes (1-1/p^2)...(1-1/p^(2k)) = N_k / p^(k(k+1)),
+    k = floor(m/2), to d_lambda, so N_k to N and -k(k+1) to e; a trailing 0
+    closes the last run.  N is prime to p, so 1 / (p^e N) is in lowest terms,
+    and e >= 0: the run adds at least m(m+1)/2 >= k(k+1) to n(lam) + |lam|.
     """
     total = exponent = run = prev = i = 0
     numerator = 1
@@ -283,17 +286,6 @@ def weight_key(parts: tuple[int, ...], evens: list[int]) -> tuple[int, int]:
         i += 1
         total += i * x
     return total - exponent, numerator
-
-
-def column_step(a: int, b: int, p: int) -> Fraction:
-    """Weight of a column of height b that follows one of height a, p unchecked:
-
-        p^-(b(b+1)/2) / ( (1-1/p^2)(1-1/p^4)...(1-1/p^(2 floor((a-b)/2))) ).
-
-    A partition whose conjugate has columns mu_1 >= ... >= mu_l weighs
-    p^-(mu_1(mu_1+1)/2) times the steps mu_j -> mu_{j+1}, with mu_{l+1} = 0.
-    """
-    return 1 / (Fraction(p) ** (b * (b + 1) // 2) * even_qpoch(p, (a - b) // 2))
 
 
 def d_lambda(lam: Partition, p: int) -> Fraction:

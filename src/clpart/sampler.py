@@ -41,9 +41,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 
-from .measures import MassValue, PartitionDistribution, frequency_table, pmf_parts
+from .measures import MAX_PARTS, MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Partition, require_int
-from .qseries import as_fraction, even_numerators, fraction_str, lower_numerators, require_prime
+from .qseries import as_fraction, fraction_str, kernel_numerators, require_prime
 from .rng import (
     DRAW_BLOCK,
     GOLDEN_GAMMA,
@@ -100,30 +100,13 @@ def _require_cutoff(cutoff) -> Fraction:
     return cutoff
 
 
-@lru_cache(maxsize=None)
-def kernel_numerators(a: int, p: int) -> tuple[int, ...]:
-    """The numerators of K(a, 0..a) over p^(a(a+1)/2); a and p unchecked:
-
-        K(a, b) = (1-1/p)...(1-1/p^a) / ( (1-1/p)...(1-1/p^b) ) * column_step(a, b, p)
-                = L_a / (L_b N_k) * p^(k(k+1)) / p^(a(a+1)/2),
-
-    k = floor((a-b)/2), with L_j the numerator of lower_qpoch(p, j) and N_k
-    that of even_qpoch(p, k).  L_a / (L_b N_k) is an integer since 2k <= a - b.
-    This is the one definition of K that ``kernel`` and ``kernel_row`` read.
-    """
-    lower, evens = lower_numerators(p, a), even_numerators(p, a // 2)
-    row = []
-    for b in range(a + 1):
-        k = (a - b) // 2
-        row.append(lower[a] // (lower[b] * evens[k]) * p ** (k * (k + 1)))
-    return tuple(row)
-
-
 def _require_height(a: int) -> None:
-    """Check that the column height a is an int >= 0."""
+    """Check that the column height a is an int in [0, MAX_PARTS]."""
     require_int(a, "height a")
     if a < 0:
         raise ValueError(f"height a must be >= 0, got {a}")
+    if a > MAX_PARTS:
+        raise ValueError(f"height a={a} exceeds the parts cap {MAX_PARTS}")
 
 
 def kernel(a: int, b: int, p: int) -> Fraction:
@@ -169,7 +152,8 @@ def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int
     """Parts-count masses P(0), P(1), ... until the remaining tail is below cutoff.
 
     The tail is _parts_tail_bound of the last retained height; it is taken on
-    rational parts (the odd constant is < 1).
+    rational parts (the odd constant is < 1).  A cutoff that heights up to
+    MAX_PARTS do not reach raises ValueError.
     """
     require_prime(p)
     cutoff = _require_cutoff(cutoff)
@@ -178,6 +162,9 @@ def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int
         tail = _parts_tail_bound(p, len(values) - 1, values[-1].rational)
         if tail is not None and tail <= cutoff:
             return list(enumerate(values))
+        if len(values) > MAX_PARTS:
+            raise ValueError(f"cutoff={fraction_str(cutoff)} needs heights above "
+                             f"the parts cap {MAX_PARTS}")
         values.append(pmf_parts(len(values), p))
 
 

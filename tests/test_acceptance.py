@@ -23,7 +23,7 @@ from clpart.measures import (
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import (
     BoundedReal,
-    even_qpoch,
+    finite_qpoch,
     odd_constant,
     verify_euler_identity,
     verify_qbinomial,
@@ -99,10 +99,12 @@ def test_criterion_5_kernel():
     ok_ratio = True
     for p in PRIMES:
         parts = [pmf_parts(a, p).rational for a in range(31)]
+        t = Fraction(1, p * p)
+        evens = [finite_qpoch(t, t, k) for k in range(16)]  # (1/p^2)_k in Fractions
         for a in range(31):
             for b in range(a + 1):
                 lhs = parts[b] / (
-                    Fraction(p) ** (a * (a + 1) // 2) * parts[a] * even_qpoch(p, (a - b) // 2)
+                    Fraction(p) ** (a * (a + 1) // 2) * parts[a] * evens[(a - b) // 2]
                 )
                 if lhs != kernel(a, b, p):
                     ok_ratio = False

@@ -121,6 +121,8 @@ def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
      "r=65 exceeds the parts cap 64"),
     (["verify", "--suite", "recursions", "--a-max", "65"], "a_max=65 exceeds the parts cap 64"),
     (["verify", "--suite", "chain", "--a-max", "65"], "a=65 exceeds the parts cap 64"),
+    (["sample", "--trials", "3", "--seed", "1", "--cutoff", f"1/{10**1000}"],
+     f"cutoff=1/{10**1000} needs heights above the parts cap 64"),
 ])
 def test_parts_counts_above_the_cap_exit_2_before_any_output(capsys, argv, error):
     code, out, err = run(capsys, [*argv, "--p", "2"])
@@ -441,7 +443,11 @@ def test_verify_suites_pass(capsys):
     ("chain", sampler, "kernel_numerators",
      lambda a, p, real=sampler.kernel_numerators: tuple(2 * k for k in real(a, p)),
      "FAIL kernel-row-sums p=2 a<=4: kernel row a=0, p=2 sums to 2, not 1"),
-], ids=["recursions", "chain"])
+    ("recursions", measures, "kernel_numerators",
+     lambda a, p, real=measures.kernel_numerators: tuple(2 * k for k in real(a, p)),
+     "FAIL parts-recursions-vs-closed-form p=2 a<=4: parts recursions disagree at p=2: "
+     "the kernel form leaves a remainder at a=2"),
+], ids=["recursions", "chain", "recursions-kernel"])
 def test_verify_prints_a_disagreement_as_fail(capsys, monkeypatch, suite, module, name, broken,
                                               first_line):
     # two exact routes that disagree are a FAIL line and exit 1, not exit 3

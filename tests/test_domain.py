@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from clpart.measures import (
+    MAX_PARTS,
     MAX_SERIES_SIZE,
     deformed_series_check,
     normalization_check,
@@ -250,6 +251,14 @@ def test_kernels_refuse_heights_that_are_not_ints_or_negative(name, a):
     kernel_row(1, 2)  # a cached row of height 1 must not answer for True
     with pytest.raises(ValueError, match="height a must be"):
         HEIGHTS[name](a)
+
+
+@pytest.mark.parametrize("name", sorted(HEIGHTS))
+def test_kernels_refuse_heights_above_the_parts_cap(name):
+    error = f"height a={MAX_PARTS + 1} exceeds the parts cap {MAX_PARTS}$"
+    with pytest.raises(ValueError, match=error):
+        HEIGHTS[name](MAX_PARTS + 1)
+    assert HEIGHTS[name](MAX_PARTS)  # the cap itself is a height the chain can reach
 
 
 @pytest.mark.parametrize("b", NOT_INTS, ids=NOT_INT_IDS)

@@ -2,11 +2,14 @@
 
 ``size_length_layers``, both parts recursions and ``kernel_row`` compute on
 integers over denominators known before their loops start.  The Fraction
-versions below are the earlier code, copied here as oracles: every value,
-threshold and error message must be the same, at the caps the library accepts.
+versions below are the earlier code, copied here as oracles on the generic
+``finite_qpoch``, so they read none of the numerators they check: every
+value, threshold and error message must be the same, at the caps the library
+accepts.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from clpart import measures, sampler
 from clpart.cli import main
 from clpart.measures import MAX_PARTS, solve_parts_recursion, size_length_layers
-from clpart.qseries import column_step, even_qpoch, lower_qpoch, upper_qpoch
+from clpart.qseries import finite_qpoch
 from clpart.sampler import kernel, kernel_row
 
 PRIMES = (2, 3, 5, 7)
@@ -22,6 +25,29 @@ PRIMES = (2, 3, 5, 7)
 # Half the series cap: the Fraction oracle takes 0.2-0.5 s per prime at this size
 # (Python 3.11.7, 2 vCPUs).
 LAYERS_SIZE = 64
+
+
+@lru_cache(maxsize=None)
+def lower_qpoch(p, k):
+    """(1-1/p)(1-1/p^2)...(1-1/p^k)"""
+    return finite_qpoch(Fraction(1, p), Fraction(1, p), k)
+
+
+@lru_cache(maxsize=None)
+def even_qpoch(p, k):
+    """(1-1/p^2)(1-1/p^4)...(1-1/p^(2k))"""
+    return finite_qpoch(Fraction(1, p * p), Fraction(1, p * p), k)
+
+
+@lru_cache(maxsize=None)
+def upper_qpoch(p, k):
+    """(1+1/p)(1+1/p^2)...(1+1/p^k)"""
+    return finite_qpoch(Fraction(-1, p), Fraction(1, p), k)
+
+
+def column_step(a, b, p):
+    """p^-(b(b+1)/2) / (1/p^2)_floor((a-b)/2), the weight of a column of height b after a."""
+    return 1 / (Fraction(p) ** (b * (b + 1) // 2) * even_qpoch(p, (a - b) // 2))
 
 
 def reference_layers(p, max_size):
@@ -110,10 +136,11 @@ def test_a_bad_kernel_row_raises_the_same_message(monkeypatch, p, a):
 
 
 def test_a_kernel_form_remainder_prints_fail(capsys, monkeypatch):
-    # N_k doubled for k >= 1: at a = 2 the kernel form's sum, 3, is no multiple of 2^3 - 1
-    real = measures.even_numerators
-    monkeypatch.setattr(measures, "even_numerators",
-                        lambda p, k: [n * (2 if j else 1) for j, n in enumerate(real(p, k))])
+    # K(2, 0) doubled: at a = 2 the kernel form's sum, 8 + 3, is no multiple of
+    # 2^3 - 1 (at p = 3, 36 + 8 is none of 3^3 - 1; at p = 5, 200 + 24 none of 124)
+    real = measures.kernel_numerators
+    monkeypatch.setattr(measures, "kernel_numerators",
+                        lambda a, p: (2 * real(a, p)[0], *real(a, p)[1:]) if a == 2 else real(a, p))
     code = main(["verify", "--suite", "recursions", "--p", "2,3", "--a-max", "4"])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""

@@ -232,18 +232,18 @@ def test_truncated_table_computes_each_trailing_factor_once(monkeypatch):
     # the factor depends on (p, r) and the parts count only, so a table takes
     # O(r) q-products however many entries it holds
     calls = []
-    real = measures.lower_qpoch
+    real = measures.lower_numerators
 
     def counted(p, k):
         calls.append(k)
         return real(p, k)
 
-    monkeypatch.setattr(measures, "lower_qpoch", counted)
+    monkeypatch.setattr(measures, "lower_numerators", counted)
     measures._truncated_factor.cache_clear()
     r = 5
     table = tabulate(2, 12, "truncated", r=r)
     assert len(table.entries) > 2 * (r + 1)
-    assert 0 < len(calls) <= 2 * (r + 1)  # the factor reads lower_qpoch through measures
+    assert 0 < len(calls) <= r + 1  # the factor reads lower_numerators through measures
 
 
 def test_solve_parts_recursion_examples():
