@@ -49,6 +49,7 @@ from .qseries import (
     fraction_str,
     kernel_numerators,
     require_prime,
+    text_int,
     verify_euler_identity,
     verify_qbinomial,
 )
@@ -64,10 +65,20 @@ from .sandpile import run_experiment
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """The rational ``text`` names: a/b, an integer or a decimal string.  A
+    side past Python's int-to-str digit limit is read by ``text_int``."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse rational {text!r} (use a/b or an integer)") from None
+        pass
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(text_int(num), text_int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        hint = "use a/b or an integer"
+        if len(text) > 60:  # echo its ends, not thousands of characters
+            text, hint = f"{text[:30]}...{text[-10:]}", f"{len(text)} characters; {hint}"
+        raise ValueError(f"cannot parse rational {text!r} ({hint})") from None
 
 
 # Chunks per written block: about 1 MiB of a pmf table's JSON, where each entry is two

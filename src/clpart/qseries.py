@@ -59,6 +59,21 @@ def int_text(i: int) -> str:
         return "-" * (i < 0) + int_text(high) + int_text(low).zfill(k)
 
 
+def text_int(text: str) -> int:
+    """int(text), also past Python's int-to-str digit limit: the inverse of
+    ``int_text``.  There an optional sign and ASCII digits are read as the
+    halves high * 10^k + low, k about half the digits."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = text_int(digits[:-k]) * 10**k + text_int(digits[-k:])
+    return -value if text[0] == "-" else value
+
+
 def fraction_str(x: Fraction, digits=int_text) -> str:
     """Render as "num/den" (denominator always explicit, for stable JSON).
 

@@ -8,7 +8,9 @@ of (seed, trial index).
 
 Per-trial substreams are derived by mixing seed and index through the
 finalizer separately and XORing, so trial streams are decorrelated and can be
-consumed independently (and in parallel) without coordination.
+consumed independently without coordination: ``workers.split_counts`` runs
+ranges of trials in forked worker processes, and their counts add up to
+those of one process, whatever the CPU count.
 
 Draw j of a stream is mix64(state + j*GOLDEN_GAMMA), a pure function of the
 state and j, so ``draws_below`` computes a run of draws together, one 128-bit

@@ -38,7 +38,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 
 from .measures import MAX_PARTS, MassValue, PartitionDistribution, frequency_table, pmf_parts
@@ -54,6 +54,7 @@ from .rng import (
     substream,
     substream_draws,
 )
+from .workers import split_counts, worker_count
 
 # No realistic sample can reach this many columns (each positive height is
 # left in finite expected time); hitting it means a bug, not bad luck.
@@ -67,6 +68,11 @@ DEFAULT_CUTOFF = Fraction(1, 10**12)
 # took 0.230 / 0.173 / 0.152 / 0.126 / 0.137 / 0.138 s at 1 / 2 / 3 / 4 / 5 / 6
 # draws (min of 11), against 0.53 s one trial at a time (Python 3.11.7, 2 vCPUs).
 CHAIN_DRAWS = 4
+
+# Fewest DRAW_BLOCK blocks ``empirical_distribution`` gives one worker process.
+# A p = 2 block took ~2 ms and forking a worker and merging its counts ~3 ms
+# (Python 3.11.7, 2 vCPUs).
+MIN_WORKER_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -232,9 +238,9 @@ def sample_partition(config: SamplerConfig, stream) -> Partition:
         _finish_chain([], bisect_right(config._selector, draw()), config.p, draw))
 
 
-def _block_columns(config: SamplerConfig, trials: int) -> Iterator[tuple[int, ...]]:
-    """The column heights of trials 0..trials-1, the same as ``sample_partition``
-    on ``substream(config.seed, t)`` gives.
+def _block_columns(config: SamplerConfig, stop: int, start: int = 0) -> Iterator[tuple[int, ...]]:
+    """The column heights of trials start..stop-1, the same as ``sample_partition``
+    on ``substream(config.seed, t)`` gives; ``start`` is a multiple of DRAW_BLOCK.
 
     Per block of DRAW_BLOCK trials, ``substream_draws`` computes every trial's
     stream state and its first CHAIN_DRAWS draws together; a chain still
@@ -242,8 +248,8 @@ def _block_columns(config: SamplerConfig, trials: int) -> Iterator[tuple[int, ..
     """
     selector, rows, p = config._selector, config._rows, config.p
     skip = CHAIN_DRAWS * GOLDEN_GAMMA
-    for start in range(0, trials, DRAW_BLOCK):
-        states, (first, *later) = substream_draws(config.seed, start, min(DRAW_BLOCK, trials - start),
+    for block in range(start, stop, DRAW_BLOCK):
+        states, (first, *later) = substream_draws(config.seed, block, min(DRAW_BLOCK, stop - block),
                                                   CHAIN_DRAWS)
         for i, height in enumerate(map(bisect_right, repeat(selector), first)):
             if not height:
@@ -261,14 +267,15 @@ def _block_columns(config: SamplerConfig, trials: int) -> Iterator[tuple[int, ..
 
 
 def _block_route() -> bool:
-    """Whether sampling may take ``_block_columns``.
+    """Whether sampling may take ``_block_columns``, and
+    ``empirical_distribution`` split its blocks across worker processes.
 
     It may only while this module's ``substream`` and ``sample_partition``
     are its own: a caller that replaced either one (a tracer counting
     substreams, chains and draws per trial, or a test injecting a fault) is
-    owed one call of each per trial, so it gets the per-trial route.  This
-    is the rule by which ``rng.draws_below`` draws one at a time from any
-    stream that is not a plain SplitMix64.
+    owed one call of each per trial in its own process, so it gets the
+    per-trial route there.  This is the rule by which ``rng.draws_below``
+    draws one at a time from any stream that is not a plain SplitMix64.
     """
     return substream is _own_substream and sample_partition is _own_sample_partition
 
@@ -289,19 +296,30 @@ def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]
     return (sample_partition(config, substream(config.seed, t)) for t in range(trials))
 
 
-def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistribution:
+def _column_counts(config: SamplerConfig, trials: int, start: int, stop: int) -> Counter:
+    """Counts of the column tuples of the trials in blocks start..stop-1."""
+    return Counter(_block_columns(config, min(stop * DRAW_BLOCK, trials), start * DRAW_BLOCK))
+
+
+def empirical_distribution(config: SamplerConfig, trials: int,
+                           _workers: int | None = None) -> PartitionDistribution:
     """Frequency table over the samples of ``sample_partitions(config, trials)``.
 
     The table is a pure function of (seed, trials), and merges of disjoint
     trial ranges agree with a single run.  On the block route it counts
-    column tuples and builds each distinct one's Partition once; distinct
-    tuples are distinct partitions, so the table is the one a ``Counter`` of
-    the partitions gives, in canonical order on either route.
+    column tuples, its whole blocks split across ``workers.split_counts``
+    (``_workers`` overrides the worker count, for tests), and builds each
+    distinct tuple's Partition once; distinct tuples are distinct
+    partitions, so the table is the one a ``Counter`` of the partitions
+    gives, in canonical order on either route and for any worker count.
     """
     require_trials(trials)
     if _block_route():
-        counts = {_partition_of_columns(columns): n
-                  for columns, n in Counter(_block_columns(config, trials)).items()}
+        blocks = -(-trials // DRAW_BLOCK)
+        config._rows  # compiled here once, not in each worker
+        columns = split_counts(partial(_column_counts, config, trials), blocks,
+                               _workers or worker_count(blocks, MIN_WORKER_BLOCKS))
+        counts = {_partition_of_columns(c): n for c, n in columns.items()}
     else:
         counts = Counter(sample_partitions(config, trials))
     params = {"trials": trials, "seed": config.seed,

@@ -28,11 +28,13 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition, require_int
 from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
 from .rng import draw_threshold, draws_below, require_seed, require_trials, substream
+from .workers import split_counts, worker_count
 
 DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
 
@@ -55,6 +57,11 @@ MAX_CAP = 64
 # 80 / 100 / 120 / 150 and did not finish in 300 s at n = 200 (Python
 # 3.11.7, 2 vCPUs).
 MAX_SNF_VERTICES = 100
+
+# Fewest vertex pairs (edge draws; binom(n, 2) per trial) ``run_experiment``
+# gives one worker process.  A p = 2 trial at n = 40 (780 pairs) took ~0.45 ms
+# and forking a worker and merging its counts ~3 ms (Python 3.11.7, 2 vCPUs).
+MIN_WORKER_PAIRS = 10**4
 
 
 # Bytes 0 and 1 as the ASCII digits '0' and '1', and back to 0 and -1.
@@ -540,29 +547,54 @@ class ExperimentResult:
         return {**head, **self._tallies()}, entries
 
 
+def _outcome_counts(n: int, q: Fraction, p: int, seed: int, cap: int, method: str,
+                    start: int, stop: int) -> Counter:
+    """Counts of the outcomes of trials start..stop-1: None for a disconnected
+    graph, else the trial's (partition parts, capped) pair."""
+    records = (sample_graph_record(n, q, p, seed, t, cap=cap, method=method)
+               for t in range(start, stop))
+    return Counter(None if r is None else (r[0].parts, r[1]) for r in records)
+
+
+def _split_route() -> bool:
+    """Whether ``run_experiment`` may split its trials across worker processes.
+
+    It may only while every name of this module, and every attribute of
+    ``Graph``, is bound as it was at import: a caller that replaced a function
+    a trial reaches (the benchmark's tracer, a test counting calls) is owed
+    every call in its own process.  ``sampler._block_route`` is the
+    sampler's rule.
+    """
+    return (all(globals().get(k) is v for k, v in _OWN_GLOBALS.items())
+            and all(vars(Graph).get(k) is v for k, v in _OWN_GRAPH.items()))
+
+
 def run_experiment(n: int, q, p: int, trials: int, seed: int,
-                   cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal") -> ExperimentResult:
+                   cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal",
+                   _workers: int | None = None) -> ExperimentResult:
     """Sample graphs and tabulate p-Sylow partitions among connected ones.
 
     Deterministic given (seed, trial index); disconnected graphs are counted
     and skipped, so frequencies condition on connectivity.  The arguments are
     checked before the first trial, so a bad n, seed, cap or method is
-    refused even when every graph would be disconnected.
+    refused even when every graph would be disconnected.  The trials are
+    split across ``workers.split_counts`` (``_workers`` overrides the worker
+    count, for tests); the table is built from the summed counts in
+    canonical order, so it is the same for any worker count.
     """
     _require_trial_args(n, p, seed, cap, method)
     require_trials(trials)
     q = as_fraction(q)
+    if _workers is None:
+        min_trials = -(-MIN_WORKER_PAIRS // (n * (n - 1) // 2))
+        _workers = worker_count(trials, min_trials) if _split_route() else 1
+    outcomes = split_counts(partial(_outcome_counts, n, q, p, seed, cap, method), trials, _workers)
+    discarded = outcomes.pop(None, 0)
     counts = Counter()
-    discarded = 0
     capped_count = 0
-    for t in range(trials):
-        trial = sample_graph_record(n, q, p, seed, t, cap=cap, method=method)
-        if trial is None:
-            discarded += 1
-            continue
-        lam, capped = trial
-        capped_count += capped
-        counts[lam] += 1
+    for (parts, capped), k in outcomes.items():
+        counts[Partition(parts)] += k
+        capped_count += capped * k
 
     params = {"n": n, "q": fraction_str(q), "trials": trials, "seed": seed,
               "cap": cap, "method": method}
@@ -586,3 +618,7 @@ def tv_distance(d1: PartitionDistribution, d2: PartitionDistribution) -> Bounded
     half = acc * Fraction(1, 2)
     tail_bound = (d1.tail_mass.upper + d2.tail_mass.upper) / 2
     return BoundedReal(half.mid, half.rad + tail_bound)
+
+
+# Every name of the module and of ``Graph`` as bound at import; see _split_route.
+_OWN_GLOBALS, _OWN_GRAPH = dict(globals()), dict(vars(Graph))

@@ -129,6 +129,26 @@ def test_parts_counts_above_the_cap_exit_2_before_any_output(capsys, argv, error
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+def test_rationals_past_the_int_to_str_digit_limit_are_parsed(capsys):
+    big = "1" + "0" * 5000
+    code, out, err = run(capsys, ["sample", "--p", "2", "--trials", "3", "--seed", "1",
+                                  "--cutoff", f"1/{big}"])
+    assert (code, out, err) == (2, "", f"error: cutoff=1/{big} needs heights above the parts cap 64\n")
+    code, out, _ = run(capsys, ["graphs", "--n", "6", "--q", f"{big}/{big}0", "--p", "2",
+                                "--trials", "3", "--seed", "1"])
+    assert code == 0 and json.loads(out)["params"]["q"] == "1/10"
+
+
+def test_an_unparseable_rational_is_echoed_short(capsys):
+    code, out, err = run(capsys, ["sample", "--p", "2", "--trials", "3", "--seed", "1",
+                                  "--cutoff", "1/x" + "0" * 5000])
+    shown = "1/x" + "0" * 27 + "..." + "0" * 10
+    assert (code, out, err) == (
+        2, "", f"error: cannot parse rational '{shown}' (5003 characters; use a/b or an integer)\n")
+    code, _, err = run(capsys, ["sample", "--p", "2", "--trials", "3", "--seed", "1", "--cutoff", "1/x"])
+    assert (code, err) == (2, "error: cannot parse rational '1/x' (use a/b or an integer)\n")
+
+
 @pytest.mark.parametrize("argv, error", [
     (["pmf", "--measure", "size", "--n", "129"], "n=129 exceeds the series cap 128"),
     (["pmf", "--measure", "size", "--n", "100000"], "n=100000 exceeds the series cap 128"),

@@ -16,6 +16,7 @@ from clpart.qseries import (
     int_text,
     lower_numerators,
     odd_constant,
+    text_int,
     upper_numerators,
     verify_euler_identity,
     verify_qbinomial,
@@ -177,6 +178,18 @@ def test_int_text_past_the_int_to_str_digit_limit():
         assert fraction_str(Fraction(1, n)) == "1/" + text
     assert int_text(10**5000 + 7) == "1" + "0" * 4999 + "7"
     assert int_text(0) == "0"
+
+
+def test_text_int_inverts_int_text_past_the_digit_limit():
+    rng = random.Random(6)
+    for size in (1, 4300, 4301, 20000):
+        n = rng.randrange(10 ** (size - 1), 10**size) if size < 4300 else rng.getrandbits(size * 10 // 3)
+        text = int_text(n)
+        assert text_int(text) == n and text_int("-" + text) == -n and text_int("+" + text) == n
+    assert text_int("0" * 5000 + "7") == 7
+    for bad in ("", "+", "1/2", "1" * 5000 + "x", "x" + "1" * 5000, "1_" * 3000, "--" + "1" * 5000):
+        with pytest.raises(ValueError):
+            text_int(bad)
 
 
 def test_bounded_real_arithmetic_encloses_exact_results():
