@@ -45,11 +45,11 @@ from .measures import (
 )
 from .partitions import Partition
 from .qseries import (
+    as_fraction,
     even_numerators,
     fraction_str,
     kernel_numerators,
     require_prime,
-    text_int,
     verify_euler_identity,
     verify_qbinomial,
 )
@@ -65,15 +65,10 @@ from .sandpile import run_experiment
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """The rational ``text`` names: a/b, an integer or a decimal string.  A
-    side past Python's int-to-str digit limit is read by ``text_int``."""
+    """The rational ``text`` names (a/b, an integer or a decimal string), read
+    by ``as_fraction``, so a side may run past Python's int-to-str digit limit."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        pass
-    num, slash, den = text.strip().partition("/")
-    try:
-        return Fraction(text_int(num), text_int(den) if slash else 1)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError):
         hint = "use a/b or an integer"
         if len(text) > 60:  # echo its ends, not thousands of characters

@@ -37,13 +37,22 @@ MAX_EULER_TERMS = 128
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions, and "a/b" strings to Fraction."""
+    """Coerce ints, Fractions, and "a/b" strings to Fraction; each side of a
+    string a/b may run past Python's int-to-str digit limit (see text_int)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        text = x.strip()
+        try:
+            return Fraction(text)
+        except ValueError as exc:
+            num, slash, den = text.partition("/")
+            try:
+                return Fraction(text_int(num), text_int(den) if slash else 1)
+            except ValueError:
+                raise exc from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

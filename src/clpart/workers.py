@@ -46,18 +46,11 @@ def split_counts(count, units: int, workers: int) -> Counter:
     bounds = [units * i // workers for i in range(workers + 1)]
     children = []  # (pid, read end of its pipe), in range order
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(count, start, stop, read, write)
-            os.close(write)
-            children.append((pid, read))
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                children.append(_fork(count, start, stop))
+        except OSError as exc:  # out of processes, memory or file descriptors
+            raise RuntimeError(f"cannot start a worker process: {exc}") from exc
         total = Counter(count(0, bounds[1]))
         for pid, read in children:
             total.update(_receive(pid, read))
@@ -73,6 +66,22 @@ def split_counts(count, units: int, workers: int) -> Counter:
         for pid, read in children:
             os.close(read)
             os.waitpid(pid, 0)
+
+
+def _fork(count, start: int, stop: int) -> tuple[int, int]:
+    """Start a child that runs ``count(start, stop)``; its pid and the read
+    end of the pipe it writes to."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        _child(count, start, stop, read, write)
+    os.close(write)
+    return pid, read
 
 
 def _child(count, start: int, stop: int, read: int, write: int):
@@ -92,6 +101,8 @@ def _child(count, start: int, stop: int, read: int, write: int):
 
 
 def _pickled(exc: BaseException) -> bytes:
+    """The pickled exception, or a RuntimeError naming it where the exception
+    does not survive a pickle round trip."""
     import pickle
 
     try:

@@ -7,6 +7,7 @@ import pytest
 from clpart.partitions import Partition
 from clpart.qseries import (
     BoundedReal,
+    as_fraction,
     d_lambda,
     deformed_constant,
     even_numerators,
@@ -190,6 +191,10 @@ def test_text_int_inverts_int_text_past_the_digit_limit():
     for bad in ("", "+", "1/2", "1" * 5000 + "x", "x" + "1" * 5000, "1_" * 3000, "--" + "1" * 5000):
         with pytest.raises(ValueError):
             text_int(bad)
+    big = int_text(10**5000 + 1)
+    assert as_fraction(f" {big}/-{big}0 ") == Fraction(-1, 10) and as_fraction(big) == 10**5000 + 1
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        as_fraction(f"{big}/x")
 
 
 def test_bounded_real_arithmetic_encloses_exact_results():

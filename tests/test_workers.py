@@ -123,6 +123,21 @@ def test_a_failing_range_raises_in_the_caller(monkeypatch, in_worker):
     assert no_child_left()
 
 
+def test_a_failed_fork_is_an_internal_error_and_leaves_no_child(monkeypatch):
+    real, forks = os.fork, []
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(RuntimeError, match="^cannot start a worker process: "):
+        run_experiment(12, Fraction(1, 3), 2, 30, seed=4, _workers=3)
+    assert forks and no_child_left()
+
+
 @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ValueError, 2)])
 @pytest.mark.parametrize("argv", [
     ["graphs", "--n", "40", "--q", "1/2", "--p", "2", "--trials", "400", "--seed", "1"],
