@@ -43,9 +43,10 @@ from .measures import (
     deformed_series_check,
     truncated_series_check,
 )
-from .partitions import Partition
+from .partitions import Partition, require_int
 from .qseries import (
     as_fraction,
+    clipped,
     even_numerators,
     fraction_str,
     kernel_numerators,
@@ -70,10 +71,9 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError):
-        hint = "use a/b or an integer"
-        if len(text) > 60:  # echo its ends, not thousands of characters
-            text, hint = f"{text[:30]}...{text[-10:]}", f"{len(text)} characters; {hint}"
-        raise ValueError(f"cannot parse rational {text!r} ({hint})") from None
+        shown, length = clipped(text)
+        hint = "; ".join(filter(None, (length, "use a/b or an integer")))
+        raise ValueError(f"cannot parse rational {shown!r} ({hint})") from None
 
 
 # Chunks per written block: about 1 MiB of a pmf table's JSON, where each entry is two
@@ -333,10 +333,8 @@ def cmd_verify(args) -> int:
         raise ValueError("empty prime list")
     for p in primes:
         require_prime(p)
-    if args.depth < 1:
-        raise ValueError("depth must be >= 1")
-    if args.a_max < 0:
-        raise ValueError("a-max must be >= 0")
+    require_int(args.depth, "depth", 1)
+    require_int(args.a_max, "a-max", 0)
     if args.suite == "identities":
         return _run_checks(_identity_checks(primes, args.depth))
     if args.suite == "recursions":

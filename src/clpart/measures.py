@@ -142,7 +142,7 @@ def pmf_parts(a: int, p: int) -> MassValue:
         odd-constant / ( p^(a(a+1)/2) * (1-1/p)...(1-1/p^a) )
     """
     require_prime(p)
-    _require_parts_count("a", a)
+    require_int(a, "a", 0, MAX_PARTS, "parts")
     # p^(a(a+1)/2) (1-1/p)...(1-1/p^a) = (p-1)...(p^a-1) = L_a
     return MassValue(Fraction(1, lower_numerators(p, a)[a]), odd(p))
 
@@ -157,7 +157,7 @@ def pmf_size(n: int, p: int) -> MassValue:
     layers whose sizes this marginal sums.
     """
     require_prime(p)
-    _require_size(n, "n")
+    require_int(n, "n", 0, MAX_SERIES_SIZE, "series")
     evens = even_numerators(p, n // 2)
     total = sum(p ** (k * k) * (evens[-1] // even) for k, even in enumerate(evens))
     return MassValue(Fraction(total, evens[-1] * p**n), odd(p))
@@ -174,24 +174,6 @@ def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
     return MassValue(u**lam.size * _weight(lam, p), deformed(p, u))
 
 
-def _require_size(n: int, name: str, cap: int = MAX_SERIES_SIZE, what: str = "series") -> None:
-    """Check that the size called ``name`` is an int in [0, cap], ``what`` naming the cap."""
-    require_int(n, name)
-    if n < 0:
-        raise ValueError(f"{name} must be >= 0")
-    if n > cap:
-        raise ValueError(f"{name}={n} exceeds the {what} cap {cap}")
-
-
-def _require_parts_count(name: str, k: int, least: int = 0) -> None:
-    """Check that the parts count called ``name`` is an int in [least, MAX_PARTS]."""
-    require_int(k, name)
-    if k < least:
-        raise ValueError(f"{name} must be >= {least}")
-    if k > MAX_PARTS:
-        raise ValueError(f"{name}={k} exceeds the parts cap {MAX_PARTS}")
-
-
 def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
     """Mass of lam under the at-most-r-parts measure; fully exact, no constant:
 
@@ -200,7 +182,7 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
         * (1-1/p)...(1-1/p^r) / ( (1-1/p)...(1-1/p^(r-l(lam))) )
     """
     require_prime(p)
-    _require_parts_count("r", r, 1)
+    require_int(r, "r", 1, MAX_PARTS, "parts")
     if lam.length > r:
         raise ValueError(f"partition has {lam.length} parts, more than r={r}")
     return _weight(lam, p) * _truncated_factor(p, r, lam.length)
@@ -276,7 +258,7 @@ def solve_parts_recursion(p: int, a_max: int) -> list[MassValue]:
     pmf_parts); any discrepancy is an arithmetic bug, so it raises.
     """
     require_prime(p)
-    _require_parts_count("a_max", a_max)
+    require_int(a_max, "a_max", 0, MAX_PARTS, "parts")
     from_product = _parts_recursion_product_form(p, a_max)
     from_kernel = _parts_recursion_kernel_form(p, a_max)
     if from_product != from_kernel:
@@ -484,14 +466,14 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     needs r).  The tail enclosure covers everything outside the table.
     """
     require_prime(p)
-    _require_size(max_size, "max_size", ENUMERATION_CAP, "enumeration")
+    require_int(max_size, "max_size", 0, ENUMERATION_CAP, "enumeration")
     param, value, mass, tail = _measure(measure, u, r)
     if tail is None:
         raise ValueError(f"measure {measure!r} has no table; use cl")
     if param == "u":
         value = require_deformation(p, value)
     if param == "r":
-        _require_parts_count("r", r, 1)  # r < 1 would leave the table empty
+        require_int(r, "r", 1, MAX_PARTS, "parts")  # r < 1 would leave the table empty
 
     # An entry's rational is _weight's 1 / (p^e N) times the family's factor,
     # which depends on one statistic: none (cl), the size (deformed, u^|lam|)
@@ -555,7 +537,7 @@ def size_length_layers(p: int, max_size: int) -> dict:
     ``max_size`` must be an int in [0, MAX_SERIES_SIZE]; ValueError otherwise.
     """
     require_prime(p)
-    _require_size(max_size, "max_size")
+    require_int(max_size, "max_size", 0, MAX_SERIES_SIZE, "series")
     evens = even_numerators(p, max_size // 2)
     # M_a = prod_{i>=1} N_floor(a/2i): p^(2j) - 1 lies in N_floor(a/2i) for floor(a/2j) i's
     m = [prod(evens[a // (2 * i)] for i in range(1, a // 2 + 1)) for a in range(max_size + 1)]
@@ -615,7 +597,7 @@ def truncated_series_check(p: int, r: int, max_size: int):
     partial <= rhs <= partial + tail_bound.
     """
     require_prime(p)
-    _require_parts_count("r", r, 1)
+    require_int(r, "r", 1, MAX_PARTS, "parts")
     # (1+1/p)...(1+1/p^r); trailing(lam) = rhs * _truncated_factor(p, r, l(lam))
     rhs = Fraction(upper_numerators(p, r)[r], p ** (r * (r + 1) // 2))
     partial = rhs * sum(value * _truncated_factor(p, r, length)

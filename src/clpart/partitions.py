@@ -113,10 +113,20 @@ class Partition:
 _set_parts = Partition.parts.__set__
 
 
-def require_int(x, what: str) -> None:
-    """Raise ValueError unless x is an int; bool, float and Fraction are refused."""
+def require_int(x, what: str, least: int | None = None, cap: int | None = None,
+                kind: str = "") -> None:
+    """Raise ValueError unless x is an int in [least, cap]; bool, float and
+    Fraction are refused, and either bound may be None.  The messages name x
+    by ``what``, and a value above the cap names the cap by ``kind``.
+
+    This is the library's one check of a count, size, height or cap.
+    """
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{what} must be an int, got {x!r}")
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be >= {least}")
+    if cap is not None and x > cap:
+        raise ValueError(f"{what}={x} exceeds the {kind} cap {cap}")
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -126,11 +136,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     n must be an int, and is capped at ENUMERATION_CAP to keep exact
     arithmetic desk-scale.
     """
-    require_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    require_int(n, "n", 0, ENUMERATION_CAP, "enumeration")
     return _walk(n)
 
 

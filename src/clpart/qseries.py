@@ -93,6 +93,15 @@ def fraction_str(x: Fraction, digits=int_text) -> str:
     return f"{digits(x.numerator)}/{digits(x.denominator)}"
 
 
+def clipped(text: str) -> tuple[str, str]:
+    """``text`` as an error message echoes it, and a note on its length: a
+    text over 60 characters is shown by its first 30 and last 10 characters
+    and noted as "N characters"; a shorter one is shown whole, with no note."""
+    if len(text) <= 60:
+        return text, ""
+    return f"{text[:30]}...{text[-10:]}", f"{len(text)} characters"
+
+
 @dataclass(frozen=True)
 class BoundedReal:
     """A real number known to lie in [mid - rad, mid + rad].
@@ -232,8 +241,7 @@ def require_deformation(p: int, u) -> Fraction:
 
 def finite_qpoch(x, q, j: int) -> Fraction:
     """The finite q-Pochhammer product prod_{k=1}^{j} (1 - x q^(k-1)); j=0 gives 1."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
+    require_int(j, "j", 0)
     x, q = as_fraction(x), as_fraction(q)
     out = Fraction(1)
     power = Fraction(1)
@@ -412,11 +420,7 @@ def verify_euler_identity(s, q, terms: int) -> EulerCheck:
     s, q = as_fraction(s), as_fraction(q)
     if not (0 < q < 1 and 0 < s < 1):
         raise ValueError("need 0 < s < 1 and 0 < q < 1")
-    require_int(terms, "terms")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if terms > MAX_EULER_TERMS:
-        raise ValueError(f"terms={terms} exceeds the series depth cap {MAX_EULER_TERMS}")
+    require_int(terms, "terms", 1, MAX_EULER_TERMS, "series depth")
 
     lhs = Fraction(1)
     denom = Fraction(1)
@@ -460,8 +464,7 @@ def verify_qbinomial(r: int, q, x) -> QBinomialCheck:
 
     Both sides are exact rationals; ``agree`` is exact equality.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    require_int(r, "r", 1)
     q, x = as_fraction(q), as_fraction(x)
     lhs = Fraction(0)
     for s in range(r + 1):

@@ -39,17 +39,14 @@ DRAW_BLOCK = 1024
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer (avalanching bijection on 64-bit words).
+    """SplitMix64 finalizer (avalanching bijection on 64-bit words):
+    ``_mix_lanes`` on one lane.
 
-    ``SplitMix64.next_u64`` repeats these three lines inline, one Python call
-    per draw; a test pins the two copies to each other.  ``_mix_lanes``
-    applies them to many lanes of one int, and tests pin its users to
-    ``next_u64`` and ``substream``.
+    ``SplitMix64.next_u64`` repeats its three lines inline, one Python call
+    per draw; a test pins the two to each other, and tests pin the users of
+    ``_mix_lanes`` to ``next_u64`` and ``substream``.
     """
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
+    return _mix_lanes(z, MASK64)
 
 
 class SplitMix64:
@@ -79,13 +76,6 @@ def require_seed(seed: int) -> int:
     return seed
 
 
-def require_trials(trials: int) -> None:
-    """Raise ValueError unless the trial count is an int >= 1."""
-    require_int(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-
 @lru_cache(maxsize=8)
 def _lanes(count: int) -> tuple[int, int, int]:
     """For ``count`` 128-bit lanes: 1 in each, 2^64 - 1 in each, and
@@ -97,7 +87,7 @@ def _lanes(count: int) -> tuple[int, int, int]:
 
 
 def _mix_lanes(z: int, low: int) -> int:
-    """mix64 of the low 64 bits of every 128-bit lane of z, lane by lane.
+    """The SplitMix64 finalizer of the low 64 bits of every 128-bit lane of z.
 
     ``low`` holds 2^64 - 1 in each lane.  Each xor-shift is masked to the low
     64 bits of every lane, so a multiply by a 64-bit constant stays below
@@ -166,8 +156,7 @@ _mixed_seed = lru_cache(maxsize=16)(mix64)
 
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent stream for trial ``index`` under master ``seed``."""
-    if index < 0:
-        raise ValueError("index must be >= 0")
+    require_int(index, "index", 0)
     return SplitMix64(_mixed_seed(seed) ^ mix64((index + 1) * GOLDEN_GAMMA))
 
 
@@ -181,8 +170,7 @@ def substream_draws(seed: int, start: int, count: int, k: int) -> tuple[array, l
     (start+i+1)*GOLDEN_GAMMA, which ``_mix_lanes`` mixes as ``substream``
     does, and draw j is the mix of state + j*GOLDEN_GAMMA.
     """
-    if start < 0:
-        raise ValueError("index must be >= 0")
+    require_int(start, "start index", 0)
     ones, low, steps = _lanes(count)
     states = _mix_lanes(steps + (start * GOLDEN_GAMMA & MASK64) * ones, low)
     states ^= _mixed_seed(seed) * ones

@@ -43,14 +43,13 @@ from itertools import accumulate, repeat
 
 from .measures import MAX_PARTS, MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Partition, require_int
-from .qseries import as_fraction, fraction_str, kernel_numerators, require_prime
+from .qseries import as_fraction, clipped, fraction_str, kernel_numerators, require_prime
 from .rng import (
     DRAW_BLOCK,
     GOLDEN_GAMMA,
     SplitMix64,
     draw_threshold,
     require_seed,
-    require_trials,
     substream,
     substream_draws,
 )
@@ -106,19 +105,10 @@ def _require_cutoff(cutoff) -> Fraction:
     return cutoff
 
 
-def _require_height(a: int) -> None:
-    """Check that the column height a is an int in [0, MAX_PARTS]."""
-    require_int(a, "height a")
-    if a < 0:
-        raise ValueError(f"height a must be >= 0, got {a}")
-    if a > MAX_PARTS:
-        raise ValueError(f"height a={a} exceeds the parts cap {MAX_PARTS}")
-
-
 def kernel(a: int, b: int, p: int) -> Fraction:
     """Exact transition probability K(a, b) for 0 <= b <= a (see kernel_numerators)."""
     require_prime(p)
-    _require_height(a)
+    require_int(a, "height a", 0, MAX_PARTS, "parts")
     require_int(b, "b")
     if not (0 <= b <= a):
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
@@ -142,7 +132,7 @@ def kernel_row(a: int, p: int) -> KernelRow:
     C_b, the draw_threshold of the cumulative mass.
     """
     require_prime(p)
-    _require_height(a)
+    require_int(a, "height a", 0, MAX_PARTS, "parts")
     denominator = p ** (a * (a + 1) // 2)
     numerators = kernel_numerators(a, p)
     total = sum(numerators)
@@ -169,8 +159,9 @@ def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int
         if tail is not None and tail <= cutoff:
             return list(enumerate(values))
         if len(values) > MAX_PARTS:
-            raise ValueError(f"cutoff={fraction_str(cutoff)} needs heights above "
-                             f"the parts cap {MAX_PARTS}")
+            shown, length = clipped(fraction_str(cutoff))
+            shown += f" ({length})" if length else ""
+            raise ValueError(f"cutoff={shown} needs heights above the parts cap {MAX_PARTS}")
         values.append(pmf_parts(len(values), p))
 
 
@@ -290,7 +281,7 @@ def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]
     of (seed, t).  ``trials`` is checked when this is called, before any
     sample is drawn.
     """
-    require_trials(trials)
+    require_int(trials, "trials", 1)
     if _block_route():
         return map(_partition_of_columns, _block_columns(config, trials))
     return (sample_partition(config, substream(config.seed, t)) for t in range(trials))
@@ -301,24 +292,23 @@ def _column_counts(config: SamplerConfig, trials: int, start: int, stop: int) ->
     return Counter(_block_columns(config, min(stop * DRAW_BLOCK, trials), start * DRAW_BLOCK))
 
 
-def empirical_distribution(config: SamplerConfig, trials: int,
-                           _workers: int | None = None) -> PartitionDistribution:
+def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistribution:
     """Frequency table over the samples of ``sample_partitions(config, trials)``.
 
     The table is a pure function of (seed, trials), and merges of disjoint
     trial ranges agree with a single run.  On the block route it counts
-    column tuples, its whole blocks split across ``workers.split_counts``
-    (``_workers`` overrides the worker count, for tests), and builds each
-    distinct tuple's Partition once; distinct tuples are distinct
-    partitions, so the table is the one a ``Counter`` of the partitions
-    gives, in canonical order on either route and for any worker count.
+    column tuples, its whole blocks split across ``workers.split_counts``,
+    and builds each distinct tuple's Partition once; distinct tuples are
+    distinct partitions, so the table is the one a ``Counter`` of the
+    partitions gives, in canonical order on either route and for any worker
+    count.
     """
-    require_trials(trials)
+    require_int(trials, "trials", 1)
     if _block_route():
         blocks = -(-trials // DRAW_BLOCK)
         config._rows  # compiled here once, not in each worker
         columns = split_counts(partial(_column_counts, config, trials), blocks,
-                               _workers or worker_count(blocks, MIN_WORKER_BLOCKS))
+                               worker_count(blocks, MIN_WORKER_BLOCKS))
         counts = {_partition_of_columns(c): n for c, n in columns.items()}
     else:
         counts = Counter(sample_partitions(config, trials))

@@ -33,7 +33,7 @@ from functools import partial
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Partition, require_int
 from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
-from .rng import draw_threshold, draws_below, require_seed, require_trials, substream
+from .rng import draw_threshold, draws_below, require_seed, substream
 from .workers import split_counts, worker_count
 
 DEFAULT_VALUATION_CAP = 12  # p^12 exceeds any plausible invariant at desk scale
@@ -80,9 +80,7 @@ class Graph:
     __slots__ = ("n", "masks", "_edges")
 
     def __init__(self, n: int, edges):
-        require_int(n, "vertex count")
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        require_int(n, "vertex count", 1)
         masks = [0] * n
         for e in edges:
             u, v = e
@@ -166,7 +164,7 @@ def erdos_renyi(n: int, q, stream) -> Graph:
     of the stream state.  The draws are taken together by ``draws_below``,
     and their flags become the neighbour masks with no per-edge step.
     """
-    _require_vertices(n)
+    require_int(n, "n", 2, MAX_VERTICES, "vertex")
     q = as_fraction(q)
     if not (0 < q < 1):
         raise ValueError(f"edge probability must lie strictly in (0,1), got {q}")
@@ -284,22 +282,6 @@ def _non_divisible_entry(m, t, d):
     return None
 
 
-def _require_vertices(n: int) -> None:
-    require_int(n, "n")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n > MAX_VERTICES:
-        raise ValueError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
-
-
-def _require_cap(cap: int) -> None:
-    require_int(cap, "cap")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if cap > MAX_CAP:
-        raise ValueError(f"cap={cap} exceeds the valuation cap {MAX_CAP}")
-
-
 def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     """Partition of p-adic valuations of the Smith diagonal (reference route).
 
@@ -308,9 +290,8 @@ def p_sylow_partition(matrix, p: int, cap: int = DEFAULT_VALUATION_CAP):
     matrix raises: it means a disconnected graph slipped through upstream.
     """
     require_prime(p)
-    _require_cap(cap)
-    if len(matrix) > MAX_SNF_VERTICES:
-        raise ValueError(f"a {len(matrix)}-row matrix exceeds the SNF cap {MAX_SNF_VERTICES}")
+    require_int(cap, "cap", 1, MAX_CAP, "valuation")
+    require_int(len(matrix), "row count", cap=MAX_SNF_VERTICES, kind="SNF")
     diag = smith_normal_form(matrix)
     if any(d == 0 for d in diag):
         raise ValueError("singular matrix: sandpile group undefined (disconnected graph?)")
@@ -343,7 +324,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     divisor of a singular matrix.
     """
     require_prime(p)
-    _require_cap(cap)
+    require_int(cap, "cap", 1, MAX_CAP, "valuation")
     mod = p**cap
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -470,7 +451,7 @@ def two_sylow_partition(g: Graph, cap: int = DEFAULT_VALUATION_CAP) -> tuple[Par
     fixes them) or at t = cap, and Z[F] goes to one
     ``sylow_valuations_mod_prime_power`` call.
     """
-    _require_cap(cap)
+    require_int(cap, "cap", 1, MAX_CAP, "valuation")
     pivots, free, spare = _pivots_mod_2(g)
     if not free:
         return Partition(), False
@@ -496,14 +477,14 @@ def two_sylow_partition(g: Graph, cap: int = DEFAULT_VALUATION_CAP) -> tuple[Par
 
 def _require_trial_args(n: int, p: int, seed: int, cap: int, method: str) -> None:
     """The domain of a trial, checked whether or not its graph is connected."""
-    _require_vertices(n)
+    require_int(n, "n", 2, MAX_VERTICES, "vertex")
     require_prime(p)
     require_seed(seed)
-    _require_cap(cap)
+    require_int(cap, "cap", 1, MAX_CAP, "valuation")
     if method not in ("plocal", "snf"):
         raise ValueError(f"unknown method {method!r} (expected plocal or snf)")
-    if method == "snf" and n > MAX_SNF_VERTICES:
-        raise ValueError(f"n={n} exceeds the SNF vertex cap {MAX_SNF_VERTICES}")
+    if method == "snf":
+        require_int(n, "n", cap=MAX_SNF_VERTICES, kind="SNF vertex")
 
 
 def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEFAULT_VALUATION_CAP,
@@ -570,25 +551,22 @@ def _split_route() -> bool:
 
 
 def run_experiment(n: int, q, p: int, trials: int, seed: int,
-                   cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal",
-                   _workers: int | None = None) -> ExperimentResult:
+                   cap: int = DEFAULT_VALUATION_CAP, method: str = "plocal") -> ExperimentResult:
     """Sample graphs and tabulate p-Sylow partitions among connected ones.
 
     Deterministic given (seed, trial index); disconnected graphs are counted
     and skipped, so frequencies condition on connectivity.  The arguments are
     checked before the first trial, so a bad n, seed, cap or method is
     refused even when every graph would be disconnected.  The trials are
-    split across ``workers.split_counts`` (``_workers`` overrides the worker
-    count, for tests); the table is built from the summed counts in
-    canonical order, so it is the same for any worker count.
+    split across ``workers.split_counts``; the table is built from the summed
+    counts in canonical order, so it is the same for any worker count.
     """
     _require_trial_args(n, p, seed, cap, method)
-    require_trials(trials)
+    require_int(trials, "trials", 1)
     q = as_fraction(q)
-    if _workers is None:
-        min_trials = -(-MIN_WORKER_PAIRS // (n * (n - 1) // 2))
-        _workers = worker_count(trials, min_trials) if _split_route() else 1
-    outcomes = split_counts(partial(_outcome_counts, n, q, p, seed, cap, method), trials, _workers)
+    min_trials = -(-MIN_WORKER_PAIRS // (n * (n - 1) // 2))
+    workers = worker_count(trials, min_trials) if _split_route() else 1
+    outcomes = split_counts(partial(_outcome_counts, n, q, p, seed, cap, method), trials, workers)
     discarded = outcomes.pop(None, 0)
     counts = Counter()
     capped_count = 0

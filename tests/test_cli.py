@@ -122,7 +122,7 @@ def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
     (["verify", "--suite", "recursions", "--a-max", "65"], "a_max=65 exceeds the parts cap 64"),
     (["verify", "--suite", "chain", "--a-max", "65"], "a=65 exceeds the parts cap 64"),
     (["sample", "--trials", "3", "--seed", "1", "--cutoff", f"1/{10**1000}"],
-     f"cutoff=1/{10**1000} needs heights above the parts cap 64"),
+     f"cutoff=1/1{'0' * 27}...{'0' * 10} (1003 characters) needs heights above the parts cap 64"),
 ])
 def test_parts_counts_above_the_cap_exit_2_before_any_output(capsys, argv, error):
     code, out, err = run(capsys, [*argv, "--p", "2"])
@@ -133,7 +133,8 @@ def test_rationals_past_the_int_to_str_digit_limit_are_parsed(capsys):
     big = "1" + "0" * 5000
     code, out, err = run(capsys, ["sample", "--p", "2", "--trials", "3", "--seed", "1",
                                   "--cutoff", f"1/{big}"])
-    assert (code, out, err) == (2, "", f"error: cutoff=1/{big} needs heights above the parts cap 64\n")
+    shown = f"1/1{'0' * 27}...{'0' * 10} (5003 characters)"
+    assert (code, out, err) == (2, "", f"error: cutoff={shown} needs heights above the parts cap 64\n")
     code, out, _ = run(capsys, ["graphs", "--n", "6", "--q", f"{big}/{big}0", "--p", "2",
                                 "--trials", "3", "--seed", "1"])
     assert code == 0 and json.loads(out)["params"]["q"] == "1/10"

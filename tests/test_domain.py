@@ -1,8 +1,11 @@
 """Every public function that takes p enforces that p is prime; a graph's
 vertex count and labels, a partition size to enumerate, tabulate or sum the
-series to, a parts count and a kernel height are ints, and none is negative."""
+series to, a parts count, a kernel height, a trial count or index, a
+q-product length and a verify depth are ints, and none is below its least
+value."""
 
 import math
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
@@ -23,16 +26,19 @@ from clpart.measures import (
     tabulate,
     truncated_series_check,
 )
+from clpart.cli import cmd_verify
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import (
     MAX_EULER_TERMS,
     d_lambda,
     deformed_constant,
+    finite_qpoch,
     odd_constant,
     require_prime,
     verify_euler_identity,
+    verify_qbinomial,
 )
-from clpart.rng import substream
+from clpart.rng import substream, substream_draws
 from clpart.sampler import (
     SamplerConfig,
     empirical_distribution,
@@ -54,6 +60,12 @@ from clpart.sandpile import (
 
 LAM = Partition([2, 1])
 HALF = Fraction(1, 2)
+
+
+def verify_args(depth=40, a_max=30):
+    """The parsed arguments of ``verify --suite recursions --p 2``, with the
+    depth and a-max given, as the parser would pass them to cmd_verify."""
+    return Namespace(suite="recursions", p="2", depth=depth, a_max=a_max)
 
 CALLS = {
     "pmf": lambda p: pmf(LAM, p),
@@ -173,6 +185,7 @@ PARTS_COUNTS = {
 # name -> (argument, a call taking it): counts, seeds and primes outside the
 # size and parts families
 OTHER_INTS = {
+    "Graph": ("vertex count", lambda n: Graph(n, ())),
     "erdos_renyi": ("n", lambda n: erdos_renyi(n, HALF, substream(0, 0))),
     "run_experiment-n": ("n", lambda n: run_experiment(n, HALF, 2, 2, 0)),
     "run_experiment-trials": ("trials", lambda t: run_experiment(4, HALF, 2, t, 0)),
@@ -184,7 +197,18 @@ OTHER_INTS = {
     "SamplerConfig": ("seed", lambda s: SamplerConfig(2, seed=s)),
     "require_prime": ("p", require_prime),
     "verify_euler_identity": ("terms", lambda t: verify_euler_identity(HALF, HALF, t)),
+    "substream": ("index", lambda i: substream(0, i)),
+    "substream_draws": ("start index", lambda i: substream_draws(0, i, 3, 1)),
+    "finite_qpoch": ("j", lambda j: finite_qpoch(HALF, HALF, j)),
+    "verify_qbinomial": ("r", lambda r: verify_qbinomial(r, HALF, 1)),
+    "cmd_verify-depth": ("depth", lambda d: cmd_verify(verify_args(depth=d))),
+    "cmd_verify-a-max": ("a-max", lambda a: cmd_verify(verify_args(a_max=a))),
 }
+# name -> the least value of the OTHER_INTS argument, where it has one
+LEAST = {"Graph": 1, "erdos_renyi": 2, "run_experiment-n": 2, "run_experiment-trials": 1,
+         "run_experiment-cap": 1, "sample_partitions": 1, "empirical_distribution": 1,
+         "verify_euler_identity": 1, "substream": 0, "substream_draws": 0, "finite_qpoch": 0,
+         "verify_qbinomial": 1, "cmd_verify-depth": 1, "cmd_verify-a-max": 0}
 # name -> (argument, its cap, a call taking it)
 SERIES_DEPTHS = {
     "pmf_size": ("n", MAX_SERIES_SIZE, lambda n: pmf_size(n, 2)),
@@ -229,6 +253,14 @@ def test_counts_seeds_caps_and_primes_refuse_non_ints(name, x):
     require_prime(7)  # a cached 7 must not answer for 7.0
     with pytest.raises(ValueError, match=f"{what} must be an int"):
         call(x)
+
+
+@pytest.mark.parametrize("name", sorted(LEAST))
+def test_counts_below_their_least_value_are_refused(name):
+    (what, call), least = OTHER_INTS[name], LEAST[name]
+    for x in (least - 1, least - 5):
+        with pytest.raises(ValueError, match=f"^{what} must be >= {least}$"):
+            call(x)
 
 
 @pytest.mark.parametrize("name", sorted(SERIES_DEPTHS))

@@ -1,7 +1,8 @@
 """Trial ranges split across worker processes give the tables of one process.
 
-``_workers`` forces a worker count; without it the count comes from the
-CPU affinity set, which some tests replace to make a one-CPU host split.
+The worker count comes from the CPU affinity set: tests replace
+``os.sched_getaffinity`` to force 1, 2 or 3 workers on any host, and count
+the forks to see that the split happened.
 """
 
 import os
@@ -23,51 +24,69 @@ def no_child_left():
     return True
 
 
-def same_for_any_worker_count(build):
-    one = build(1)
+def with_cpus(monkeypatch, cpus):
+    """Make this process's affinity set hold ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def same_for_any_worker_count(monkeypatch, build):
+    """build() on 1, 2 and 3 CPUs: equal tables and bytes, with one fork per
+    worker after the first."""
+    real, forks = os.fork, []
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    with_cpus(monkeypatch, 1)
+    one = build()
     text = "".join(_dumps(one))
     for workers in (2, 3):
-        other = build(workers)
+        forks.clear()
+        with_cpus(monkeypatch, workers)
+        other = build()
+        assert len(forks) == workers - 1
         assert other == one
         assert "".join(_dumps(other)) == text
     return one
 
 
-@pytest.mark.parametrize("p, trials", [(2, 3 * DRAW_BLOCK + 77), (3, 2 * DRAW_BLOCK),
-                                       (2, DRAW_BLOCK - 1)])
-def test_sample_tables_do_not_depend_on_the_worker_count(p, trials):
-    # DRAW_BLOCK - 1 trials are one block: fewer work units than workers
+# 3 workers need 3 * MIN_WORKER_BLOCKS = 12 blocks
+@pytest.mark.parametrize("p, trials", [(2, 12 * DRAW_BLOCK + 77), (3, 12 * DRAW_BLOCK)])
+def test_sample_tables_do_not_depend_on_the_worker_count(monkeypatch, p, trials):
     config = SamplerConfig(p=p, seed=11)
-    table = same_for_any_worker_count(lambda w: empirical_distribution(config, trials, _workers=w))
+    table = same_for_any_worker_count(monkeypatch, lambda: empirical_distribution(config, trials))
     assert sum(table.counts.values()) == trials
     assert no_child_left()
 
 
-@pytest.mark.parametrize("p, method, trials", [(2, "plocal", 90), (3, "plocal", 60),
-                                               (2, "snf", 40), (2, "plocal", 2)])
-def test_graph_tables_do_not_depend_on_the_worker_count(p, method, trials):
-    def build(workers):
-        return run_experiment(12, Fraction(1, 3), p, trials, seed=4, method=method,
-                              _workers=workers)
+# 3 workers at n = 12 (66 pairs) need 3 * ceil(MIN_WORKER_PAIRS / 66) = 456 trials
+@pytest.mark.parametrize("p, method", [(2, "plocal"), (3, "plocal"), (2, "snf")])
+def test_graph_tables_do_not_depend_on_the_worker_count(monkeypatch, p, method):
+    def build():
+        return run_experiment(12, Fraction(1, 3), p, 456, seed=4, method=method)
 
-    result = same_for_any_worker_count(build)
-    assert sum(result.distribution.counts.values()) + result.discarded_disconnected == trials
+    result = same_for_any_worker_count(monkeypatch, build)
+    assert sum(result.distribution.counts.values()) + result.discarded_disconnected == 456
     assert no_child_left()
 
 
 def test_split_counts_ranges_cover_the_units_once():
     ranges = split_counts(lambda start, stop: {(start, stop): 1}, 10, 3)
     assert sorted(ranges) == [(0, 3), (3, 6), (6, 10)]
+    # fewer work units than workers
     assert split_counts(lambda start, stop: {(start, stop): 1}, 2, 3) == {(0, 1): 1, (1, 2): 1}
+    assert split_counts(lambda start, stop: {(start, stop): 1}, 1, 3) == {(0, 1): 1}
     assert no_child_left()
 
 
 def test_worker_count_follows_the_affinity_set_and_the_minimum(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with_cpus(monkeypatch, 3)
     assert worker_count(100, 10) == 3
     assert worker_count(25, 10) == 2
     assert worker_count(9, 10) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with_cpus(monkeypatch, 1)
     assert worker_count(100, 10) == 1
 
 
@@ -75,7 +94,7 @@ def test_one_cpu_forks_no_process(monkeypatch):
     def refuse():
         raise AssertionError("forked with one CPU")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", refuse)
     assert run_experiment(40, Fraction(1, 2), 2, 400, seed=5) is not None
     assert empirical_distribution(SamplerConfig(p=2, seed=5), 40 * DRAW_BLOCK) is not None
@@ -83,7 +102,7 @@ def test_one_cpu_forks_no_process(monkeypatch):
 
 def test_replaced_substream_keeps_every_graph_trial_in_process(monkeypatch):
     # 400 trials at n = 40 would split across the three CPUs set here
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with_cpus(monkeypatch, 3)
     assert sandpile._split_route()
     expected = run_experiment(40, Fraction(1, 2), 2, 400, seed=6)
     calls = []
@@ -114,12 +133,13 @@ def fail_where(monkeypatch, error, in_worker):
 
 @pytest.mark.parametrize("in_worker", [True, False])
 def test_a_failing_range_raises_in_the_caller(monkeypatch, in_worker):
+    with_cpus(monkeypatch, 3)
     fail_where(monkeypatch, ArithmeticError, in_worker)
     with pytest.raises(ArithmeticError, match="^broken on purpose$"):
-        run_experiment(20, Fraction(1, 2), 2, 60, seed=1, _workers=3)
+        run_experiment(12, Fraction(1, 3), 2, 456, seed=1)
     assert no_child_left()
     with pytest.raises(ArithmeticError, match="^broken on purpose$"):
-        empirical_distribution(SamplerConfig(p=2, seed=1), 3 * DRAW_BLOCK, _workers=3)
+        empirical_distribution(SamplerConfig(p=2, seed=1), 12 * DRAW_BLOCK)
     assert no_child_left()
 
 
@@ -133,8 +153,9 @@ def test_a_failed_fork_is_an_internal_error_and_leaves_no_child(monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", fork_once)
+    with_cpus(monkeypatch, 3)
     with pytest.raises(RuntimeError, match="^cannot start a worker process: "):
-        run_experiment(12, Fraction(1, 3), 2, 30, seed=4, _workers=3)
+        run_experiment(12, Fraction(1, 3), 2, 456, seed=4)
     assert forks and no_child_left()
 
 
@@ -144,7 +165,7 @@ def test_a_failed_fork_is_an_internal_error_and_leaves_no_child(monkeypatch):
     ["sample", "--p", "2", "--trials", str(40 * DRAW_BLOCK), "--seed", "1", "--summary"],
 ], ids=["graphs", "sample"])
 def test_a_worker_error_exits_as_in_one_process(capsys, monkeypatch, argv, error, code):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with_cpus(monkeypatch, 3)
     fail_where(monkeypatch, error, in_worker=True)
     assert main(argv) == code
     captured = capsys.readouterr()
