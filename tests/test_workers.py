@@ -29,9 +29,9 @@ def with_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-def same_for_any_worker_count(monkeypatch, build):
+def same_for_any_worker_count(monkeypatch, build, splits=True):
     """build() on 1, 2 and 3 CPUs: equal tables and bytes, with one fork per
-    worker after the first."""
+    worker after the first, or no fork where ``splits`` is false."""
     real, forks = os.fork, []
 
     def counted():
@@ -46,29 +46,35 @@ def same_for_any_worker_count(monkeypatch, build):
         forks.clear()
         with_cpus(monkeypatch, workers)
         other = build()
-        assert len(forks) == workers - 1
+        assert len(forks) == (workers - 1 if splits else 0)
         assert other == one
         assert "".join(_dumps(other)) == text
     return one
 
 
-# 3 workers need 3 * MIN_WORKER_BLOCKS = 12 blocks
-@pytest.mark.parametrize("p, trials", [(2, 12 * DRAW_BLOCK + 77), (3, 12 * DRAW_BLOCK)])
+# 3 workers need 3 * MIN_WORKER_BLOCKS = 12 blocks; under one block nothing splits
+@pytest.mark.parametrize("p, trials", [
+    (2, 12 * DRAW_BLOCK + 77), (3, 12 * DRAW_BLOCK), (2, DRAW_BLOCK - 1),
+])
 def test_sample_tables_do_not_depend_on_the_worker_count(monkeypatch, p, trials):
     config = SamplerConfig(p=p, seed=11)
-    table = same_for_any_worker_count(monkeypatch, lambda: empirical_distribution(config, trials))
+    table = same_for_any_worker_count(monkeypatch, lambda: empirical_distribution(config, trials),
+                                      splits=trials >= 12 * DRAW_BLOCK)
     assert sum(table.counts.values()) == trials
     assert no_child_left()
 
 
-# 3 workers at n = 12 (66 pairs) need 3 * ceil(MIN_WORKER_PAIRS / 66) = 456 trials
-@pytest.mark.parametrize("p, method", [(2, "plocal"), (3, "plocal"), (2, "snf")])
-def test_graph_tables_do_not_depend_on_the_worker_count(monkeypatch, p, method):
+# 3 workers at n = 12 (66 pairs) need 3 * ceil(MIN_WORKER_PAIRS / 66) = 456 trials;
+# 2 trials stay in one process on any CPU count
+@pytest.mark.parametrize("p, method, trials", [
+    (2, "plocal", 456), (3, "plocal", 456), (2, "snf", 456), (2, "plocal", 2),
+])
+def test_graph_tables_do_not_depend_on_the_worker_count(monkeypatch, p, method, trials):
     def build():
-        return run_experiment(12, Fraction(1, 3), p, 456, seed=4, method=method)
+        return run_experiment(12, Fraction(1, 3), p, trials, seed=4, method=method)
 
-    result = same_for_any_worker_count(monkeypatch, build)
-    assert sum(result.distribution.counts.values()) + result.discarded_disconnected == 456
+    result = same_for_any_worker_count(monkeypatch, build, splits=trials == 456)
+    assert sum(result.distribution.counts.values()) + result.discarded_disconnected == trials
     assert no_child_left()
 
 
