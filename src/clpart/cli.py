@@ -18,13 +18,15 @@ hashed on the way, and the file is renamed into place, then the manifest the
 same way, so a failed command leaves both files as they were.  Standard
 output gets the whole payload in one write, so a failed command prints none
 of it.
+
+Each command runs in a fresh process, so this module's imports are paid per
+command: ``hashlib`` is imported where a file is written and ``json`` where
+JSON is written, and ``verify``, which writes neither, loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from contextlib import suppress
@@ -89,6 +91,8 @@ def _atomic_write(path: str, blocks) -> str:
 
     On any error the temporary file is removed and ``path`` is left as it was.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -110,6 +114,8 @@ def _write_output(args, chunks, command: str, params: dict) -> None:
     if not args.output:
         sys.stdout.write("".join(chunks))
         return
+    import json
+
     chunks = iter(chunks)
     blocks = ("".join(chain((first,), islice(chunks, BLOCK_CHUNKS - 1))) for first in chunks)
     manifest = {
@@ -130,6 +136,8 @@ def _dumps(obj):
     are encoded by the encoder and its entries are written here, in the
     encoder's layout, as separator and text chunks.
     """
+    import json
+
     encoder = json.JSONEncoder(indent=2, sort_keys=True)
     if isinstance(obj, dict):
         yield from encoder.iterencode(obj)

@@ -11,10 +11,9 @@ enclosure is multiplied in only at the output boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions, require_int
 from .qseries import (
@@ -50,12 +49,32 @@ MAX_SERIES_SIZE = 128
 MAX_PARTS = 64
 
 
-@dataclass(frozen=True)
 class Constant:
-    """An infinite-product constant: its label (None for the exact 1) and enclosure."""
+    """An infinite-product constant: its label (None for the exact 1) and
+    enclosure.  Immutable, and equal when both fields are."""
 
-    name: str | None
-    enclosure: BoundedReal
+    __slots__ = ("name", "enclosure")
+
+    def __init__(self, name: str | None, enclosure: BoundedReal):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "enclosure", enclosure)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Constant is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Constant):
+            return NotImplemented
+        return self.name == other.name and self.enclosure == other.enclosure
+
+    def __hash__(self):
+        return hash((self.name, self.enclosure))
+
+    def __repr__(self):
+        return f"Constant(name={self.name!r}, enclosure={self.enclosure!r})"
+
+    def __reduce__(self):
+        return Constant, (self.name, self.enclosure)
 
     def __str__(self):
         if self.name is None:
@@ -78,15 +97,32 @@ def deformed(p: int, u: Fraction) -> Constant:
     return Constant(f"deformed(p={p}, u={u})", deformed_constant(p, u))
 
 
-@dataclass(frozen=True)
 class MassValue:
-    """A probability mass: ``constant`` times an exact rational part."""
+    """A probability mass: ``constant`` times an exact rational part.
+    Immutable, and equal when both fields are."""
 
-    rational: Fraction
-    constant: Constant = EXACT
+    __slots__ = ("rational", "constant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rational", as_fraction(self.rational))
+    def __init__(self, rational, constant: Constant = EXACT):
+        object.__setattr__(self, "rational", as_fraction(rational))
+        object.__setattr__(self, "constant", constant)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a MassValue is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, MassValue):
+            return NotImplemented
+        return self.rational == other.rational and self.constant == other.constant
+
+    def __hash__(self):
+        return hash((self.rational, self.constant))
+
+    def __repr__(self):
+        return f"MassValue(rational={self.rational!r}, constant={self.constant!r})"
+
+    def __reduce__(self):
+        return MassValue, (self.rational, self.constant)
 
     def enclosure(self) -> BoundedReal:
         """The numeric mass, as constant enclosure times the rational part."""
@@ -308,7 +344,6 @@ def truncated_tail_bound(p: int, max_size: int) -> Fraction:
     return inverse_odd_constant_upper(p) * size_tail_bound(p, max_size)
 
 
-@dataclass
 class PartitionDistribution:
     """A table partition -> mass, plus the mass provably outside the table.
 
@@ -318,16 +353,37 @@ class PartitionDistribution:
     the outputs list them as they are.  ``tail_mass`` is a rigorous enclosure
     of the un-enumerated mass computed from analytic bounds, never from
     1 - (table total): normalization checks stay meaningful.  ``counts`` is
-    set on empirical tables only.
+    set on empirical tables only.  Tables are equal when every field is, and
+    are not hashable.
     """
 
-    p: int
-    measure: str
-    params: dict = field(default_factory=dict)
-    entries: dict[Partition, Fraction] = field(default_factory=dict)
-    constant: Constant = EXACT
-    tail_mass: BoundedReal = field(default_factory=lambda: BoundedReal.exact(0))
-    counts: dict[Partition, int] | None = None
+    __slots__ = _FIELDS = ("p", "measure", "params", "entries", "constant", "tail_mass",
+                           "counts")
+
+    def __init__(self, p: int, measure: str, params: dict | None = None,
+                 entries: dict[Partition, Fraction] | None = None, constant: Constant = EXACT,
+                 tail_mass: BoundedReal | None = None, counts: dict[Partition, int] | None = None):
+        self.p = p
+        self.measure = measure
+        self.params = {} if params is None else params
+        self.entries = {} if entries is None else entries
+        self.constant = constant
+        self.tail_mass = BoundedReal(0) if tail_mass is None else tail_mass
+        self.counts = counts
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionDistribution):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"PartitionDistribution({fields})"
 
     def _rendered(self, render):
         """(partition, render(mass enclosure)) in the entries' canonical order.
@@ -350,14 +406,16 @@ class PartitionDistribution:
         """Enclosure of the summed entry masses (tail not included).
 
         The rationals are summed exactly first, each distinct one once times
-        its multiplicity, so the enclosure is as tight as the constant's own.
+        its multiplicity, as integers over the lcm of their denominators, so
+        the enclosure is as tight as the constant's own.
         """
         multiplicity = {}
         for r in self.entries.values():
             key = (r.numerator, r.denominator)
             multiplicity[key] = multiplicity.get(key, 0) + 1
-        total = sum(Fraction(num * m, den) for (num, den), m in multiplicity.items())
-        return self.constant.enclosure * total
+        common = lcm(*(den for _, den in multiplicity))
+        total = sum(num * m * (common // den) for (num, den), m in multiplicity.items())
+        return self.constant.enclosure * Fraction(total, common)
 
     def normalization_enclosure(self) -> BoundedReal:
         return self.total_enclosure() + self.tail_mass

@@ -15,12 +15,11 @@ applied to the omitted factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import NamedTuple
 
 from .partitions import Partition, require_int
 
@@ -34,6 +33,12 @@ DEFAULT_TOLERANCE = Fraction(1, 10**30)
 # s = 1/p, q = 1/p^2, 128 terms took 0.05 / 0.08 / 0.25 / 0.87 s at p = 2 / 3 / 7 / 101,
 # 200 terms 0.27 s at p = 2 and 1.4 s at p = 7 (min of 3, Python 3.11.7, 2 vCPUs).
 MAX_EULER_TERMS = 128
+
+# Largest r verify_qbinomial accepts (the degree in x of both sides).  At q = 1/p,
+# x = 1 or 2, r = 64 took 0.06-0.08 / 0.09-0.11 / 0.21 s at p = 2 / 7 / 101, and
+# r = 128 took 0.37 / 1.1 / 4.1 s (in process, min of 3, Python 3.11.7, 2 vCPUs);
+# the time grows about 7x per doubling of r.  verify asks for r <= 5.
+MAX_QBINOMIAL_DEGREE = 64
 
 
 def as_fraction(x) -> Fraction:
@@ -102,22 +107,39 @@ def clipped(text: str) -> tuple[str, str]:
     return f"{text[:30]}...{text[-10:]}", f"{len(text)} characters"
 
 
-@dataclass(frozen=True)
 class BoundedReal:
     """A real number known to lie in [mid - rad, mid + rad].
 
     Arithmetic produces enclosures of the exact results; operations never
-    silently drop error.  Rationals embed exactly with rad = 0.
+    silently drop error.  Rationals embed exactly with rad = 0.  Immutable,
+    and equal (and hashed alike) when mid and rad are.
     """
 
-    mid: Fraction
-    rad: Fraction = Fraction(0)
+    __slots__ = ("mid", "rad")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mid", as_fraction(self.mid))
-        object.__setattr__(self, "rad", as_fraction(self.rad))
-        if self.rad < 0:
+    def __init__(self, mid, rad=Fraction(0)):
+        mid, rad = as_fraction(mid), as_fraction(rad)
+        if rad < 0:
             raise ValueError("radius must be >= 0")
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "rad", rad)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a BoundedReal is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundedReal):
+            return NotImplemented
+        return self.mid == other.mid and self.rad == other.rad
+
+    def __hash__(self):
+        return hash((self.mid, self.rad))
+
+    def __repr__(self):
+        return f"BoundedReal(mid={self.mid!r}, rad={self.rad!r})"
+
+    def __reduce__(self):
+        return BoundedReal, (self.mid, self.rad)
 
     @classmethod
     def exact(cls, x) -> "BoundedReal":
@@ -400,11 +422,7 @@ def gaussian_binomial(r: int, s: int, q) -> Fraction:
     return num / den
 
 
-class EulerCheck(NamedTuple):
-    lhs: Fraction
-    rhs: BoundedReal
-    agree: bool
-    truncation_bound: Fraction
+EulerCheck = namedtuple("EulerCheck", "lhs rhs agree truncation_bound")
 
 
 def verify_euler_identity(s, q, terms: int) -> EulerCheck:
@@ -453,18 +471,16 @@ def _euler_product_reciprocal(s: Fraction, q: Fraction, tolerance: Fraction) -> 
     return _enclose_product(s, q, accept)
 
 
-class QBinomialCheck(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    agree: bool
+QBinomialCheck = namedtuple("QBinomialCheck", "lhs rhs agree")
 
 
 def verify_qbinomial(r: int, q, x) -> QBinomialCheck:
     """Check sum_{s=0}^r [r choose s]_q q^(s(s+1)/2) x^s = (1+xq)(1+xq^2)...(1+xq^r).
 
-    Both sides are exact rationals; ``agree`` is exact equality.
+    Both sides are exact rationals; ``agree`` is exact equality.  r is
+    capped at MAX_QBINOMIAL_DEGREE.
     """
-    require_int(r, "r", 1)
+    require_int(r, "r", 1, MAX_QBINOMIAL_DEGREE, "series degree")
     q, x = as_fraction(q), as_fraction(x)
     lhs = Fraction(0)
     for s in range(r + 1):

@@ -36,7 +36,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, repeat
@@ -74,16 +73,35 @@ CHAIN_DRAWS = 4
 MIN_WORKER_BLOCKS = 4
 
 
-@dataclass(frozen=True)
 class SamplerConfig:
-    p: int
-    seed: int
-    initial_tail_cutoff: Fraction = DEFAULT_CUTOFF
+    """The chain's prime, seed and initial-column tail cutoff.  Immutable, and
+    equal (and hashed alike) when the three are; the selector and kernel rows
+    are compiled on first use, once per config."""
 
-    def __post_init__(self):
-        require_prime(self.p)
-        require_seed(self.seed)
-        object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(self.initial_tail_cutoff))
+    def __init__(self, p: int, seed: int, initial_tail_cutoff=DEFAULT_CUTOFF):
+        require_prime(p)
+        require_seed(seed)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(initial_tail_cutoff))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a SamplerConfig is immutable")
+
+    def _values(self) -> tuple:
+        return self.p, self.seed, self.initial_tail_cutoff
+
+    def __eq__(self, other):
+        if not isinstance(other, SamplerConfig):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"SamplerConfig(p={self.p!r}, seed={self.seed!r}, "
+                f"initial_tail_cutoff={self.initial_tail_cutoff!r})")
 
     @cached_property
     def _selector(self) -> tuple[int, ...]:
@@ -115,12 +133,33 @@ def kernel(a: int, b: int, p: int) -> Fraction:
     return Fraction(kernel_numerators(a, p)[b], p ** (a * (a + 1) // 2))
 
 
-@dataclass(frozen=True)
 class KernelRow:
-    """One row of the kernel: exact masses for b = 0..a, plus selection data."""
+    """One row of the kernel: exact masses for b = 0..a, plus selection data
+    (``thresholds``, the draw_threshold of each cumulative mass).  Immutable,
+    and equal when both fields are."""
 
-    masses: tuple[Fraction, ...]
-    thresholds: tuple[int, ...]  # draw_threshold of each cumulative mass
+    __slots__ = ("masses", "thresholds")
+
+    def __init__(self, masses: tuple[Fraction, ...], thresholds: tuple[int, ...]):
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "thresholds", thresholds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a KernelRow is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, KernelRow):
+            return NotImplemented
+        return self.masses == other.masses and self.thresholds == other.thresholds
+
+    def __hash__(self):
+        return hash((self.masses, self.thresholds))
+
+    def __repr__(self):
+        return f"KernelRow(masses={self.masses!r}, thresholds={self.thresholds!r})"
+
+    def __reduce__(self):
+        return KernelRow, (self.masses, self.thresholds)
 
 
 @lru_cache(maxsize=None, typed=True)

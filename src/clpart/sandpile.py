@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -509,11 +508,32 @@ def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEF
     return route(reduced_laplacian(g), p, cap)
 
 
-@dataclass
 class ExperimentResult:
-    distribution: PartitionDistribution
-    discarded_disconnected: int
-    capped_count: int
+    """A graph experiment's table and its tallies of disconnected graphs
+    discarded and of capped valuations.  Results are equal when all three
+    are, and are not hashable."""
+
+    __slots__ = ("distribution", "discarded_disconnected", "capped_count")
+
+    def __init__(self, distribution: PartitionDistribution, discarded_disconnected: int,
+                 capped_count: int):
+        self.distribution = distribution
+        self.discarded_disconnected = discarded_disconnected
+        self.capped_count = capped_count
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentResult):
+            return NotImplemented
+        return (self.distribution == other.distribution
+                and self.discarded_disconnected == other.discarded_disconnected
+                and self.capped_count == other.capped_count)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"ExperimentResult(distribution={self.distribution!r}, "
+                f"discarded_disconnected={self.discarded_disconnected!r}, "
+                f"capped_count={self.capped_count!r})")
 
     def _tallies(self) -> dict:
         return {"discarded_disconnected": self.discarded_disconnected,

@@ -1,6 +1,8 @@
 import json
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -544,3 +546,23 @@ def test_run_checks_exit_codes(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cold_start_imports_and_output_modules(tmp_path):
+    # python -S keeps the host's site (a .pth file may preload typing) out
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from clpart.cli import main
+loaded = lambda *names: [name for name in names if name in sys.modules]
+seen = [loaded("dataclasses", "inspect", "typing")]
+assert main(["verify", "--suite", "chain", "--p", "2", "--a-max", "5"]) == 0
+seen.append(loaded("hashlib", "json"))
+assert main(["pmf", "--measure", "cl", "--p", "2", "--max-size", "4", "--output", sys.argv[2]]) == 0
+seen.append(loaded("hashlib", "json"))
+print(seen)
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", script, src, str(tmp_path / "t.json")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[[], [], ['hashlib', 'json']]"

@@ -30,6 +30,7 @@ from clpart.cli import cmd_verify
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import (
     MAX_EULER_TERMS,
+    MAX_QBINOMIAL_DEGREE,
     d_lambda,
     deformed_constant,
     finite_qpoch,
@@ -215,6 +216,7 @@ SERIES_DEPTHS = {
     "size_length_layers": ("max_size", MAX_SERIES_SIZE, lambda n: size_length_layers(2, n)),
     "verify_euler_identity": ("terms", MAX_EULER_TERMS,
                               lambda t: verify_euler_identity(HALF, HALF, t)),
+    "verify_qbinomial": ("r", MAX_QBINOMIAL_DEGREE, lambda r: verify_qbinomial(r, HALF, 1)),
 }
 HEIGHTS = {
     "kernel": lambda a: kernel(a, 0, 2),
@@ -274,6 +276,7 @@ def test_series_sizes_and_depths_above_their_caps_are_refused(name):
 def test_series_sizes_and_depths_at_their_caps_are_accepted():
     assert pmf_size(MAX_SERIES_SIZE, 2).rational > 0
     assert verify_euler_identity(HALF, HALF, MAX_EULER_TERMS).agree
+    assert verify_qbinomial(MAX_QBINOMIAL_DEGREE, HALF, 1).agree
 
 
 @pytest.mark.parametrize("a", [*NOT_INTS, -1, -2],

@@ -391,6 +391,16 @@ def test_distribution_total_groups_by_constant():
     assert abs(total.mid - enc.mid) <= total.rad + enc.rad
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_distribution_total_is_the_plain_fraction_sum(p):
+    # total_enclosure sums over the lcm of the denominators; this is the oracle
+    for dist in (tabulate(p, 16), tabulate(p, 16, "deformed", u=Fraction(1, 2)),
+                 tabulate(p, 16, "truncated", r=3), tabulate(p, 0)):
+        plain = sum(dist.entries.values(), Fraction(0))
+        assert dist.total_enclosure() == dist.constant.enclosure * plain
+    assert measures.PartitionDistribution(p, "empty").total_enclosure() == BoundedReal(0)
+
+
 def test_table_outputs_read_the_constant_once_per_table(monkeypatch):
     dist = tabulate(2, 8)
     assert dist.constant is pmf(Partition(), 2).constant
