@@ -2,8 +2,9 @@
 
 Exact-arithmetic implementations of the limiting p-Sylow partition measure
 and its deformed and truncated relatives, a Markov-chain sampler for the base
-measure, and a random-graph experiment harness that extracts p-Sylow
-partitions from reduced Laplacians via Smith normal form.
+measure, and a random-graph experiment harness that reads p-Sylow partitions
+of sandpile groups by elimination mod p^cap (at p = 2 from a mod-2 pass and a
+Schur complement), with integer Smith normal form as the reference route.
 """
 
 from .partitions import Partition, enumerate_partitions

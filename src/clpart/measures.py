@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 
-from .partitions import ENUMERATION_CAP, Partition, enumerate_partitions, require_int
+from .partitions import (ENUMERATION_CAP, Frozen, Partition, Record, enumerate_partitions,
+                         require_int)
 from .qseries import (
     BoundedReal,
     as_fraction,
@@ -49,32 +50,15 @@ MAX_SERIES_SIZE = 128
 MAX_PARTS = 64
 
 
-class Constant:
+class Constant(Frozen):
     """An infinite-product constant: its label (None for the exact 1) and
     enclosure.  Immutable, and equal when both fields are."""
 
-    __slots__ = ("name", "enclosure")
+    __slots__ = _fields = ("name", "enclosure")
 
     def __init__(self, name: str | None, enclosure: BoundedReal):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "enclosure", enclosure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a Constant is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Constant):
-            return NotImplemented
-        return self.name == other.name and self.enclosure == other.enclosure
-
-    def __hash__(self):
-        return hash((self.name, self.enclosure))
-
-    def __repr__(self):
-        return f"Constant(name={self.name!r}, enclosure={self.enclosure!r})"
-
-    def __reduce__(self):
-        return Constant, (self.name, self.enclosure)
 
     def __str__(self):
         if self.name is None:
@@ -97,32 +81,15 @@ def deformed(p: int, u: Fraction) -> Constant:
     return Constant(f"deformed(p={p}, u={u})", deformed_constant(p, u))
 
 
-class MassValue:
+class MassValue(Frozen):
     """A probability mass: ``constant`` times an exact rational part.
     Immutable, and equal when both fields are."""
 
-    __slots__ = ("rational", "constant")
+    __slots__ = _fields = ("rational", "constant")
 
     def __init__(self, rational, constant: Constant = EXACT):
         object.__setattr__(self, "rational", as_fraction(rational))
         object.__setattr__(self, "constant", constant)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a MassValue is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MassValue):
-            return NotImplemented
-        return self.rational == other.rational and self.constant == other.constant
-
-    def __hash__(self):
-        return hash((self.rational, self.constant))
-
-    def __repr__(self):
-        return f"MassValue(rational={self.rational!r}, constant={self.constant!r})"
-
-    def __reduce__(self):
-        return MassValue, (self.rational, self.constant)
 
     def enclosure(self) -> BoundedReal:
         """The numeric mass, as constant enclosure times the rational part."""
@@ -344,7 +311,7 @@ def truncated_tail_bound(p: int, max_size: int) -> Fraction:
     return inverse_odd_constant_upper(p) * size_tail_bound(p, max_size)
 
 
-class PartitionDistribution:
+class PartitionDistribution(Record):
     """A table partition -> mass, plus the mass provably outside the table.
 
     Every entry's mass is ``constant`` times its exact rational in
@@ -357,7 +324,7 @@ class PartitionDistribution:
     are not hashable.
     """
 
-    __slots__ = _FIELDS = ("p", "measure", "params", "entries", "constant", "tail_mass",
+    __slots__ = _fields = ("p", "measure", "params", "entries", "constant", "tail_mass",
                            "counts")
 
     def __init__(self, p: int, measure: str, params: dict | None = None,
@@ -370,20 +337,6 @@ class PartitionDistribution:
         self.constant = constant
         self.tail_mass = BoundedReal(0) if tail_mass is None else tail_mass
         self.counts = counts
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionDistribution):
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
-        return f"PartitionDistribution({fields})"
 
     def _rendered(self, render):
         """(partition, render(mass enclosure)) in the entries' canonical order.

@@ -2,7 +2,9 @@
 
 A partition is a weakly decreasing tuple of positive integers.  Everything
 downstream (measures, sampler, sandpile experiments) works with these values,
-so they are immutable and hashable.
+so they are immutable and hashable.  The module also holds the library's
+shared rules: ``Record`` and ``Frozen``, the one record protocol of its value
+classes, and ``require_int``, its one bounded-int check.
 """
 
 from __future__ import annotations
@@ -14,14 +16,60 @@ from operator import index, neg
 ENUMERATION_CAP = 60
 
 
-class Partition:
+class Record:
+    """A value named by its fields: ``_fields`` lists the constructor's
+    parameters in order.  Records of one type are equal when their fields
+    are, print like a dataclass, pickle and copy through the constructor
+    (so its checks run again), and are not hashable.
+
+    This is the library's one record protocol; every value class derives
+    from Record or Frozen.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = zip(self._fields, self._values())
+        return f"{type(self).__name__}({', '.join([f'{name}={value!r}' for name, value in fields])})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Frozen(Record):
+    """An immutable Record, hashed by its fields; its constructor sets them
+    through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+
+class Partition(Frozen):
     """Weakly decreasing positive integer parts; ``Partition()`` is empty.
 
     Parts are taken through ``operator.index``, so a float or Fraction part
-    raises TypeError instead of being truncated.
+    raises TypeError instead of being truncated.  Its own ``==``, hash and
+    ``repr`` skip the Record protocol's field walk, since every table and
+    Counter keys on partitions.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = _fields = ("parts",)
 
     def __init__(self, parts=()):
         parts = tuple(map(index, parts))
@@ -31,9 +79,6 @@ class Partition:
             if i > 0 and parts[i - 1] < x:
                 raise ValueError(f"parts must be weakly decreasing: {list(parts)}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     @property
     def size(self) -> int:

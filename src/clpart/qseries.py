@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .partitions import Partition, require_int
+from .partitions import Frozen, Partition, require_int
 
 # Hard cap on adaptive truncation depth, so a pathological tolerance fails
 # loudly instead of looping.
@@ -107,7 +107,7 @@ def clipped(text: str) -> tuple[str, str]:
     return f"{text[:30]}...{text[-10:]}", f"{len(text)} characters"
 
 
-class BoundedReal:
+class BoundedReal(Frozen):
     """A real number known to lie in [mid - rad, mid + rad].
 
     Arithmetic produces enclosures of the exact results; operations never
@@ -115,7 +115,7 @@ class BoundedReal:
     and equal (and hashed alike) when mid and rad are.
     """
 
-    __slots__ = ("mid", "rad")
+    __slots__ = _fields = ("mid", "rad")
 
     def __init__(self, mid, rad=Fraction(0)):
         mid, rad = as_fraction(mid), as_fraction(rad)
@@ -123,23 +123,6 @@ class BoundedReal:
             raise ValueError("radius must be >= 0")
         object.__setattr__(self, "mid", mid)
         object.__setattr__(self, "rad", rad)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a BoundedReal is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundedReal):
-            return NotImplemented
-        return self.mid == other.mid and self.rad == other.rad
-
-    def __hash__(self):
-        return hash((self.mid, self.rad))
-
-    def __repr__(self):
-        return f"BoundedReal(mid={self.mid!r}, rad={self.rad!r})"
-
-    def __reduce__(self):
-        return BoundedReal, (self.mid, self.rad)
 
     @classmethod
     def exact(cls, x) -> "BoundedReal":

@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 
 from .measures import MAX_PARTS, MassValue, PartitionDistribution, frequency_table, pmf_parts
-from .partitions import Partition, require_int
+from .partitions import Frozen, Partition, require_int
 from .qseries import as_fraction, clipped, fraction_str, kernel_numerators, require_prime
 from .rng import (
     DRAW_BLOCK,
@@ -73,10 +73,12 @@ CHAIN_DRAWS = 4
 MIN_WORKER_BLOCKS = 4
 
 
-class SamplerConfig:
+class SamplerConfig(Frozen):
     """The chain's prime, seed and initial-column tail cutoff.  Immutable, and
     equal (and hashed alike) when the three are; the selector and kernel rows
-    are compiled on first use, once per config."""
+    are compiled on first use, once per config, into its ``__dict__``."""
+
+    _fields = ("p", "seed", "initial_tail_cutoff")
 
     def __init__(self, p: int, seed: int, initial_tail_cutoff=DEFAULT_CUTOFF):
         require_prime(p)
@@ -84,24 +86,6 @@ class SamplerConfig:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "initial_tail_cutoff", _require_cutoff(initial_tail_cutoff))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a SamplerConfig is immutable")
-
-    def _values(self) -> tuple:
-        return self.p, self.seed, self.initial_tail_cutoff
-
-    def __eq__(self, other):
-        if not isinstance(other, SamplerConfig):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (f"SamplerConfig(p={self.p!r}, seed={self.seed!r}, "
-                f"initial_tail_cutoff={self.initial_tail_cutoff!r})")
 
     @cached_property
     def _selector(self) -> tuple[int, ...]:
@@ -133,33 +117,16 @@ def kernel(a: int, b: int, p: int) -> Fraction:
     return Fraction(kernel_numerators(a, p)[b], p ** (a * (a + 1) // 2))
 
 
-class KernelRow:
+class KernelRow(Frozen):
     """One row of the kernel: exact masses for b = 0..a, plus selection data
     (``thresholds``, the draw_threshold of each cumulative mass).  Immutable,
     and equal when both fields are."""
 
-    __slots__ = ("masses", "thresholds")
+    __slots__ = _fields = ("masses", "thresholds")
 
     def __init__(self, masses: tuple[Fraction, ...], thresholds: tuple[int, ...]):
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "thresholds", thresholds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a KernelRow is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, KernelRow):
-            return NotImplemented
-        return self.masses == other.masses and self.thresholds == other.thresholds
-
-    def __hash__(self):
-        return hash((self.masses, self.thresholds))
-
-    def __repr__(self):
-        return f"KernelRow(masses={self.masses!r}, thresholds={self.thresholds!r})"
-
-    def __reduce__(self):
-        return KernelRow, (self.masses, self.thresholds)
 
 
 @lru_cache(maxsize=None, typed=True)

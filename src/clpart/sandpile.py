@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 
 from .measures import PartitionDistribution, frequency_table
-from .partitions import Partition, require_int
+from .partitions import Frozen, Partition, Record, require_int
 from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
 from .rng import draw_threshold, draws_below, require_seed, substream
 from .workers import split_counts, worker_count
@@ -68,15 +68,17 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _NEGATED = bytes.maketrans(b"01", b"\x00\xff")
 
 
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph on vertices 0..n-1, held as neighbour masks.
 
     Bit v of ``masks[u]`` is set iff {u, v} is an edge.  ``edges``, the
     frozenset of pairs u < v, is derived from the masks on first access.
-    Graphs are equal, and hash alike, when they have the same n and edges.
+    Graphs are equal, and hash alike, when they have the same n and edges
+    (so the same masks); they pickle and copy through ``Graph(n, edges)``.
     """
 
     __slots__ = ("n", "masks", "_edges")
+    _fields = ("n", "masks")
 
     def __init__(self, n: int, edges):
         require_int(n, "vertex count", 1)
@@ -128,19 +130,11 @@ class Graph:
                 (u, v) for u, m in enumerate(self.masks) for v in range(u + 1, self.n) if m >> v & 1))
         return self._edges
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a Graph is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.masks == other.masks
-
-    def __hash__(self):
-        return hash((self.n, self.masks))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     def is_connected(self) -> bool:
         """Search from vertex 0, taking the lowest unvisited frontier vertex's mask per step."""
@@ -180,6 +174,7 @@ def reduced_laplacian(g: Graph, root: int | None = None) -> list[list[int]]:
     """
     if root is None:
         root = g.n - 1
+    require_int(root, "root")
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} outside vertex range")
     n, masks = g.n, g.masks
@@ -324,6 +319,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     """
     require_prime(p)
     require_int(cap, "cap", 1, MAX_CAP, "valuation")
+    require_int(len(matrix), "row count", cap=MAX_VERTICES, kind="vertex")
     mod = p**cap
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -508,32 +504,18 @@ def sample_graph_record(n: int, q, p: int, seed: int, trial: int, cap: int = DEF
     return route(reduced_laplacian(g), p, cap)
 
 
-class ExperimentResult:
+class ExperimentResult(Record):
     """A graph experiment's table and its tallies of disconnected graphs
     discarded and of capped valuations.  Results are equal when all three
     are, and are not hashable."""
 
-    __slots__ = ("distribution", "discarded_disconnected", "capped_count")
+    __slots__ = _fields = ("distribution", "discarded_disconnected", "capped_count")
 
     def __init__(self, distribution: PartitionDistribution, discarded_disconnected: int,
                  capped_count: int):
         self.distribution = distribution
         self.discarded_disconnected = discarded_disconnected
         self.capped_count = capped_count
-
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentResult):
-            return NotImplemented
-        return (self.distribution == other.distribution
-                and self.discarded_disconnected == other.discarded_disconnected
-                and self.capped_count == other.capped_count)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"ExperimentResult(distribution={self.distribution!r}, "
-                f"discarded_disconnected={self.discarded_disconnected!r}, "
-                f"capped_count={self.capped_count!r})")
 
     def _tallies(self) -> dict:
         return {"discarded_disconnected": self.discarded_disconnected,

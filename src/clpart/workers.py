@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import threading
 from collections import Counter
 
 
@@ -25,6 +24,8 @@ def worker_count(units: int, minimum: int) -> int:
     A fork while other threads run may deadlock the child (and warns from
     Python 3.12 on), so a process with more than one thread gets 1.
     """
+    import threading
+
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), units // minimum))

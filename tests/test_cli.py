@@ -555,9 +555,9 @@ import sys
 sys.path.insert(0, sys.argv[1])
 from clpart.cli import main
 loaded = lambda *names: [name for name in names if name in sys.modules]
-seen = [loaded("dataclasses", "inspect", "typing")]
+seen = [loaded("dataclasses", "inspect", "typing", "threading")]
 assert main(["verify", "--suite", "chain", "--p", "2", "--a-max", "5"]) == 0
-seen.append(loaded("hashlib", "json"))
+seen.append(loaded("hashlib", "json", "threading"))
 assert main(["pmf", "--measure", "cl", "--p", "2", "--max-size", "4", "--output", sys.argv[2]]) == 0
 seen.append(loaded("hashlib", "json"))
 print(seen)

@@ -1,8 +1,9 @@
 """Every public function that takes p enforces that p is prime; a graph's
-vertex count and labels, a partition size to enumerate, tabulate or sum the
-series to, a parts count, a kernel height, a trial count or index, a
-q-product length and a verify depth are ints, and none is below its least
-value."""
+vertex count and labels, a reduced Laplacian's root, a partition size to
+enumerate, tabulate or sum the series to, a parts count, a kernel height, a
+trial count or index, a q-product length and a verify depth are ints, and
+none is below its least value.  The sandpile module's matrix routes cap their
+row counts."""
 
 import math
 from argparse import Namespace
@@ -50,9 +51,11 @@ from clpart.sampler import (
 )
 from clpart.sandpile import (
     MAX_CAP,
+    MAX_VERTICES,
     Graph,
     erdos_renyi,
     p_sylow_partition,
+    reduced_laplacian,
     run_experiment,
     sample_graph_record,
     sylow_valuations_mod_prime_power,
@@ -141,6 +144,20 @@ def test_graph_refuses_non_int_vertex_count_and_labels(n, edges):
 def test_graph_accepts_int_vertex_count_and_labels():
     g = Graph(3, frozenset({(2, 0), (1, 2)}))
     assert g.edges == {(0, 2), (1, 2)} and g.masks == (0b100, 0b100, 0b011)
+
+
+@pytest.mark.parametrize("root", [True, False, 1.5, 1.0, "1", Fraction(1)],
+                         ids=["true", "false", "float", "integral-float", "str", "fraction"])
+def test_reduced_laplacian_refuses_a_root_that_is_not_an_int(root):
+    with pytest.raises(ValueError, match="root must be an int"):
+        reduced_laplacian(Graph(3, frozenset({(0, 1), (1, 2)})), root)
+
+
+def test_mod_prime_power_route_caps_its_row_count():
+    with pytest.raises(ValueError, match=f"row count={MAX_VERTICES + 1} exceeds the vertex cap"):
+        sylow_valuations_mod_prime_power([[1]] * (MAX_VERTICES + 1), 2)
+    with pytest.raises(ValueError, match="must be square"):  # the cap itself passes the check
+        sylow_valuations_mod_prime_power([[1]] * MAX_VERTICES, 2)
 
 
 @pytest.mark.parametrize("cap", [0, -1, MAX_CAP + 1])

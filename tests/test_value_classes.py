@@ -1,8 +1,10 @@
-"""The library's record classes: field-wise ``==`` and ``repr``, a hash and
+"""The library's record classes, which share ``partitions.Record`` and
+``Frozen``: field-wise ``==`` and ``repr``, pickle and copy, a hash and
 refused assignment for the frozen ones, and their constructors' checks.
 
-BoundedReal, Constant, MassValue, SamplerConfig and KernelRow are frozen;
-PartitionDistribution and ExperimentResult are mutable and unhashable.
+BoundedReal, Constant, MassValue, SamplerConfig, KernelRow, Partition and
+Graph are frozen; PartitionDistribution and ExperimentResult are mutable and
+unhashable.  Tables keyed by partitions pickle and copy whole.
 """
 
 import copy
@@ -12,11 +14,11 @@ from fractions import Fraction
 import pytest
 
 from clpart import sampler
-from clpart.measures import EXACT, Constant, MassValue, PartitionDistribution, odd
+from clpart.measures import EXACT, Constant, MassValue, PartitionDistribution, odd, tabulate
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
 from clpart.sampler import DEFAULT_CUTOFF, KernelRow, SamplerConfig
-from clpart.sandpile import ExperimentResult, run_experiment
+from clpart.sandpile import ExperimentResult, Graph, run_experiment
 
 EXACT_REPR = ("Constant(name=None, enclosure="
               "BoundedReal(mid=Fraction(1, 1), rad=Fraction(0, 1)))")
@@ -51,6 +53,11 @@ FROZEN = {
         {"masses": (Fraction(1, 2), Fraction(1, 2)), "thresholds": (1, 2)},
         {"masses": (Fraction(1),), "thresholds": (3,)},
         "KernelRow(masses=(Fraction(1, 2), Fraction(1, 2)), thresholds=(1, 2))"),
+    Partition: ({"parts": (2, 1)}, {"parts": (3,)}, "Partition([2, 1])"),
+    Graph: (
+        {"n": 3, "edges": frozenset({(0, 1), (1, 2)})},
+        {"n": 4, "edges": frozenset({(0, 2)})},
+        "Graph(n=3, edges=[(0, 1), (1, 2)])"),
 }
 
 
@@ -69,6 +76,16 @@ def test_frozen_records_compare_hash_and_refuse_assignment(cls):
         assert getattr(value, name) == fields[name]
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.copy(value) == value and copy.deepcopy(value) == value
+
+
+@pytest.mark.parametrize("make", [lambda: tabulate(2, 3),
+                                  lambda: run_experiment(8, Fraction(1, 2), 2, 20, seed=3)],
+                         ids=["tabulate", "run_experiment"])
+def test_tables_keyed_by_partitions_pickle_and_copy(make):
+    value = make()
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert again == value and again is not value and repr(again) == repr(value)
+    assert copy.deepcopy(value) == make()
 
 
 def test_frozen_records_hash_by_value():
