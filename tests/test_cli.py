@@ -114,6 +114,25 @@ def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("extra, error", [
+    (["--measure", "cl-conjugate", "--max-size", "3"], "measure 'cl-conjugate' has no table; use cl"),
+    (["--measure", "deformed", "--partition", "[1]"], "the deformed measure needs u"),
+    (["--measure", "truncated", "--max-size", "3"], "the truncated measure needs r"),
+    (["--measure", "cl", "--u", "1/2", "--max-size", "3"],
+     "u/r apply only to the deformed/truncated measures"),
+    (["--measure", "size", "--n", "3", "--r", "2"],
+     "u/r apply only to the deformed/truncated measures"),
+    (["--measure", "truncated", "--r", "2", "--partition", "[1,1,1]"],
+     "partition has 3 parts, more than r=2"),
+    (["--measure", "truncated", "--r", "65", "--max-size", "3"], "r=65 exceeds the parts cap 64"),
+    (["--measure", "truncated", "--r", "0", "--partition", "[]"], "r must be >= 1"),
+    (["--measure", "deformed", "--u", "3", "--max-size", "3"], "u must satisfy 0 < u < p, got 3"),
+])
+def test_pmf_family_selection_errors_exit_2_with_one_line(capsys, extra, error):
+    code, out, err = run(capsys, ["pmf", "--p", "2", *extra])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv, error", [
     (["pmf", "--measure", "parts", "--a", "65"], "a=65 exceeds the parts cap 64"),
     (["pmf", "--measure", "parts", "--a", "1000000"], "a=1000000 exceeds the parts cap 64"),

@@ -362,6 +362,24 @@ def test_normalization_check_matches_table():
             assert agree
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("max_size", [0, 1, 8, 16])
+def test_family_tables_match_the_series_layers(p, max_size):
+    # two routes to each family's partial sum: enumerated table vs column DP
+    for u in (Fraction(1, 2), Fraction(3, 2)):
+        table = tabulate(p, max_size, "deformed", u=u)
+        assert sum(table.entries.values()) == deformed_series_check(p, u, max_size)[0]
+    for r in (1, 3, 16):
+        partial, rhs, _, _ = truncated_series_check(p, r, max_size)
+        assert rhs * sum(tabulate(p, max_size, "truncated", r=r).entries.values()) == partial
+
+
+@pytest.mark.parametrize("measure", ["bogus", "cl-conjugate"])
+def test_tabulate_refuses_a_measure_without_a_table(measure):
+    with pytest.raises(ValueError):
+        tabulate(2, 3, measure)
+
+
 def test_deformed_series_all_stated_points_full_depth():
     for p, u in ((2, Fraction(1, 2)), (3, Fraction(1, 2)), (3, Fraction(2))):
         partial, rhs, tail, agree = deformed_series_check(p, u, 40)
