@@ -35,11 +35,11 @@ from itertools import chain, islice
 
 from . import __version__
 from .measures import (
-    _MEASURES,
-    _measure,
+    Family,
     normalization_check,
     pmf_parts,
     pmf_size,
+    pmf_via_conjugate,
     solve_parts_recursion,
     tabulate,
     deformed_series_check,
@@ -52,6 +52,7 @@ from .qseries import (
     even_numerators,
     fraction_str,
     kernel_numerators,
+    require_decimal_exponent,
     require_prime,
     verify_euler_identity,
     verify_qbinomial,
@@ -69,7 +70,9 @@ from .sandpile import run_experiment
 
 def _parse_fraction(text: str) -> Fraction:
     """The rational ``text`` names (a/b, an integer or a decimal string), read
-    by ``as_fraction``, so a side may run past Python's int-to-str digit limit."""
+    by ``as_fraction``, so a side may run past Python's int-to-str digit limit;
+    a decimal exponent over the cap is refused with its own message."""
+    require_decimal_exponent(text)
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -178,7 +181,7 @@ def cmd_pmf(args) -> int:
     measure = args.measure
 
     if measure in ("size", "parts"):
-        _measure("cl", args.u, args.r)  # marginals of the base measure: no u or r
+        Family("cl", p, args.u, args.r)  # marginals of the base measure: no u or r
         flag = "n" if measure == "size" else "a"
         _refuse_unread(args, f"--measure {measure}", {flag})
         value = getattr(args, flag)
@@ -192,6 +195,9 @@ def cmd_pmf(args) -> int:
         u = _parse_fraction(args.u) if args.u is not None else None
         if args.max_size is not None:
             _refuse_unread(args, "--max-size", {"max_size", "format"})
+            if measure == "cl-conjugate":  # the base measure's oracle form: no table of its own
+                Family("cl", p, u, args.r)
+                raise ValueError(f"measure {measure!r} has no table; use cl")
             dist = tabulate(p, args.max_size, measure=measure, u=u, r=args.r)
             print(dist.constant)
             print(f"table total + tail = {dist.normalization_enclosure()}")
@@ -202,9 +208,9 @@ def cmd_pmf(args) -> int:
             _write_output(args, payload, "pmf", _param_dict(args))
             return 0
         _refuse_unread(args, "--partition", {"partition"})
-        _, value, mass_of, _ = _measure(measure, u, args.r)
+        family = Family("cl" if measure == "cl-conjugate" else measure, p, u, args.r)
         lam = Partition.from_string(args.partition)
-        mass = mass_of(lam, p, value)
+        mass = pmf_via_conjugate(lam, p) if measure == "cl-conjugate" else family.mass(lam)
         where = {"partition": str(lam)}
 
     print(mass.constant)
@@ -254,12 +260,10 @@ def cmd_graphs(args) -> int:
 def _run_checks(checks) -> int:
     failures = 0
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        if not ok:
-            failures += 1
-    print(f"{'all checks passed' if not failures else f'{failures} check(s) FAILED'}")
-    return 0 if failures == 0 else 1
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failures += not ok
+    print("all checks passed" if not failures else f"{failures} check(s) FAILED")
+    return 1 if failures else 0
 
 
 def _identity_checks(primes, depth):
@@ -354,12 +358,8 @@ def cmd_verify(args) -> int:
 
 
 def _param_dict(args) -> dict:
-    skip = {"func", "output"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key not in skip and value is not None:
-            out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in ("func", "output") and value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pmf = sub.add_parser("pmf", help="exact masses and tables")
     p_pmf.add_argument("--measure", required=True,
-                       choices=[*_MEASURES, "size", "parts"])
+                       choices=["cl", "cl-conjugate", "deformed", "truncated", "size", "parts"])
     p_pmf.add_argument("--p", required=True, type=int, help="prime")
     p_pmf.add_argument("--partition", help='partition in bracket form, e.g. "[3,1]"')
     p_pmf.add_argument("--max-size", type=int, help="tabulate all partitions up to this size")

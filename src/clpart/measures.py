@@ -1,11 +1,12 @@
 """Probability measures on partitions, exact up to one shared constant.
 
-Every mass is a :class:`Constant` times an exact rational part.  The constant
-is either the trivial 1, the odd product prod_{i odd}(1 - p^-i), or the
-u-deformed normalizer (1 - u/p) prod_{i>=3 odd}(1 - u^2 p^-i), each built once
-per (p, u) with its rigorous enclosure.  Keeping the rational part separate
-means equality between different formulas for the same measure is an exact
-rational comparison; a table holds one constant for all its entries, and the
+Every measure tabulated here is a :class:`Family`: the mass of lam is one
+:class:`Constant` times an exact rational part, the weight
+1 / (p^(n(lam)+|lam|) d_lambda(lam, p)) times a factor of one statistic of lam
+(none, |lam| or l(lam)).  The constant is built once per (p, u) with its
+rigorous enclosure.  Keeping the rational part separate means equality
+between different formulas for the same measure is an exact rational
+comparison; a table holds one constant for all its entries, and the
 enclosure is multiplied in only at the output boundary.
 """
 
@@ -166,15 +167,96 @@ def pmf_size(n: int, p: int) -> MassValue:
     return MassValue(Fraction(total, evens[-1] * p**n), odd(p))
 
 
-def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
-    """Mass of lam under the u-deformed measure, 0 < u < p:
+class Family(Frozen):
+    """A measure family: name, prime and its one parameter, u or r.  The mass
+    of lam is constant * w(lam) * factor(statistic), w(lam) = _weight(lam, p):
 
-        deformed-constant * u^|lam| / ( p^(n(lam)+|lam|) * d_lambda(lam, p) )
+        cl         no parameter   statistic 0        factor 1                constant odd(p)
+        deformed   0 < u < p      statistic |lam|    factor u^|lam|          constant deformed(p, u)
+        truncated  1 <= r <= 64   statistic l(lam)   _truncated_factor, no mass past r parts
 
-    At u = 1 the rational part coincides with pmf().
+    The constructor is the one check of the name, of which parameter is given
+    and of its range.  Immutable, and equal when every field is.
     """
-    u = require_deformation(require_prime(p), u)
-    return MassValue(u**lam.size * _weight(lam, p), deformed(p, u))
+
+    __slots__ = _fields = ("name", "p", "u", "r")
+    PARAMETERS = {"cl": None, "deformed": "u", "truncated": "r"}  # name -> its parameter
+
+    def __init__(self, name: str, p: int, u=None, r=None):
+        require_prime(p)
+        if name not in self.PARAMETERS:
+            raise ValueError(f"unknown measure {name!r} (expected {', '.join(self.PARAMETERS)})")
+        param = self.PARAMETERS[name]
+        if param is not None and {"u": u, "r": r}[param] is None:
+            raise ValueError(f"the {name} measure needs {param}")
+        if (u is not None and param != "u") or (r is not None and param != "r"):
+            raise ValueError("u/r apply only to the deformed/truncated measures")
+        if u is not None:
+            u = require_deformation(p, u)
+        if r is not None:
+            require_int(r, "r", 1, MAX_PARTS, "parts")  # r < 1 would leave the table empty
+        for field, value in zip(self._fields, (name, p, u, r)):
+            object.__setattr__(self, field, value)
+
+    def constant(self) -> Constant:
+        if self.name == "deformed":
+            return deformed(self.p, self.u)
+        return odd(self.p) if self.name == "cl" else EXACT
+
+    def statistic(self, size: int, length: int) -> int | None:
+        """The statistic the factor reads (0, the size or the length), or None
+        where the family has no mass (more than r parts)."""
+        if self.name == "truncated":
+            return length if length <= self.r else None
+        return size if self.name == "deformed" else 0
+
+    def factor(self, statistic: int) -> Fraction:
+        if self.name == "deformed":
+            return self.u**statistic
+        return Fraction(1) if self.name == "cl" else _truncated_factor(self.p, self.r, statistic)
+
+    def params(self) -> dict:
+        """The parameter as a table's JSON params: {}, {"u": "a/b"} or {"r": r}."""
+        if self.u is not None:
+            return {"u": fraction_str(self.u)}
+        return {} if self.r is None else {"r": self.r}
+
+    def mass(self, lam: Partition) -> MassValue:
+        statistic = self.statistic(lam.size, lam.length)
+        if statistic is None:
+            raise ValueError(f"partition has {lam.length} parts, more than r={self.r}")
+        return MassValue(_weight(lam, self.p) * self.factor(statistic), self.constant())
+
+    def tail(self, max_size: int) -> Fraction:
+        """Exact rational bound on the family's mass at sizes > max_size.
+
+        The base measure's mass at size n is odd-constant * p^-n * S_n with
+        S_n increasing to 1/odd-constant, so it is at most p^-n.  A deformed
+        mass at size n is at most (u/p)^n * (deformed constant) / odd-constant
+        <= (u/p)^n * inverse_odd_constant_upper(p).  A truncated one is at
+        most p^-n * inverse_odd_constant_upper(p): its normalizer and trailing
+        ratio are both <= 1.  Each bound is summed geometrically.
+        """
+        ratio = Fraction(1 if self.u is None else self.u, self.p)
+        bound = 1 if self.name == "cl" else inverse_odd_constant_upper(self.p)
+        return bound * ratio ** (max_size + 1) / (1 - ratio)
+
+    def layer_sum(self, max_size: int) -> Fraction:
+        """sum of w(lam) * factor over sizes <= max_size, read off
+        size_length_layers: the cells of each statistic are summed first, then
+        multiplied by one factor each."""
+        by_statistic = {}
+        for (n, length), value in size_length_layers(self.p, max_size).items():
+            statistic = self.statistic(n, length)
+            if statistic is not None:
+                by_statistic[statistic] = by_statistic.get(statistic, 0) + value
+        return sum(self.factor(statistic) * value for statistic, value in by_statistic.items())
+
+
+def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
+    """Mass of lam under the u-deformed measure, 0 < u < p (see Family); at
+    u = 1 the rational part coincides with pmf()."""
+    return Family("deformed", p, u=u).mass(lam)
 
 
 def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
@@ -184,11 +266,7 @@ def pmf_truncated(lam: Partition, p: int, r: int) -> Fraction:
         * 1 / ( p^(n(lam)+|lam|) * d_lambda(lam, p) )
         * (1-1/p)...(1-1/p^r) / ( (1-1/p)...(1-1/p^(r-l(lam))) )
     """
-    require_prime(p)
-    require_int(r, "r", 1, MAX_PARTS, "parts")
-    if lam.length > r:
-        raise ValueError(f"partition has {lam.length} parts, more than r={r}")
-    return _weight(lam, p) * _truncated_factor(p, r, lam.length)
+    return Family("truncated", p, r=r).mass(lam).rational
 
 
 @lru_cache(maxsize=None)
@@ -282,35 +360,6 @@ def inverse_odd_constant_upper(p: int) -> Fraction:
     return 1 / odd_constant(p, Fraction(1, 10**6)).lower
 
 
-def size_tail_bound(p: int, max_size: int) -> Fraction:
-    """Exact rational bound on the measure's mass at sizes > max_size.
-
-    Prob(|lam| = n) = odd-constant * p^-n * S_n with S_n increasing to
-    1/odd-constant, so Prob(|lam| = n) <= p^-n and the tail sums to at most
-    p^-max_size / (p - 1).
-    """
-    require_prime(p)
-    return Fraction(1, p**max_size * (p - 1))
-
-
-def deformed_tail_bound(p: int, u, max_size: int) -> Fraction:
-    """Rational bound on deformed-measure mass at sizes > max_size.
-
-    Mass at size n is at most (u/p)^n * (deformed constant) / odd-constant
-    <= (u/p)^n * inverse_odd_constant_upper(p), summed geometrically.
-    """
-    u = as_fraction(u)
-    ratio = u / p
-    return inverse_odd_constant_upper(p) * ratio ** (max_size + 1) / (1 - ratio)
-
-
-def truncated_tail_bound(p: int, max_size: int) -> Fraction:
-    """Rational bound on truncated-measure mass at sizes > max_size; the
-    normalizer and trailing ratio are both <= 1, so the size bound applies
-    scaled by the same inverse-constant sum."""
-    return inverse_odd_constant_upper(p) * size_tail_bound(p, max_size)
-
-
 class PartitionDistribution(Record):
     """A table partition -> mass, plus the mass provably outside the table.
 
@@ -373,15 +422,6 @@ class PartitionDistribution(Record):
     def normalization_enclosure(self) -> BoundedReal:
         return self.total_enclosure() + self.tail_mass
 
-    def _json_head(self) -> dict:
-        """The JSON object's keys other than "entries"."""
-        return {
-            "p": self.p,
-            "measure": self.measure,
-            "params": dict(self.params),
-            "tail": self.tail_mass.to_json(),
-        }
-
     def to_json_dict(self) -> dict:
         """The table as a JSON-ready dict; ``json_parts`` is its streamed form."""
         head, entries = self.json_parts()
@@ -406,7 +446,9 @@ class PartitionDistribution(Record):
         digits = _Digits().__getitem__
         rendered = self._rendered(lambda enc: (fraction_str(enc.mid, digits),
                                                fraction_str(enc.rad, digits)))
-        return self._json_head(), (
+        head = {"p": self.p, "measure": self.measure, "params": dict(self.params),
+                "tail": self.tail_mass.to_json()}
+        return head, (
             (lam, None if counts is None else counts.get(lam, 0), mid, rad)
             for lam, (mid, rad) in rendered)
 
@@ -440,81 +482,38 @@ def frequency_table(p: int, measure: str, params: dict, counts: dict,
                                  counts=dict(counts))
 
 
-# name -> (parameter, mass of one partition, tail bound past a size).  Mass and
-# tail bound take the parameter's value; a measure without a tail bound has no
-# table (tables use the multiplicity form of the base measure).
-_MEASURES = {
-    "cl": (None, lambda lam, p, _: pmf(lam, p), lambda p, _, n: size_tail_bound(p, n)),
-    "cl-conjugate": (None, lambda lam, p, _: pmf_via_conjugate(lam, p), None),
-    "deformed": ("u", pmf_deformed, deformed_tail_bound),
-    "truncated": ("r", lambda lam, p, r: MassValue(pmf_truncated(lam, p, r)),
-                  lambda p, _, n: truncated_tail_bound(p, n)),
-}
-
-
-def _measure(name: str, u=None, r=None):
-    """(parameter, its value, mass, tail bound) of a measure in _MEASURES.
-
-    Raises ValueError for an unknown name, a missing u or r, or a u or r
-    the measure does not take; the mass function checks the value itself.
-    """
-    if name not in _MEASURES:
-        raise ValueError(f"unknown measure {name!r} (expected {', '.join(_MEASURES)})")
-    param, mass, tail = _MEASURES[name]
-    value = {"u": u, "r": r}.get(param)
-    if param is not None and value is None:
-        raise ValueError(f"the {name} measure needs {param}")
-    if (u is not None and param != "u") or (r is not None and param != "r"):
-        raise ValueError("u/r apply only to the deformed/truncated measures")
-    return param, value, mass, tail
-
-
 def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> PartitionDistribution:
-    """Exact mass table over all partitions of size <= max_size.
-
-    ``measure`` selects the base measure ("cl"), the u-deformed family
-    ("deformed", needs u), or the at-most-r-parts family ("truncated",
-    needs r).  The tail enclosure covers everything outside the table.
-    """
+    """Exact mass table over all partitions of size <= max_size of the Family
+    ``measure`` (with its u or r); the tail enclosure covers everything outside."""
     require_prime(p)
     require_int(max_size, "max_size", 0, ENUMERATION_CAP, "enumeration")
-    param, value, mass, tail = _measure(measure, u, r)
-    if tail is None:
-        raise ValueError(f"measure {measure!r} has no table; use cl")
-    if param == "u":
-        value = require_deformation(p, value)
-    if param == "r":
-        require_int(r, "r", 1, MAX_PARTS, "parts")  # r < 1 would leave the table empty
+    family = Family(measure, p, u, r)
 
-    # An entry's rational is _weight's 1 / (p^e N) times the family's factor,
-    # which depends on one statistic: none (cl), the size (deformed, u^|lam|)
-    # or the length (truncated).  Each distinct ((e, N), statistic) gets one
-    # Fraction, shared by its entries.
+    # An entry's rational is _weight's 1 / (p^e N) times the family's factor of
+    # its statistic.  Each distinct ((e, N), statistic) gets one Fraction,
+    # shared by its entries.
     evens = even_numerators(p, max_size // 2)
-    most_parts = r if param == "r" else max_size
     entries: dict[Partition, Fraction] = {}
     rationals: dict[tuple, Fraction] = {}
     for n in range(max_size + 1):
+        statistics = [family.statistic(n, length) for length in range(n + 1)]
+        factors = [None if s is None else family.factor(s) for s in statistics]
         for lam in enumerate_partitions(n):
             length = len(lam.parts)
-            if length > most_parts:
-                continue  # truncated: at most r parts
-            statistic = n if param == "u" else length if param == "r" else 0
+            statistic = statistics[length]
+            if statistic is None:
+                continue  # no mass: the truncated family past r parts
             key = weight_key(lam.parts, evens), statistic
             rational = rationals.get(key)
             if rational is None:
                 e, numerator = key[0]
-                rational = Fraction(1, p**e * numerator)
-                if param == "u":
-                    rational *= value**n
-                elif param == "r":
-                    rational *= _truncated_factor(p, r, length)
+                factor = factors[length]
+                rational = Fraction(factor.numerator, factor.denominator * p**e * numerator)
                 rationals[key] = rational
             entries[lam] = rational
-    params = {} if param is None else {param: fraction_str(u) if param == "u" else r}
-    return PartitionDistribution(p=p, measure=measure, params=params, entries=entries,
-                                 constant=mass(Partition(), p, value).constant,
-                                 tail_mass=BoundedReal.from_endpoints(0, tail(p, value, max_size)))
+    return PartitionDistribution(p=p, measure=measure, params=family.params(), entries=entries,
+                                 constant=family.constant(),
+                                 tail_mass=BoundedReal.from_endpoints(0, family.tail(max_size)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -572,9 +571,9 @@ def normalization_check(p: int, max_size: int):
     """(total, agree): odd-constant * (summed layers) + [0, size tail] must
     contain 1.  ``total`` equals tabulate(p, max_size).normalization_enclosure(),
     without building the table."""
-    partial = sum(size_length_layers(p, max_size).values())
-    total = (odd(p).enclosure * partial
-             + BoundedReal.from_endpoints(0, size_tail_bound(p, max_size)))
+    family = Family("cl", p)
+    total = (family.constant().enclosure * family.layer_sum(max_size)
+             + BoundedReal.from_endpoints(0, family.tail(max_size)))
     return total, total.contains(1)
 
 
@@ -587,13 +586,10 @@ def deformed_series_check(p: int, u, max_size: int):
     sum runs over |lam| <= max_size and agree asserts containment within
     rhs radius plus the geometric tail bound.
     """
-    u = require_deformation(require_prime(p), u)
-    by_size = {}  # the cells of each size summed first, then one u^n per size
-    for (n, _), value in size_length_layers(p, max_size).items():
-        by_size[n] = by_size.get(n, 0) + value
-    partial = sum(u**n * value for n, value in by_size.items())
-    rhs = deformed(p, u).enclosure.reciprocal()
-    tail = deformed_tail_bound(p, u, max_size)
+    family = Family("deformed", p, u=u)
+    partial = family.layer_sum(max_size)
+    rhs = family.constant().enclosure.reciprocal()
+    tail = family.tail(max_size)
     agree = abs(partial - rhs.mid) <= rhs.rad + tail
     return partial, rhs, tail, agree
 
@@ -607,13 +603,10 @@ def truncated_series_check(p: int, r: int, max_size: int):
     exact rational right side, so agree asserts
     partial <= rhs <= partial + tail_bound.
     """
-    require_prime(p)
-    require_int(r, "r", 1, MAX_PARTS, "parts")
+    family = Family("truncated", p, r=r)
     # (1+1/p)...(1+1/p^r); trailing(lam) = rhs * _truncated_factor(p, r, l(lam))
     rhs = Fraction(upper_numerators(p, r)[r], p ** (r * (r + 1) // 2))
-    partial = rhs * sum(value * _truncated_factor(p, r, length)
-                        for (_, length), value in size_length_layers(p, max_size).items()
-                        if length <= r)
-    tail = truncated_tail_bound(p, max_size)
+    partial = rhs * family.layer_sum(max_size)
+    tail = family.tail(max_size)
     agree = partial <= rhs <= partial + tail
     return partial, rhs, tail, agree

@@ -41,15 +41,25 @@ MAX_EULER_TERMS = 128
 MAX_QBINOMIAL_DEGREE = 64
 
 
+# Largest decimal exponent, in magnitude, that a rational's text may carry.
+# Fraction expands "1e-k" to a (k+1)-digit denominator, and rendering it takes
+# time quadratic in k: uncapped, sample --cutoff 1e-1000000 ran 7.3 s and
+# graphs --q 1e-3000000 65 s, while 1e-100000 parses in 5 ms and renders in
+# 77 ms (min of 5, Python 3.11.7, 2 vCPUs).
+MAX_DECIMAL_EXPONENT = 100_000
+
+
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and "a/b" strings to Fraction; each side of a
-    string a/b may run past Python's int-to-str digit limit (see text_int)."""
+    string a/b may run past Python's int-to-str digit limit (see text_int),
+    and a string's decimal exponent is checked before it is expanded."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         text = x.strip()
+        require_decimal_exponent(text)
         try:
             return Fraction(text)
         except ValueError as exc:
@@ -59,6 +69,19 @@ def as_fraction(x) -> Fraction:
             except ValueError:
                 raise exc from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def require_decimal_exponent(text: str) -> None:
+    """Raise ValueError if ``text`` ends in a decimal exponent, read as
+    Fraction reads it (e or E, a sign, digits and underscores), above
+    MAX_DECIMAL_EXPONENT in magnitude."""
+    _, e, exponent = text.strip().replace("E", "e").rpartition("e")
+    digits = (exponent[1:] if exponent[:1] in "+-" else exponent).replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 6 or int(digits) > MAX_DECIMAL_EXPONENT):
+        shown, length = clipped(exponent)
+        shown += f" ({length})" if length else ""
+        raise ValueError(f"decimal exponent {shown} exceeds the cap {MAX_DECIMAL_EXPONENT} "
+                         "in magnitude")
 
 
 def int_text(i: int) -> str:
@@ -105,6 +128,14 @@ def clipped(text: str) -> tuple[str, str]:
     if len(text) <= 60:
         return text, ""
     return f"{text[:30]}...{text[-10:]}", f"{len(text)} characters"
+
+
+def echo(x: Fraction) -> str:
+    """The rational x as an error message shows it: its str, also past the
+    int-to-str digit limit, shortened by ``clipped`` with the length noted."""
+    text = int_text(x.numerator) if x.denominator == 1 else fraction_str(x)
+    text, length = clipped(text)
+    return f"{text} ({length})" if length else text
 
 
 class BoundedReal(Frozen):
@@ -240,7 +271,7 @@ def require_deformation(p: int, u) -> Fraction:
     """Return the deformation parameter u as a Fraction, checking 0 < u < p."""
     u = as_fraction(u)
     if not (0 < u < p):
-        raise ValueError(f"u must satisfy 0 < u < p, got {u}")
+        raise ValueError(f"u must satisfy 0 < u < p, got {echo(u)}")
     return u
 
 

@@ -42,7 +42,7 @@ from itertools import accumulate, repeat
 
 from .measures import MAX_PARTS, MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Frozen, Partition, require_int
-from .qseries import as_fraction, clipped, fraction_str, kernel_numerators, require_prime
+from .qseries import as_fraction, echo, fraction_str, kernel_numerators, require_prime
 from .rng import (
     DRAW_BLOCK,
     GOLDEN_GAMMA,
@@ -103,7 +103,7 @@ def _require_cutoff(cutoff) -> Fraction:
     """The initial-column tail cutoff as a Fraction, checked to lie in (0, 1)."""
     cutoff = as_fraction(cutoff)
     if not (0 < cutoff < 1):
-        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff}")
+        raise ValueError(f"cutoff must lie in (0, 1), got {echo(cutoff)}")
     return cutoff
 
 
@@ -165,9 +165,7 @@ def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int
         if tail is not None and tail <= cutoff:
             return list(enumerate(values))
         if len(values) > MAX_PARTS:
-            shown, length = clipped(fraction_str(cutoff))
-            shown += f" ({length})" if length else ""
-            raise ValueError(f"cutoff={shown} needs heights above the parts cap {MAX_PARTS}")
+            raise ValueError(f"cutoff={echo(cutoff)} needs heights above the parts cap {MAX_PARTS}")
         values.append(pmf_parts(len(values), p))
 
 

@@ -31,7 +31,7 @@ from functools import partial
 
 from .measures import PartitionDistribution, frequency_table
 from .partitions import Frozen, Partition, Record, require_int
-from .qseries import BoundedReal, as_fraction, fraction_str, require_prime
+from .qseries import BoundedReal, as_fraction, echo, fraction_str, require_prime
 from .rng import draw_threshold, draws_below, require_seed, substream
 from .workers import split_counts, worker_count
 
@@ -160,7 +160,7 @@ def erdos_renyi(n: int, q, stream) -> Graph:
     require_int(n, "n", 2, MAX_VERTICES, "vertex")
     q = as_fraction(q)
     if not (0 < q < 1):
-        raise ValueError(f"edge probability must lie strictly in (0,1), got {q}")
+        raise ValueError(f"edge probability must lie strictly in (0,1), got {echo(q)}")
     return Graph._from_flags(n, draws_below(stream, draw_threshold(q), n * (n - 1) // 2))
 
 

@@ -115,7 +115,8 @@ def test_pmf_refuses_flags_its_mode_does_not_read(capsys, extra, error):
 
 
 @pytest.mark.parametrize("extra, error", [
-    (["--measure", "cl-conjugate", "--max-size", "3"], "measure 'cl-conjugate' has no table; use cl"),
+    (["--measure", "cl-conjugate", "--max-size", "3"],
+     "measure 'cl-conjugate' has no table; use cl"),
     (["--measure", "deformed", "--partition", "[1]"], "the deformed measure needs u"),
     (["--measure", "truncated", "--max-size", "3"], "the truncated measure needs r"),
     (["--measure", "cl", "--u", "1/2", "--max-size", "3"],
@@ -169,6 +170,30 @@ def test_an_unparseable_rational_is_echoed_short(capsys):
         2, "", f"error: cannot parse rational '{shown}' (5003 characters; use a/b or an integer)\n")
     code, _, err = run(capsys, ["sample", "--p", "2", "--trials", "3", "--seed", "1", "--cutoff", "1/x"])
     assert (code, err) == (2, "error: cannot parse rational '1/x' (use a/b or an integer)\n")
+
+
+LONG = "1" + "0" * 5000  # a side past Python's 4300-digit int-to-str limit
+LONG_SHOWN = f"1{'0' * 29}...{'0' * 10} (5001 characters)"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["pmf", "--measure", "deformed", "--p", "2", "--u", LONG, "--partition", "[1]"],
+     f"u must satisfy 0 < u < p, got {LONG_SHOWN}"),
+    (["graphs", "--n", "5", "--q", LONG, "--p", "2", "--trials", "1", "--seed", "1"],
+     f"edge probability must lie strictly in (0,1), got {LONG_SHOWN}"),
+    (["sample", "--p", "2", "--trials", "1", "--seed", "1", "--cutoff", LONG],
+     f"cutoff must lie in (0, 1), got {LONG_SHOWN}"),
+], ids=["pmf-u", "graphs-q", "sample-cutoff"])
+def test_out_of_range_rationals_past_the_digit_limit_are_echoed_short(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {error}\n") and len(err.encode()) < 200
+
+
+def test_a_decimal_exponent_above_the_cap_exits_2_before_expanding(capsys):
+    code, out, err = run(capsys, ["pmf", "--measure", "deformed", "--p", "2", "--u", "1e-1000000",
+                                  "--partition", "[1]"])
+    assert (code, out, err) == (
+        2, "", "error: decimal exponent -1000000 exceeds the cap 100000 in magnitude\n")
 
 
 @pytest.mark.parametrize("argv, error", [

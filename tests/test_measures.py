@@ -7,6 +7,7 @@ import pytest
 from clpart import measures
 from clpart.measures import (
     EXACT,
+    Family,
     MassValue,
     deformed,
     deformed_series_check,
@@ -20,7 +21,6 @@ from clpart.measures import (
     pmf_truncated,
     pmf_via_conjugate,
     size_length_layers,
-    size_tail_bound,
     solve_parts_recursion,
     tabulate,
     truncated_series_check,
@@ -105,7 +105,7 @@ def test_parts_marginal_containment():
     # sum over exactly-a-part partitions of size <= 40 reaches pmf_parts
     # up to the rigorous size-tail bound
     layers = size_length_layers(2, 40)
-    bound = inverse_odd_constant_upper(2) * size_tail_bound(2, 40)
+    bound = Family("truncated", 2, r=1).tail(40)  # w's tail, as the truncated factor <= 1
     for a in range(6):
         partial = sum(v for (n, length), v in layers.items() if length == a)
         target = pmf_parts(a, 2).rational
@@ -372,6 +372,17 @@ def test_family_tables_match_the_series_layers(p, max_size):
     for r in (1, 3, 16):
         partial, rhs, _, _ = truncated_series_check(p, r, max_size)
         assert rhs * sum(tabulate(p, max_size, "truncated", r=r).entries.values()) == partial
+
+
+def test_family_tails_are_geometric_size_bounds():
+    # the closed form p^-n / (p - 1) of the size tail, and the one geometric
+    # sum (u/p)^(n+1) / (1 - u/p) at u = 1
+    for p in (2, 3, 7):
+        for n in (0, 5, 26):
+            size = Fraction(1, p**n * (p - 1))
+            assert Family("cl", p).tail(n) == size
+            assert Family("truncated", p, r=3).tail(n) == inverse_odd_constant_upper(p) * size
+            assert Family("deformed", p, u=1).tail(n) == inverse_odd_constant_upper(p) * size
 
 
 @pytest.mark.parametrize("measure", ["bogus", "cl-conjugate"])

@@ -15,6 +15,7 @@ from clpart.qseries import (
     fraction_str,
     gaussian_binomial,
     int_text,
+    MAX_DECIMAL_EXPONENT,
     lower_numerators,
     odd_constant,
     text_int,
@@ -195,6 +196,21 @@ def test_text_int_inverts_int_text_past_the_digit_limit():
     assert as_fraction(f" {big}/-{big}0 ") == Fraction(-1, 10) and as_fraction(big) == 10**5000 + 1
     with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
         as_fraction(f"{big}/x")
+
+
+def test_decimal_exponents_above_the_cap_are_refused_before_expanding():
+    # 1e-1000000 would expand to a million-digit denominator
+    assert MAX_DECIMAL_EXPONENT == 100_000
+    assert as_fraction(" 1e-100000 ") == Fraction(1, 10**100_000)
+    assert as_fraction("-2.5E+0000000000005") == -250_000
+    for text, shown in (("1e-1000000", "-1000000"), (" 1E+1_000_000 ", "+1_000_000"),
+                        ("3.5e100001", "100001"),
+                        ("1e" + "9" * 5000, f"{'9' * 30}...{'9' * 10} (5000 characters)")):
+        with pytest.raises(ValueError) as info:
+            as_fraction(text)
+        assert str(info.value) == f"decimal exponent {shown} exceeds the cap 100000 in magnitude"
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        as_fraction("1e--1000000")
 
 
 def test_bounded_real_arithmetic_encloses_exact_results():

@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from clpart.measures import inverse_odd_constant_upper, pmf, pmf_parts, size_tail_bound
+from clpart.measures import Family, inverse_odd_constant_upper, pmf, pmf_parts
 from clpart.partitions import Partition
 from clpart.qseries import finite_qpoch
 from clpart.rng import (
@@ -297,7 +297,7 @@ def test_two_step_marginal_containment():
 
     p = 2
     max_size = 40
-    bound = inverse_odd_constant_upper(p) * size_tail_bound(p, max_size)
+    bound = Family("truncated", p, r=1).tail(max_size)  # w's tail, as the truncated factor <= 1
     sums: dict[tuple[int, int], Fraction] = {}
     for n in range(max_size + 1):
         for parts in bounded_partitions(n, n, 4):

@@ -2,8 +2,8 @@
 ``Frozen``: field-wise ``==`` and ``repr``, pickle and copy, a hash and
 refused assignment for the frozen ones, and their constructors' checks.
 
-BoundedReal, Constant, MassValue, SamplerConfig, KernelRow, Partition and
-Graph are frozen; PartitionDistribution and ExperimentResult are mutable and
+BoundedReal, Constant, MassValue, Family, SamplerConfig, KernelRow, Partition
+and Graph are frozen; PartitionDistribution and ExperimentResult are mutable and
 unhashable.  Tables keyed by partitions pickle and copy whole.
 """
 
@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from clpart import sampler
-from clpart.measures import EXACT, Constant, MassValue, PartitionDistribution, odd, tabulate
+from clpart.measures import (EXACT, Constant, Family, MassValue, PartitionDistribution, odd,
+                             tabulate)
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
 from clpart.sampler import DEFAULT_CUTOFF, KernelRow, SamplerConfig
@@ -45,6 +46,10 @@ FROZEN = {
         {"rational": Fraction(1, 6), "constant": EXACT},
         {"rational": Fraction(1, 7), "constant": Constant("c", BoundedReal(Fraction(1)))},
         f"MassValue(rational=Fraction(1, 6), constant={EXACT_REPR})"),
+    Family: (
+        {"name": "deformed", "p": 2, "u": Fraction(1, 2), "r": None},
+        {"p": 3, "u": Fraction(3, 2)},
+        "Family(name='deformed', p=2, u=Fraction(1, 2), r=None)"),
     SamplerConfig: (
         {"p": 2, "seed": 1, "initial_tail_cutoff": Fraction(1, 10)},
         {"p": 3, "seed": 2, "initial_tail_cutoff": Fraction(1, 11)},
@@ -171,6 +176,10 @@ def test_constructors_coerce_and_check():
         BoundedReal(1, "-1/10")
     mass = MassValue("1/6")
     assert mass.rational == Fraction(1, 6) and type(mass.rational) is Fraction
+    family = Family("deformed", 2, u="1/2")
+    assert family.u == Fraction(1, 2) and type(family.u) is Fraction
+    with pytest.raises(ValueError, match="prime"):
+        Family("cl", 4)
     assert MassValue(1, odd(2)).constant is odd(2)
     config = SamplerConfig(p=2, seed=1, initial_tail_cutoff="1/1000")
     assert config.initial_tail_cutoff == Fraction(1, 1000)
