@@ -70,9 +70,8 @@ from .sandpile import run_experiment
 
 def _parse_fraction(text: str) -> Fraction:
     """The rational ``text`` names (a/b, an integer or a decimal string), read
-    by ``as_fraction``, so a side may run past Python's int-to-str digit limit;
-    a decimal exponent over the cap is refused with its own message."""
-    require_decimal_exponent(text)
+    by ``as_fraction``, so a side may run past Python's int-to-str digit limit."""
+    require_decimal_exponent(text)  # before the try, so its message is kept
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -260,10 +259,12 @@ def cmd_graphs(args) -> int:
 def _run_checks(checks) -> int:
     failures = 0
     for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += not ok
-    print("all checks passed" if not failures else f"{failures} check(s) FAILED")
-    return 1 if failures else 0
+        status = "PASS" if ok else "FAIL"
+        print(f"{status} {name}: {detail}")
+        if not ok:
+            failures += 1
+    print(f"{'all checks passed' if not failures else f'{failures} check(s) FAILED'}")
+    return 0 if failures == 0 else 1
 
 
 def _identity_checks(primes, depth):
@@ -358,8 +359,12 @@ def cmd_verify(args) -> int:
 
 
 def _param_dict(args) -> dict:
-    return {key: value for key, value in sorted(vars(args).items())
-            if key not in ("func", "output") and value is not None}
+    skip = {"func", "output"}
+    out = {}
+    for key, value in sorted(vars(args).items()):
+        if key not in skip and value is not None:
+            out[key] = value
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

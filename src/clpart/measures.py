@@ -485,7 +485,6 @@ def frequency_table(p: int, measure: str, params: dict, counts: dict,
 def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> PartitionDistribution:
     """Exact mass table over all partitions of size <= max_size of the Family
     ``measure`` (with its u or r); the tail enclosure covers everything outside."""
-    require_prime(p)
     require_int(max_size, "max_size", 0, ENUMERATION_CAP, "enumeration")
     family = Family(measure, p, u, r)
 

@@ -78,10 +78,8 @@ def require_decimal_exponent(text: str) -> None:
     _, e, exponent = text.strip().replace("E", "e").rpartition("e")
     digits = (exponent[1:] if exponent[:1] in "+-" else exponent).replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 6 or int(digits) > MAX_DECIMAL_EXPONENT):
-        shown, length = clipped(exponent)
-        shown += f" ({length})" if length else ""
-        raise ValueError(f"decimal exponent {shown} exceeds the cap {MAX_DECIMAL_EXPONENT} "
-                         "in magnitude")
+        raise ValueError(f"decimal exponent {echo(exponent)} exceeds the cap "
+                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
 
 
 def int_text(i: int) -> str:
@@ -130,11 +128,12 @@ def clipped(text: str) -> tuple[str, str]:
     return f"{text[:30]}...{text[-10:]}", f"{len(text)} characters"
 
 
-def echo(x: Fraction) -> str:
-    """The rational x as an error message shows it: its str, also past the
-    int-to-str digit limit, shortened by ``clipped`` with the length noted."""
-    text = int_text(x.numerator) if x.denominator == 1 else fraction_str(x)
-    text, length = clipped(text)
+def echo(x) -> str:
+    """A text, or a rational's str (also past the int-to-str digit limit), as
+    an error message shows it: shortened by ``clipped``, its length noted."""
+    if isinstance(x, Fraction):
+        x = int_text(x.numerator) if x.denominator == 1 else fraction_str(x)
+    text, length = clipped(x)
     return f"{text} ({length})" if length else text
 
 
