@@ -8,14 +8,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure (in verify, also a kernel row
 that does not sum to 1 or parts recursions that disagree), 2 usage or domain
-error, 3 internal error (a RuntimeError or ArithmeticError elsewhere, such as
-the sampler's column-count abort or a kernel row that does not sum to 1).
-Randomized commands require an explicit --seed; every file output gets a
-<output>.manifest.json recording the full parameter set and a digest, and
-re-running the same command reproduces the bytes.  A file output is streamed:
-the serializer's chunks are written in blocks to a temporary file beside it,
-hashed on the way, and the file is renamed into place, then the manifest the
-same way, so a failed command leaves both files as they were.  Standard
+error (also an output file that cannot be written), 3 internal error (a
+RuntimeError or ArithmeticError elsewhere, such as the sampler's column-count
+abort or a kernel row that does not sum to 1).  Randomized commands require
+an explicit --seed; every file output gets a <output>.manifest.json recording
+the full parameter set and a digest, and re-running the same command
+reproduces the bytes.  A file output is streamed: the serializer's chunks are
+written in blocks to a temporary file beside it, hashed on the way, and the
+file is renamed into place, then the manifest the same way.  A command that
+fails before the payload's rename leaves both files as they were; one whose
+manifest then fails leaves the new payload beside the old manifest.  Standard
 output gets the whole payload in one write, so a failed command prints none
 of it.
 
@@ -91,7 +93,9 @@ def _atomic_write(path: str, blocks) -> str:
     """Write the str blocks to a temporary file beside ``path``, rename it
     onto ``path`` and return the sha256 of the bytes written.
 
-    On any error the temporary file is removed and ``path`` is left as it was.
+    On any error the temporary file is removed and ``path`` is left as it
+    was; an OSError (of the open, a write or the rename) is raised as a
+    ValueError naming ``path``.
     """
     import hashlib
 
@@ -104,9 +108,11 @@ def _atomic_write(path: str, blocks) -> str:
                 digest.update(data)
                 fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
+    except BaseException as exc:
+        with suppress(OSError):  # none was made, or its name is refused as well
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from None
         raise
     return digest.hexdigest()
 

@@ -22,6 +22,7 @@ from .qseries import (
     BoundedReal,
     as_fraction,
     deformed_constant,
+    echo,
     even_numerators,
     fraction_str,
     int_text,
@@ -78,8 +79,9 @@ def odd(p: int) -> Constant:
 
 @lru_cache(maxsize=None)
 def deformed(p: int, u: Fraction) -> Constant:
-    """(1 - u/p) prod_{i>=3 odd}(1 - u^2 p^-i), the u-deformed measure's constant."""
-    return Constant(f"deformed(p={p}, u={u})", deformed_constant(p, u))
+    """(1 - u/p) prod_{i>=3 odd}(1 - u^2 p^-i), the u-deformed measure's constant;
+    its label shows u as ``echo`` does, so a long u is shortened."""
+    return Constant(f"deformed(p={p}, u={echo(u)})", deformed_constant(p, u))
 
 
 class MassValue(Frozen):

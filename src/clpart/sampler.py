@@ -11,8 +11,8 @@ a, the next height b <= a is drawn from the exact kernel
 Heights stop the first time they hit 0; the sampled partition is the
 conjugate of the column-height sequence.
 
-Per trial the chain does only chain work: the first-column selector is
-compiled once per SamplerConfig, kernel rows once per (height, p), and each
+Per trial the chain does only chain work: the first-column selector and the
+kernel rows it can reach are compiled once per SamplerConfig, and each
 distinct column tuple is turned into its Partition once, after which the
 same immutable instance is returned.
 
@@ -96,7 +96,7 @@ class SamplerConfig(Frozen):
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         # Kernel-row thresholds for every height the selector can return;
         # heights never rise along the chain, so no other row is reached.
-        return tuple(kernel_row(a, self.p).thresholds for a in range(len(self._selector)))
+        return tuple(kernel_row(a, self.p) for a in range(len(self._selector)))
 
 
 def _require_cutoff(cutoff) -> Fraction:
@@ -117,25 +117,13 @@ def kernel(a: int, b: int, p: int) -> Fraction:
     return Fraction(kernel_numerators(a, p)[b], p ** (a * (a + 1) // 2))
 
 
-class KernelRow(Frozen):
-    """One row of the kernel: exact masses for b = 0..a, plus selection data
-    (``thresholds``, the draw_threshold of each cumulative mass).  Immutable,
-    and equal when both fields are."""
-
-    __slots__ = _fields = ("masses", "thresholds")
-
-    def __init__(self, masses: tuple[Fraction, ...], thresholds: tuple[int, ...]):
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "thresholds", thresholds)
-
-
 @lru_cache(maxsize=None, typed=True)
-def kernel_row(a: int, p: int) -> KernelRow:
-    """Row K(a, 0..a); construction asserts the exact row sum is 1.
+def kernel_row(a: int, p: int) -> tuple[int, ...]:
+    """The selection thresholds of row K(a, 0..a); raises unless its exact sum is 1.
 
     The row runs on the numerators over p^(a(a+1)/2): they must sum to it,
     and each threshold is ceil(C_b 2^64 / p^(a(a+1)/2)) of the running sum
-    C_b, the draw_threshold of the cumulative mass.
+    C_b, the draw_threshold of the cumulative mass, so the last is 2^64.
     """
     require_prime(p)
     require_int(a, "height a", 0, MAX_PARTS, "parts")
@@ -145,9 +133,7 @@ def kernel_row(a: int, p: int) -> KernelRow:
     if total != denominator:
         raise ArithmeticError(
             f"kernel row a={a}, p={p} sums to {Fraction(total, denominator)}, not 1")
-    return KernelRow(
-        masses=tuple(Fraction(n, denominator) for n in numerators),
-        thresholds=tuple(draw_threshold(c, denominator) for c in accumulate(numerators)))
+    return tuple(draw_threshold(c, denominator) for c in accumulate(numerators))
 
 
 def initial_column_distribution(p: int, cutoff=DEFAULT_CUTOFF) -> list[tuple[int, MassValue]]:
@@ -211,14 +197,15 @@ def _partition_of_columns(columns: tuple[int, ...]) -> Partition:
     return Partition(columns).conjugate()
 
 
-def _finish_chain(columns: list[int], height: int, p: int, draw) -> tuple[int, ...]:
+def _finish_chain(columns: list[int], height: int, rows, draw) -> tuple[int, ...]:
     """The column heights of a chain that has reached ``height`` after
-    ``columns``, drawing each further step from ``draw``."""
+    ``columns``, each further step a draw from ``draw`` against ``rows``, a
+    config's compiled kernel rows."""
     while height > 0:
         columns.append(height)
         if len(columns) > MAX_COLUMNS:
             raise RuntimeError(f"column count exceeded {MAX_COLUMNS}; aborting")
-        height = bisect_right(kernel_row(height, p).thresholds, draw())
+        height = bisect_right(rows[height], draw())
     return tuple(columns)
 
 
@@ -230,7 +217,7 @@ def sample_partition(config: SamplerConfig, stream) -> Partition:
     """
     draw = stream.next_u64
     return _partition_of_columns(
-        _finish_chain([], bisect_right(config._selector, draw()), config.p, draw))
+        _finish_chain([], bisect_right(config._selector, draw()), config._rows, draw))
 
 
 def _block_columns(config: SamplerConfig, stop: int, start: int = 0) -> Iterator[tuple[int, ...]]:
@@ -241,7 +228,7 @@ def _block_columns(config: SamplerConfig, stop: int, start: int = 0) -> Iterator
     stream state and its first CHAIN_DRAWS draws together; a chain still
     running after them goes on from the stream those draws leave.
     """
-    selector, rows, p = config._selector, config._rows, config.p
+    selector, rows = config._selector, config._rows
     skip = CHAIN_DRAWS * GOLDEN_GAMMA
     for block in range(start, stop, DRAW_BLOCK):
         states, (first, *later) = substream_draws(config.seed, block, min(DRAW_BLOCK, stop - block),
@@ -258,7 +245,7 @@ def _block_columns(config: SamplerConfig, stop: int, start: int = 0) -> Iterator
                     yield tuple(columns)
                     break
             else:
-                yield _finish_chain(columns, height, p, SplitMix64(states[i] + skip).next_u64)
+                yield _finish_chain(columns, height, rows, SplitMix64(states[i] + skip).next_u64)
 
 
 def _block_route() -> bool:

@@ -196,6 +196,17 @@ def test_a_decimal_exponent_above_the_cap_exits_2_before_expanding(capsys):
         2, "", "error: decimal exponent -1000000 exceeds the cap 100000 in magnitude\n")
 
 
+@pytest.mark.parametrize("mode", [["--partition", "[1]"], ["--max-size", "3"]],
+                         ids=["partition", "max-size"])
+def test_an_in_range_u_past_the_digit_limit_is_shown_short_in_the_constant(capsys, mode):
+    code, out, err = run(capsys, ["pmf", "--measure", "deformed", "--p", "2", "--u", "1e-5000",
+                                  *mode])
+    constant = out.splitlines()[0]
+    shown = f"1/1{'0' * 27}...{'0' * 10} (5003 characters)"
+    assert (code, err) == (0, "") and constant.startswith(f"constant deformed(p=2, u={shown}) = ")
+    assert len(constant.encode()) < 200
+
+
 @pytest.mark.parametrize("argv, error", [
     (["pmf", "--measure", "size", "--n", "129"], "n=129 exceeds the series cap 128"),
     (["pmf", "--measure", "size", "--n", "100000"], "n=100000 exceeds the series cap 128"),
@@ -309,6 +320,24 @@ def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, argv)
     assert (code, err) == (3, "internal error: broken on purpose\n")
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize("output, directory, reason, left", [
+    ("missing/out.json", None, "No such file or directory", []),
+    # the temporary name beside it is too long too, and so is removing it
+    ("x" * 255, None, "File name too long", []),
+    ("out.json", "out.json", "Is a directory", ["out.json"]),
+    # the payload is renamed into place before its manifest is written
+    ("out.json", "out.json.manifest.json", "Is a directory", ["out.json", "out.json.manifest.json"]),
+], ids=["missing-parent", "name-too-long", "output-is-a-directory", "manifest-is-a-directory"])
+def test_an_unwritable_output_exits_2_with_one_line(capsys, tmp_path, output, directory, reason,
+                                                    left):
+    if directory:
+        (tmp_path / directory).mkdir()
+    code, _, err = run(capsys, ["pmf", "--measure", "cl", "--p", "2", "--max-size", "3",
+                                "--output", str(tmp_path / output)])
+    assert (code, err) == (2, f"error: cannot write {tmp_path / (directory or output)}: {reason}\n")
+    assert sorted(os.listdir(tmp_path)) == left  # no temporary file is left
 
 
 WRITER_CASES = {
@@ -436,8 +465,7 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, name, error, 
 def test_runaway_chain_on_the_block_route_exits_3(capsys, monkeypatch, mode):
     # every kernel row keeps its height, so each chain that starts above 0 runs
     # past the column cap after its block draws
-    monkeypatch.setattr(sampler, "kernel_row", lambda a, p: sampler.KernelRow(
-        masses=(), thresholds=(0,) * a + (2**64,)))
+    monkeypatch.setattr(sampler, "kernel_row", lambda a, p: (0,) * a + (2**64,))
     assert sampler._block_route()
     code, out, err = run(capsys, ["sample", "--p", "2", "--trials", "5", "--seed", "1", *mode])
     assert code == 3 and out == ""

@@ -324,4 +324,4 @@ def test_int_sizes_parts_counts_and_heights_are_accepted():
     assert pmf_size(0, 2).rational == 1 and pmf_parts(0, 2).rational == 1
     assert [v.rational for v in solve_parts_recursion(2, 1)] == [1, 1]
     assert normalization_check(2, 0)[1]
-    assert kernel_row(0, 2).masses == (1,) and kernel(1, 0, 2) == HALF
+    assert kernel(0, 0, 2) == 1 and kernel_row(0, 2) == (2**64,) and kernel(1, 0, 2) == HALF

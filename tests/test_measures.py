@@ -385,6 +385,21 @@ def test_family_tails_are_geometric_size_bounds():
             assert Family("deformed", p, u=1).tail(n) == inverse_odd_constant_upper(p) * size
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_family_tails_bound_the_layers_past_them(p):
+    # what the checks read each tail as: a bound on the base measure's mass
+    # (odd-constant times the layers), and on the deformed and truncated layer
+    # sums, at sizes N+1 .. 48
+    us = (Fraction(1, 2), Fraction(3, 2), p - Fraction(1, 2))
+    families = [Family("cl", p), *(Family("deformed", p, u=u) for u in us),
+                *(Family("truncated", p, r=r) for r in (1, 3, 16))]
+    for family in families:
+        scale = family.constant().enclosure.upper if family.name == "cl" else 1
+        far = family.layer_sum(48)
+        for n in (0, 1, 5, 10, 20, 30):
+            assert scale * (far - family.layer_sum(n)) <= family.tail(n), (family, n)
+
+
 @pytest.mark.parametrize("measure", ["bogus", "cl-conjugate"])
 def test_tabulate_refuses_a_measure_without_a_table(measure):
     with pytest.raises(ValueError):

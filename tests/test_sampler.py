@@ -62,12 +62,13 @@ def test_kernel_examples():
 
 
 def test_kernel_row_examples_and_sums():
-    row = kernel_row(2, 2)
-    assert row.masses == (Fraction(1, 2), Fraction(3, 8), Fraction(1, 8))
-    assert sum(kernel_row(3, 3).masses) == 1
+    assert [kernel(2, b, 2) for b in range(3)] == [Fraction(1, 2), Fraction(3, 8), Fraction(1, 8)]
+    assert kernel_row(2, 2) == (2**63, 7 * 2**61, 2**64)
+    assert sum(kernel(3, b, 3) for b in range(4)) == 1
     for p in (2, 3, 5):
         for a in range(26):
-            assert sum(kernel_row(a, p).masses) == 1
+            assert sum(kernel(a, b, p) for b in range(a + 1)) == 1
+            assert len(kernel_row(a, p)) == a + 1  # raises unless the row sums to 1
 
 
 def test_kernel_ratio_identity_small():
@@ -136,14 +137,14 @@ def test_forced_trajectories():
     assert lam == Partition()
     # force column heights 2, 1, 0: partition with columns (2,1), i.e. [2,1]
     k2 = k_forcing(init, 2)
-    k1 = k_forcing(kernel_row(2, 2).thresholds, 1)
-    k0 = k_forcing(kernel_row(1, 2).thresholds, 0)
+    k1 = k_forcing(kernel_row(2, 2), 1)
+    k0 = k_forcing(kernel_row(1, 2), 0)
     lam = sample_partition(config, StubStream([k2, k1, k0]))
     assert lam == Partition([2, 1])
     # force 3, 3, 0: columns (3,3) give [2,2,2]
     k3 = k_forcing(init, 3)
-    k33 = k_forcing(kernel_row(3, 2).thresholds, 3)
-    k30 = k_forcing(kernel_row(3, 2).thresholds, 0)
+    k33 = k_forcing(kernel_row(3, 2), 3)
+    k30 = k_forcing(kernel_row(3, 2), 0)
     lam = sample_partition(config, StubStream([k3, k33, k30]))
     assert lam == Partition([2, 2, 2])
 
@@ -154,7 +155,7 @@ def test_fold_over_draw_selects_largest_height():
     height = initial_column_distribution(config.p, config.initial_tail_cutoff)[-1][0]
     # one threshold per retained height, the last 2^64 as in every kernel row
     assert len(init) == height + 1 and init[-1] == 2**64
-    assert kernel_row(height, config.p).thresholds[-1] == 2**64
+    assert kernel_row(height, config.p)[-1] == 2**64
     # every draw from the start of the largest height's slice through the
     # residual slice past the retained weight selects that height, and a
     # second draw walks it to 0

@@ -2,7 +2,7 @@
 ``Frozen``: field-wise ``==`` and ``repr``, pickle and copy, a hash and
 refused assignment for the frozen ones, and their constructors' checks.
 
-BoundedReal, Constant, MassValue, Family, SamplerConfig, KernelRow, Partition
+BoundedReal, Constant, MassValue, Family, SamplerConfig, Partition
 and Graph are frozen; PartitionDistribution and ExperimentResult are mutable and
 unhashable.  Tables keyed by partitions pickle and copy whole.
 """
@@ -18,7 +18,7 @@ from clpart.measures import (EXACT, Constant, Family, MassValue, PartitionDistri
                              tabulate)
 from clpart.partitions import Partition
 from clpart.qseries import BoundedReal
-from clpart.sampler import DEFAULT_CUTOFF, KernelRow, SamplerConfig
+from clpart.sampler import DEFAULT_CUTOFF, SamplerConfig
 from clpart.sandpile import ExperimentResult, Graph, run_experiment
 
 EXACT_REPR = ("Constant(name=None, enclosure="
@@ -54,10 +54,6 @@ FROZEN = {
         {"p": 2, "seed": 1, "initial_tail_cutoff": Fraction(1, 10)},
         {"p": 3, "seed": 2, "initial_tail_cutoff": Fraction(1, 11)},
         "SamplerConfig(p=2, seed=1, initial_tail_cutoff=Fraction(1, 10))"),
-    KernelRow: (
-        {"masses": (Fraction(1, 2), Fraction(1, 2)), "thresholds": (1, 2)},
-        {"masses": (Fraction(1),), "thresholds": (3,)},
-        "KernelRow(masses=(Fraction(1, 2), Fraction(1, 2)), thresholds=(1, 2))"),
     Partition: ({"parts": (2, 1)}, {"parts": (3,)}, "Partition([2, 1])"),
     Graph: (
         {"n": 3, "edges": frozenset({(0, 1), (1, 2)})},
@@ -159,7 +155,7 @@ def test_sampler_config_compiles_its_tables_once(monkeypatch):
     assert config._selector is config._selector and config._rows is rows
     assert calls == [(3, DEFAULT_CUTOFF)]
     assert len(rows) == len(config._selector)
-    assert rows[0] == sampler.kernel_row(0, 3).thresholds
+    assert rows[0] == sampler.kernel_row(0, 3)
     assert repr(config) == text and config == SamplerConfig(p=3, seed=1)
     SamplerConfig(p=3, seed=1)._selector  # an equal config compiles its own
     assert len(calls) == 2
