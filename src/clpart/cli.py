@@ -67,7 +67,7 @@ from .sampler import (
     kernel_row,
     sample_partitions,
 )
-from .sandpile import run_experiment
+from .sandpile import DEFAULT_VALUATION_CAP, run_experiment
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -93,14 +93,15 @@ def _atomic_write(path: str, blocks) -> str:
     """Write the str blocks to a temporary file beside ``path``, rename it
     onto ``path`` and return the sha256 of the bytes written.
 
-    On any error the temporary file is removed and ``path`` is left as it
-    was; an OSError (of the open, a write or the rename) is raised as a
-    ValueError naming ``path``.
+    The temporary name has a fixed length, so any name the file system takes
+    for ``path`` is taken.  On any error the temporary file is removed and
+    ``path`` is left as it was; an OSError (of the open, a write or the
+    rename) is raised as a ValueError naming ``path``.
     """
     import hashlib
 
     digest = hashlib.sha256()
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = os.path.join(os.path.dirname(path), f".clpart-{os.getpid():08x}.tmp")
     try:
         with open(tmp, "wb") as fh:
             for block in blocks:
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graphs.add_argument("--p", required=True, type=int)
     p_graphs.add_argument("--trials", required=True, type=int)
     p_graphs.add_argument("--seed", required=True, type=int)
-    p_graphs.add_argument("--cap", type=int, default=12, help="valuation cap")
+    p_graphs.add_argument("--cap", type=int, default=DEFAULT_VALUATION_CAP, help="valuation cap")
     p_graphs.add_argument("--method", choices=["plocal", "snf"], default="plocal")
     p_graphs.add_argument("--output")
     p_graphs.set_defaults(func=cmd_graphs)

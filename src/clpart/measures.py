@@ -30,6 +30,7 @@ from .qseries import (
     lower_numerators,
     odd_constant,
     require_deformation,
+    require_mass_bits,
     require_prime,
     upper_numerators,
     weight_key,
@@ -111,7 +112,7 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
     k = floor((a-b)/2), N_k from even_numerators: one p-exponent and one
     integer product over the columns, and one Fraction at the end.
     """
-    require_prime(p)
+    require_mass_bits(lam, require_prime(p))  # before the conjugate is built
     mu = lam.conjugate().parts + (0,)
     evens = even_numerators(p, mu[0] // 2)
     exponent, denominator = mu[0] * (mu[0] + 1) // 2, 1
@@ -139,7 +140,8 @@ def pmf(lam: Partition, p: int) -> MassValue:
 
     Equal, term by term, to pmf_via_conjugate; this form is the cheaper one.
     """
-    return MassValue(_weight(lam, require_prime(p)), odd(p))
+    require_mass_bits(lam, require_prime(p))
+    return MassValue(_weight(lam, p), odd(p))
 
 
 def pmf_parts(a: int, p: int) -> MassValue:
@@ -227,6 +229,7 @@ class Family(Frozen):
         statistic = self.statistic(lam.size, lam.length)
         if statistic is None:
             raise ValueError(f"partition has {lam.length} parts, more than r={self.r}")
+        require_mass_bits(lam, self.p, self.u)
         return MassValue(_weight(lam, self.p) * self.factor(statistic), self.constant())
 
     def tail(self, max_size: int) -> Fraction:

@@ -48,6 +48,18 @@ MAX_QBINOMIAL_DEGREE = 64
 # 77 ms (min of 5, Python 3.11.7, 2 vCPUs).
 MAX_DECIMAL_EXPONENT = 100_000
 
+# Largest bound, in bits, on one partition's mass that the single-mass routes
+# (pmf, pmf_via_conjugate, Family.mass, d_lambda) build; see require_mass_bits.
+# Building and rendering a mass takes time superlinear in its bits: uncapped,
+# pmf --partition [10000000] at p = 2 ran over 60 s.  At the cap, the slowest
+# accepted pmf --partition requests are at p = 2^61 - 1, where the bound is
+# tight: [17189] took 4.3 s for cl and for cl-conjugate and 2.9 s for
+# truncated (r = 1), and the deformed [16383] at u = 1/2 took 4.0 s.  At p = 2
+# cl [524288] took 1.1 s, cl-conjugate 1.5 s, 1000 ones (1,001,000 bits)
+# 1.2 s, and the deformed [315] at u = 1e-1000 2.9 s (a fresh process, min of
+# 3, Python 3.11.7, 2 vCPUs).
+MAX_MASS_BITS = 2**20
+
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and "a/b" strings to Fraction; each side of a
@@ -355,9 +367,21 @@ def weight_key(parts: tuple[int, ...], evens: list[int]) -> tuple[int, int]:
     return total - exponent, numerator
 
 
+def require_mass_bits(lam: Partition, p: int, u: Fraction | None = None) -> None:
+    """Raise ValueError if lam's mass at p, times u^|lam| when u is given, may
+    need more than MAX_MASS_BITS bits: the bound e bitlen(p) + |lam|
+    (bitlen(u.numerator) + bitlen(u.denominator)), e = n(lam) + |lam|, is
+    read off the parts before any power is built."""
+    bits = (lam.n_stat() + lam.size) * p.bit_length()
+    if u is not None:
+        bits += lam.size * (u.numerator.bit_length() + u.denominator.bit_length())
+    require_int(bits, "mass bits", cap=MAX_MASS_BITS, kind="mass")
+
+
 def d_lambda(lam: Partition, p: int) -> Fraction:
     """prod_{i>=1} prod_{j=1}^{floor(m_i/2)} (1 - p^(-2j)), the symmetry weight of lam."""
-    e, numerator = weight_key(lam.parts, even_numerators(require_prime(p), lam.length // 2))
+    require_mass_bits(lam, require_prime(p))
+    e, numerator = weight_key(lam.parts, even_numerators(p, lam.length // 2))
     return Fraction(numerator, p ** (lam.n_stat() + lam.size - e))
 
 

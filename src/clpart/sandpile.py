@@ -320,10 +320,17 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
     require_prime(p)
     require_int(cap, "cap", 1, MAX_CAP, "valuation")
     require_int(len(matrix), "row count", cap=MAX_VERTICES, kind="vertex")
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    vals = _pivot_valuations(matrix, p, cap)
+    return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
+
+
+def _pivot_valuations(matrix, p: int, cap: int) -> list[int]:
+    """The pivot valuations of ``sylow_valuations_mod_prime_power``, one per
+    row, each truncated at cap; the arguments are not checked."""
     mod = p**cap
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
     width = 2 * mod.bit_length() + n.bit_length() + 1
     lane = (1 << width) - 1
     cols = [width * j for j in range(n)]  # bit offsets of the active columns
@@ -361,8 +368,7 @@ def sylow_valuations_mod_prime_power(matrix, p: int, cap: int = DEFAULT_VALUATIO
             if c:
                 rows[i] = row + (mod - c // pv) * pivot
         vals.append(v)
-
-    return Partition(sorted((v for v in vals if v), reverse=True)), cap in vals
+    return vals
 
 
 def _pivots_mod_2(g: Graph) -> tuple[list, list, list]:
@@ -408,25 +414,6 @@ def _pivots_mod_2(g: Graph) -> tuple[list, list, list]:
             [u for u in range(r) if unused >> u * width & 1])
 
 
-def _det(matrix) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    sign, prev = 1, 1
-    for t in range(n - 1):
-        if not m[t][t]:
-            swap = next((i for i in range(t + 1, n) if m[i][t]), None)
-            if swap is None:
-                return 0
-            m[t], m[swap] = m[swap], m[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-        prev = m[t][t]
-    return sign * m[-1][-1]
-
-
 def two_sylow_partition(g: Graph, cap: int = DEFAULT_VALUATION_CAP) -> tuple[Partition, bool]:
     """Same pair as ``sylow_valuations_mod_prime_power(reduced_laplacian(g), 2, cap)``.
 
@@ -438,13 +425,17 @@ def two_sylow_partition(g: Graph, cap: int = DEFAULT_VALUATION_CAP) -> tuple[Par
     complement.  L is symmetric, so this route takes it as S = L[F, R] -
     L[F, D] B^-1 L[P, R] with B = L[P, D] = A^T (F the free columns, R the
     spare rows), and B^-1 x is the XOR of the rows c of A^-1 over the odd
-    x_c.  Dixon lifting: Z starts as L[:, R]; lift t sets y = B^-1 (Z[P] /
-    2^t mod 2) per column and Z -= 2^t L y, where (L y)_i is degree_i y_i -
-    popcount(mask_i & y).  After t lifts Z[P] = 0 and Z[F] = S mod 2^t.
-    Since S = 0 mod 2, det S = 0 mod 2^k; lifting stops at the first t > k
-    where det S != 0 mod 2^t (every valuation is then below t, so S mod 2^t
-    fixes them) or at t = cap, and Z[F] goes to one
-    ``sylow_valuations_mod_prime_power`` call.
+    x_c.  Dixon lifting: Z starts as L[:, R]; lift t = 0, 1, ... sets
+    y = B^-1 (Z[P] / 2^t mod 2) per column and Z -= 2^t L y, where (L y)_i
+    is degree_i y_i - popcount(mask_i & y).  After lift t, Z[P] = 0 and
+    Z[F] = S mod 2^(t+1).  For k <= t < cap - 1 the lifting stops once
+    ``_pivot_valuations`` finds no valuation t + 1 in Z[F] mod 2^(t+1).  Every
+    elementary divisor of S then has valuation <= t, and any M = S mod
+    2^(t+1) has the same ones: with S = U D V, U and V unimodular,
+    M = U D (I + 2^(t+1) D^-1 E') V, and the middle factor is a 2-adic unit.
+    So lifting ends at t = max(k, lam_1), or at cap - 1, and Z[F] goes to one
+    ``sylow_valuations_mod_prime_power`` call.  Probes start at t = k, since
+    each is a k x k elimination: on a dense graph k is near n and lam_1 large.
     """
     require_int(cap, "cap", 1, MAX_CAP, "valuation")
     pivots, free, spare = _pivots_mod_2(g)
@@ -464,7 +455,8 @@ def two_sylow_partition(g: Graph, cap: int = DEFAULT_VALUATION_CAP) -> tuple[Par
             if y:
                 z[:] = [zi - ((d if y >> i & 1 else 0) - (m & y).bit_count() << t)
                         for i, (zi, d, m) in enumerate(zip(z, degrees, masks))]
-        if k <= t < cap - 1 and _det([[z[i] for z in zs] for i in free]) % (2 << t):
+        if k <= t < cap - 1 and t + 1 not in _pivot_valuations(
+                [[z[i] for z in zs] for i in free], 2, t + 1):
             break
     # module global, read per call, so a route wrapped for tracing is the one called
     return sylow_valuations_mod_prime_power([[z[i] for z in zs] for i in free], 2, cap)

@@ -3,12 +3,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from clpart import cli, measures, sampler
+from clpart import cli, measures, qseries, sampler
 from clpart.cli import _run_checks, main
 from clpart.measures import MassValue, tabulate
 from clpart.partitions import Partition
@@ -196,6 +197,19 @@ def test_a_decimal_exponent_above_the_cap_exits_2_before_expanding(capsys):
         2, "", "error: decimal exponent -1000000 exceeds the cap 100000 in magnitude\n")
 
 
+@pytest.mark.parametrize("argv, bits", [
+    (["--measure", "cl", "--partition", "[10000000]"], 20_000_000),
+    (["--measure", "cl-conjugate", "--partition", "[3000000]"], 6_000_000),
+    (["--measure", "deformed", "--u", "1/2", "--partition", "[1000000]"], 5_000_000),
+    (["--measure", "deformed", "--u", "1e-1000", "--partition", "[3000]"], 9_975_000),
+], ids=["cl", "cl-conjugate", "deformed-half", "deformed-tiny-u"])
+def test_a_mass_above_the_bit_cap_exits_2_before_it_is_built(capsys, argv, bits):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["pmf", "--p", "2", *argv])
+    assert (code, out, err) == (2, "", f"error: mass bits={bits} exceeds the mass cap 1048576\n")
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("mode", [["--partition", "[1]"], ["--max-size", "3"]],
                          ids=["partition", "max-size"])
 def test_an_in_range_u_past_the_digit_limit_is_shown_short_in_the_constant(capsys, mode):
@@ -324,8 +338,8 @@ def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("output, directory, reason, left", [
     ("missing/out.json", None, "No such file or directory", []),
-    # the temporary name beside it is too long too, and so is removing it
-    ("x" * 255, None, "File name too long", []),
+    # past the 255-byte name limit: the rename onto it is refused
+    ("x" * 256, None, "File name too long", []),
     ("out.json", "out.json", "Is a directory", ["out.json"]),
     # the payload is renamed into place before its manifest is written
     ("out.json", "out.json.manifest.json", "Is a directory", ["out.json", "out.json.manifest.json"]),
@@ -338,6 +352,17 @@ def test_an_unwritable_output_exits_2_with_one_line(capsys, tmp_path, output, di
                                 "--output", str(tmp_path / output)])
     assert (code, err) == (2, f"error: cannot write {tmp_path / (directory or output)}: {reason}\n")
     assert sorted(os.listdir(tmp_path)) == left  # no temporary file is left
+
+
+def test_a_long_output_name_gets_its_manifest(capsys, tmp_path):
+    # 240 bytes, 254 with ".manifest.json": the temporary names are shorter
+    out = tmp_path / ("x" * 240)
+    code, _, err = run(capsys, ["pmf", "--measure", "cl", "--p", "2", "--max-size", "3",
+                                "--output", str(out)])
+    assert (code, err) == (0, "")
+    assert sorted(os.listdir(tmp_path)) == [out.name, f"{out.name}.manifest.json"]
+    manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 WRITER_CASES = {
@@ -559,6 +584,33 @@ def test_verify_prints_a_disagreement_as_fail(capsys, monkeypatch, suite, module
     assert lines[-1] == "1 check(s) FAILED"
 
 
+def test_one_kernel_numerator_off_fails_each_chain_check_that_reads_it(capsys, monkeypatch):
+    # K(2, 0)'s numerator one too large wherever it is read: FAIL lines and
+    # exit 1, not the internal error's exit 3
+    real = qseries.kernel_numerators
+
+    def one_off(a, p):
+        row = real(a, p)
+        return (row[0] + 1, *row[1:]) if a == 2 else row
+
+    for module in (cli, measures, sampler):
+        monkeypatch.setattr(module, "kernel_numerators", one_off)
+    sampler.kernel_row.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--suite", "chain", "--p", "2", "--a-max", "4"])
+    finally:
+        sampler.kernel_row.cache_clear()
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL kernel-row-sums p=2 a<=4: kernel row a=2, p=2 sums to 9/8, not 1",
+        "FAIL kernel-ratio-identity p=2 a<=4: "
+        "P(b) / (p^binom(a+1,2) P(a) (1/p^2)_floor((a-b)/2)) = K(a,b) exactly",
+        "FAIL initial-column-distribution p=2: parts recursions disagree at p=2: "
+        "the kernel form leaves a remainder at a=2",
+        "3 check(s) FAILED",
+    ]
+
+
 @pytest.mark.parametrize("height", [5, 8])
 def test_chain_suite_fails_a_wrong_retained_mass(capsys, monkeypatch, height):
     # pmf_parts wrong past a_max = 4, wherever the suite and the sampler read
@@ -601,6 +653,8 @@ def test_verify_domain_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["verify", "--suite", "identities", "--p", "2,x"])
     assert code == 2
+    code, out, err = run(capsys, ["verify", "--suite", "identities", "--p", ","])
+    assert (code, out, err) == (2, "", "error: empty prime list\n")
     code, out, err = run(capsys, ["verify", "--suite", "chain", "--p", "2,4"])
     assert code == 2 and out == ""
     assert "prime" in err and "parse" not in err

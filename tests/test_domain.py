@@ -3,7 +3,7 @@ vertex count and labels, a reduced Laplacian's root, a partition size to
 enumerate, tabulate or sum the series to, a parts count, a kernel height, a
 trial count or index, a q-product length and a verify depth are ints, and
 none is below its least value.  The sandpile module's matrix routes cap their
-row counts."""
+row counts, and the single-mass routes the bits of a mass."""
 
 import math
 from argparse import Namespace
@@ -31,6 +31,7 @@ from clpart.cli import cmd_verify
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import (
     MAX_EULER_TERMS,
+    MAX_MASS_BITS,
     MAX_QBINOMIAL_DEGREE,
     d_lambda,
     deformed_constant,
@@ -294,6 +295,27 @@ def test_series_sizes_and_depths_at_their_caps_are_accepted():
     assert pmf_size(MAX_SERIES_SIZE, 2).rational > 0
     assert verify_euler_identity(HALF, HALF, MAX_EULER_TERMS).agree
     assert verify_qbinomial(MAX_QBINOMIAL_DEGREE, HALF, 1).agree
+
+
+# Each single-mass route at p = 2, and the largest part of a one-part
+# partition it accepts: the bound is 2 (n(lam) + |lam|) bits, plus
+# |lam| (1 + 1) for the deformed route at u = 1.
+MASSES = {
+    "pmf": (lambda lam: pmf(lam, 2), MAX_MASS_BITS // 2),
+    "pmf_via_conjugate": (lambda lam: pmf_via_conjugate(lam, 2), MAX_MASS_BITS // 2),
+    "pmf_deformed": (lambda lam: pmf_deformed(lam, 2, 1), MAX_MASS_BITS // 4),
+    "pmf_truncated": (lambda lam: pmf_truncated(lam, 2, 1), MAX_MASS_BITS // 2),
+    "d_lambda": (lambda lam: d_lambda(lam, 2), MAX_MASS_BITS // 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASSES))
+def test_masses_above_the_bit_cap_are_refused_and_at_it_accepted(name):
+    call, largest = MASSES[name]
+    bits = MAX_MASS_BITS + (2 if name != "pmf_deformed" else 4)
+    with pytest.raises(ValueError, match=f"^mass bits={bits} exceeds the mass cap {MAX_MASS_BITS}$"):
+        call(Partition([largest + 1]))
+    assert call(Partition([largest])) is not None
 
 
 @pytest.mark.parametrize("a", [*NOT_INTS, -1, -2],

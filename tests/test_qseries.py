@@ -84,6 +84,9 @@ def test_odd_constant_tolerances_consistent():
     a = odd_constant(2, Fraction(1, 10**10))
     b = odd_constant(2, Fraction(1, 10**20))
     assert abs(a.mid - b.mid) <= Fraction(1, 10**9)
+    for tolerance in (0, Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="^tolerance must be > 0$"):
+            odd_constant(2, tolerance)
 
 
 def test_odd_constant_contains_deeper_partials():
@@ -120,6 +123,9 @@ def test_deformed_constant_values_and_domain():
         deformed_constant(2, 2)
     with pytest.raises(ValueError):
         deformed_constant(3, Fraction(-1, 2))
+    for tolerance in (0, Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="^tolerance must be > 0$"):
+            deformed_constant(2, Fraction(1, 2), tolerance)
 
 
 def test_euler_identity_examples():

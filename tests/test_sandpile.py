@@ -167,28 +167,6 @@ def test_odd_spanning_trees_iff_plocal_finds_no_2_part():
     assert {(40, False), (40, True), (100, False), (100, True)} <= seen
 
 
-def _leibniz_det(m):
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
-    return total
-
-
-def test_det_matches_the_permutation_expansion():
-    # the early stop of two_sylow_partition reads det S mod 2^t from this
-    rng = random.Random(29)
-    swapped = 0
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        m = [[rng.choice((0, 0, 1, -2, 3, 8)) for _ in range(n)] for _ in range(n)]
-        swapped += n > 2 and m[0][0] == 0 and any(row[0] for row in m)
-        assert sandpile._det(m) == _leibniz_det(m), m
-    assert swapped > 10
-    assert sandpile._det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
-
-
 CAPS = (1, 2, 3, 12)
 
 
@@ -207,6 +185,30 @@ def test_two_sylow_partition_matches_both_routes():
                 capped += got[1]
     assert max(lengths) >= 2 and 0 in lengths
     assert capped > 0
+
+
+def test_two_sylow_partition_at_every_cap_where_lam_1_is_below_the_size():
+    # the lifting may stop once S mod 2^(t+1) fixes every valuation, at
+    # t = max(k, lam_1), which lam_1 < |lam| lets fall below |lam|: each cap
+    # up to |lam| + 1
+    cases = [complete_graph(n) for n in (4, 6, 8, 10)]  # (Z/n)^(n-2)
+    for n, q, trial in itertools.product((8, 12, 16, 20), ("1/2", "3/4"), range(12)):
+        g = erdos_renyi(n, Fraction(q), substream(61, trial))
+        if g.is_connected():
+            cases.append(g)
+    checked = set()
+    for g in cases:
+        m = reduced_laplacian(g)
+        lam, capped = p_sylow_partition(m, 2, MAX_CAP)
+        assert not capped
+        if not lam.parts or lam.parts[0] == lam.size:
+            continue
+        for cap in range(1, lam.size + 2):
+            got = two_sylow_partition(g, cap)
+            assert got == sylow_valuations_mod_prime_power(m, 2, cap), (g, cap)
+            assert got == p_sylow_partition(m, 2, cap), (g, cap)
+        checked.add(lam)
+    assert len(checked) >= 8, checked
 
 
 def test_two_sylow_partition_on_disconnected_graphs():
