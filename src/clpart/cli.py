@@ -123,8 +123,16 @@ def _write_output(args, chunks, command: str, params: dict) -> None:
     if not args.output:
         sys.stdout.write("".join(chunks))
         return
+    import errno
     import json
 
+    manifest_path = args.output + ".manifest.json"
+    try:  # a name the payload takes but its manifest does not: refuse before either is written
+        name_max = os.pathconf(os.path.dirname(args.output) or ".", "PC_NAME_MAX")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
+    if len(os.fsencode(os.path.basename(manifest_path))) > name_max:
+        raise ValueError(f"cannot write {args.output}: {os.strerror(errno.ENAMETOOLONG)}")
     chunks = iter(chunks)
     blocks = ("".join(chain((first,), islice(chunks, BLOCK_CHUNKS - 1))) for first in chunks)
     manifest = {
@@ -134,8 +142,7 @@ def _write_output(args, chunks, command: str, params: dict) -> None:
         "version": __version__,
         "outputs": {args.output: _atomic_write(args.output, blocks)},
     }
-    _atomic_write(args.output + ".manifest.json",
-             [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+    _atomic_write(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
 def _dumps(obj):

@@ -3,7 +3,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -203,11 +202,14 @@ def test_a_decimal_exponent_above_the_cap_exits_2_before_expanding(capsys):
     (["--measure", "deformed", "--u", "1/2", "--partition", "[1000000]"], 5_000_000),
     (["--measure", "deformed", "--u", "1e-1000", "--partition", "[3000]"], 9_975_000),
 ], ids=["cl", "cl-conjugate", "deformed-half", "deformed-tiny-u"])
-def test_a_mass_above_the_bit_cap_exits_2_before_it_is_built(capsys, argv, bits):
-    start = time.perf_counter()
+def test_a_mass_above_the_bit_cap_exits_2_before_it_is_built(capsys, monkeypatch, argv, bits):
+    def built(*args):
+        raise AssertionError("the mass was built")
+
+    monkeypatch.setattr(measures, "_weight", built)
+    monkeypatch.setattr(Partition, "conjugate", built)
     code, out, err = run(capsys, ["pmf", "--p", "2", *argv])
     assert (code, out, err) == (2, "", f"error: mass bits={bits} exceeds the mass cap 1048576\n")
-    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("mode", [["--partition", "[1]"], ["--max-size", "3"]],
@@ -338,12 +340,14 @@ def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("output, directory, reason, left", [
     ("missing/out.json", None, "No such file or directory", []),
-    # past the 255-byte name limit: the rename onto it is refused
-    ("x" * 256, None, "File name too long", []),
+    # the payload's name is taken but its manifest's is not: neither is written
+    ("x" * 255, None, "File name too long", []),
+    ("x" * 256, None, "File name too long", []),  # neither name is taken
     ("out.json", "out.json", "Is a directory", ["out.json"]),
     # the payload is renamed into place before its manifest is written
     ("out.json", "out.json.manifest.json", "Is a directory", ["out.json", "out.json.manifest.json"]),
-], ids=["missing-parent", "name-too-long", "output-is-a-directory", "manifest-is-a-directory"])
+], ids=["missing-parent", "name-too-long", "name-past-the-limit", "output-is-a-directory",
+        "manifest-is-a-directory"])
 def test_an_unwritable_output_exits_2_with_one_line(capsys, tmp_path, output, directory, reason,
                                                     left):
     if directory:
