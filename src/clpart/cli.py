@@ -13,7 +13,7 @@ RuntimeError or ArithmeticError elsewhere, such as the sampler's column-count
 abort or a kernel row that does not sum to 1).  Randomized commands require
 an explicit --seed; every file output gets a <output>.manifest.json recording
 the full parameter set and a digest, and re-running the same command
-reproduces the bytes.  A file output is streamed: the serializer's chunks are
+reproduces the bytes.  A file output is streamed: the serializer's bytes chunks are
 written in blocks to a temporary file beside it, hashed on the way, and the
 file is renamed into place, then the manifest the same way.  A command that
 fails before the payload's rename leaves both files as they were; one whose
@@ -33,7 +33,6 @@ import os
 import sys
 from contextlib import suppress
 from fractions import Fraction
-from itertools import chain, islice
 
 from . import __version__
 from .measures import (
@@ -82,15 +81,28 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {shown!r} ({hint})") from None
 
 
-# Chunks per written block: about 1 MiB of a pmf table's JSON, where each entry is two
-# chunks, its separator and its text (~3.1 KB at p = 2, max size 26).  CSV rows and
-# sample lines, one chunk each, get blocks of tens of KB; writing a CSV table or
-# 200,000 sample lines was measured no slower and no larger in peak memory than at 5120.
-BLOCK_CHUNKS = 672
+# Bytes per written block: _dumps composes a table's JSON in blocks of about
+# this size, and _blocks joins smaller chunks (CSV rows, sample lines) into
+# blocks of at least this size.
+BLOCK_BYTES = 1 << 20
+
+
+def _blocks(chunks):
+    """The bytes chunks joined into blocks of at least BLOCK_BYTES, the last
+    one maybe shorter; a chunk of that size or more is a block of its own."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= BLOCK_BYTES:
+            yield b"".join(block)
+            block, size = [], 0
+    if block:
+        yield b"".join(block)
 
 
 def _atomic_write(path: str, blocks) -> str:
-    """Write the str blocks to a temporary file beside ``path``, rename it
+    """Write the bytes blocks to a temporary file beside ``path``, rename it
     onto ``path`` and return the sha256 of the bytes written.
 
     The temporary name has a fixed length, so any name the file system takes
@@ -105,9 +117,8 @@ def _atomic_write(path: str, blocks) -> str:
     try:
         with open(tmp, "wb") as fh:
             for block in blocks:
-                data = block.encode()
-                digest.update(data)
-                fh.write(data)
+                digest.update(block)
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException as exc:
         with suppress(OSError):  # none was made, or its name is refused as well
@@ -119,9 +130,10 @@ def _atomic_write(path: str, blocks) -> str:
 
 
 def _write_output(args, chunks, command: str, params: dict) -> None:
-    """Write the str chunks to ``args.output`` and its manifest, or to stdout."""
+    """Write the bytes chunks to ``args.output`` and its manifest, or to stdout."""
     if not args.output:
-        sys.stdout.write("".join(chunks))
+        sys.stdout.flush()  # the lines printed before the payload go first
+        sys.stdout.buffer.write(b"".join(chunks))
         return
     import errno
     import json
@@ -133,46 +145,57 @@ def _write_output(args, chunks, command: str, params: dict) -> None:
         raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
     if len(os.fsencode(os.path.basename(manifest_path))) > name_max:
         raise ValueError(f"cannot write {args.output}: {os.strerror(errno.ENAMETOOLONG)}")
-    chunks = iter(chunks)
-    blocks = ("".join(chain((first,), islice(chunks, BLOCK_CHUNKS - 1))) for first in chunks)
     manifest = {
         "command": command,
         "params": params,
         "seed": params.get("seed"),
         "version": __version__,
-        "outputs": {args.output: _atomic_write(args.output, blocks)},
+        "outputs": {args.output: _atomic_write(args.output, _blocks(chunks))},
     }
-    _atomic_write(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+    _atomic_write(manifest_path, [f"{json.dumps(manifest, indent=2, sort_keys=True)}\n".encode()])
+
+
+def _entry_halves(mid: str, rad: str) -> tuple[bytes, bytes]:
+    """A table entry's JSON text without its opening brace and count, as the
+    bytes before and after its partition."""
+    return (f'\n      "mid": "{mid}",\n      "partition": "'.encode(),
+            f'",\n      "rad": "{rad}"\n    }}'.encode())
 
 
 def _dumps(obj):
-    """The JSON text of ``obj`` (indent 2, sorted keys, final newline) as str chunks.
+    """The JSON text of ``obj`` (indent 2, sorted keys, final newline) as bytes chunks.
 
-    ``obj`` is a dict, or a table with ``json_parts()``: the table's other keys
-    are encoded by the encoder and its entries are written here, in the
-    encoder's layout, as separator and text chunks.
+    ``obj`` is a dict, encoded whole by the encoder, or a table with
+    ``json_parts()``: the table's other keys are encoded by the encoder and
+    its entries are written here, in the encoder's layout, in blocks of about
+    BLOCK_BYTES.  Each distinct mass's entry text is encoded once, as the
+    bytes before and after the partition.
     """
     import json
 
     encoder = json.JSONEncoder(indent=2, sort_keys=True)
     if isinstance(obj, dict):
-        yield from encoder.iterencode(obj)
-    else:
-        head, entries = obj.json_parts()
-        # strings are encoded with \n escaped, so this is the top-level key
-        before, _, after = encoder.encode({**head, "entries": []}).partition('\n  "entries": []')
-        yield before + '\n  "entries": ['
-        separator = "\n    "
-        # An entry is an object two levels deep, its keys in sorted order;
-        # partitions and fraction strings need no JSON escaping.
-        for lam, count, mid, rad in entries:
-            yield separator
-            count = "" if count is None else f'\n      "count": {count},'
-            yield (f'{{{count}\n      "mid": "{mid}",\n      "partition": "{lam}",'
-                   f'\n      "rad": "{rad}"\n    }}')
-            separator = ",\n    "
-        yield ("]" if separator == "\n    " else "\n  ]") + after
-    yield "\n"
+        yield f"{encoder.encode(obj)}\n".encode()
+        return
+    # An entry is an object two levels deep, its keys in sorted order;
+    # partitions and fraction strings need no JSON escaping.
+    head, entries = obj.json_parts(_entry_halves)
+    # strings are encoded with \n escaped, so this is the top-level key
+    before, _, after = encoder.encode({**head, "entries": []}).partition('\n  "entries": []')
+    block, size, limit = [before.encode(), b'\n  "entries": ['], 0, BLOCK_BYTES
+    opening = b"\n    {"
+    for lam, count, (left, right) in entries:
+        text = str(lam).encode()
+        block += (opening if count is None else b'%s\n      "count": %d,' % (opening, count),
+                  left, text, right)
+        opening = b",\n    {"
+        size += len(left) + len(text) + len(right)
+        if size >= limit:
+            yield b"".join(block)
+            block, size = [], 0
+    block.append(b"]" if opening == b"\n    {" else b"\n  ]")
+    block.append(f"{after}\n".encode())
+    yield b"".join(block)
 
 
 # ---------------------------------------------------------------- pmf
@@ -215,7 +238,7 @@ def cmd_pmf(args) -> int:
             print(dist.constant)
             print(f"table total + tail = {dist.normalization_enclosure()}")
             if args.format == "csv":
-                payload = (",".join(row) + "\n" for row in dist.to_csv_rows())
+                payload = (f"{','.join(row)}\n".encode() for row in dist.to_csv_rows())
             else:
                 payload = _dumps(dist)
             _write_output(args, payload, "pmf", _param_dict(args))
@@ -248,7 +271,7 @@ def cmd_sample(args) -> int:
         payload = _dumps(dist)
     else:
         lines = {}  # a run has few distinct partitions: render each once
-        payload = (lines.get(lam) or lines.setdefault(lam, f"{lam}\n")
+        payload = (lines.get(lam) or lines.setdefault(lam, f"{lam}\n".encode())
                    for lam in sample_partitions(config, args.trials))
     _write_output(args, payload, "sample", _param_dict(args))
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .partitions import (ENUMERATION_CAP, Frozen, Partition, Record, enumerate_partitions,
                          require_int)
@@ -24,6 +24,7 @@ from .qseries import (
     deformed_constant,
     echo,
     even_numerators,
+    exact_decimals,
     fraction_str,
     int_text,
     kernel_numerators,
@@ -393,20 +394,23 @@ class PartitionDistribution(Record):
         self.counts = counts
 
     def _rendered(self, render):
-        """(partition, render(mass enclosure)) in the entries' canonical order.
+        """(partition, render(mid, rad)) in the entries' canonical order, with mid
+        and rad the entry's mass enclosure as ``_product`` triples.
 
         Each distinct rational is multiplied by the constant and rendered
         once: the base measure's depends only on n(lam) + |lam| and the
         multiplicities, so many entries share one.  The renderings are keyed
         by (numerator, denominator), so no Fraction is hashed.
         """
-        constant = self.constant.enclosure
+        enclosure = self.constant.enclosure
+        mid = enclosure.mid.numerator, enclosure.mid.denominator
+        rad = enclosure.rad.numerator, enclosure.rad.denominator
         rendered = {}
         for lam, r in self.entries.items():
-            key = (r.numerator, r.denominator)
+            key = r.numerator, r.denominator
             text = rendered.get(key)
             if text is None:
-                text = rendered[key] = render(constant * r)
+                text = rendered[key] = render(_product(*mid, *key), _product(*rad, *key))
             yield lam, text
 
     def total_enclosure(self) -> BoundedReal:
@@ -431,46 +435,81 @@ class PartitionDistribution(Record):
         """The table as a JSON-ready dict; ``json_parts`` is its streamed form."""
         head, entries = self.json_parts()
         rows = []
-        for lam, count, mid, rad in entries:
+        for lam, count, (mid, rad) in entries:
             row = {"partition": str(lam), "mid": mid, "rad": rad}
             if count is not None:
                 row["count"] = count
             rows.append(row)
         return {**head, "entries": rows}
 
-    def json_parts(self):
+    def json_parts(self, fields=None):
         """(the JSON object without "entries", an iterator of entry fields).
 
-        The fields are (partition, count or None, mid, rad) in canonical
-        order, with mid and rad as fraction strings rendered once per
-        distinct rational (entries sharing a mass share the strings).  The
-        mids and rads of different rationals share many of their numerators
-        and denominators, so each distinct int is converted to decimal once.
+        The fields are (partition, count or None, rendered) in canonical
+        order, where ``rendered`` is fields(mid, rad), by default (mid, rad),
+        of the mid and rad fraction strings.  Both are rendered once per
+        distinct rational, and entries sharing a mass share them.  The mids
+        and rads share their numerators and the big factors of their
+        denominators, so each distinct numerator is converted to decimal once,
+        and each big factor to a ``decimal.Decimal`` once, which an exact
+        product with the small factor turns into the denominator's digits.
         """
         counts = self.counts
-        digits = _Digits().__getitem__
-        rendered = self._rendered(lambda enc: (fraction_str(enc.mid, digits),
-                                               fraction_str(enc.rad, digits)))
+        context = exact_decimals()
+        digits, factors = _Cache(int_text), _Cache(context.create_decimal)
+
+        def text(product):
+            numerator, big, small = product
+            return f"{digits[numerator]}/{context.multiply(factors[big], small)!s}"
+
+        def render(mid, rad):
+            mid, rad = text(mid), text(rad)
+            return (mid, rad) if fields is None else fields(mid, rad)
+
         head = {"p": self.p, "measure": self.measure, "params": dict(self.params),
                 "tail": self.tail_mass.to_json()}
         return head, (
-            (lam, None if counts is None else counts.get(lam, 0), mid, rad)
-            for lam, (mid, rad) in rendered)
+            (lam, None if counts is None else counts.get(lam, 0), rendered)
+            for lam, rendered in self._rendered(render))
 
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["partition", "midpoint", "radius"]]
-        for lam, (mid, rad) in self._rendered(
-                lambda enc: (repr(float(enc.mid)), repr(float(enc.rad)))):
+        for lam, (mid, rad) in self._rendered(lambda mid, rad: (_float_text(*mid),
+                                                                _float_text(*rad))):
             rows.append([str(lam), mid, rad])
         return rows
 
 
-class _Digits(dict):
-    """int -> its decimal text, converted on first lookup."""
+def _product(n: int, d: int, a: int, b: int) -> tuple[int, int, int]:
+    """n/d times a/b, both in lowest terms with d, a and b > 0, reduced as
+    Fraction multiplication reduces it, by gcd(n, b) and gcd(a, d):
+    (numerator, big, small), the denominator being big * small.
 
-    def __missing__(self, i):
-        text = self[i] = int_text(i)
-        return text
+    In a table n/d is the constant's midpoint or radius and a/b an entry's
+    rational, so ``big`` = d / gcd(a, d) takes few values and ``small`` =
+    b / gcd(n, b) is no longer than b.
+    """
+    g, h = gcd(n, b), gcd(a, d)
+    return n // g * (a // h), d // h, b // g
+
+
+def _float_text(numerator: int, big: int, small: int) -> str:
+    """repr of the float nearest a ``_product``, as Fraction's float rounds it:
+    int true division rounds correctly."""
+    return repr(numerator / (big * small))
+
+
+class _Cache(dict):
+    """key -> convert(key), converted on the first lookup."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
 def frequency_table(p: int, measure: str, params: dict, counts: dict,

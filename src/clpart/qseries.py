@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import mul
 
@@ -53,11 +53,11 @@ MAX_DECIMAL_EXPONENT = 100_000
 # Building and rendering a mass takes time superlinear in its bits: uncapped,
 # pmf --partition [10000000] at p = 2 ran over 60 s.  At the cap, the slowest
 # accepted pmf --partition requests are at p = 2^61 - 1, where the bound is
-# tight: [17189] took 4.3 s for cl and for cl-conjugate and 2.9 s for
-# truncated (r = 1), and the deformed [16383] at u = 1/2 took 4.0 s.  At p = 2
-# cl [524288] took 1.1 s, cl-conjugate 1.5 s, 1000 ones (1,001,000 bits)
-# 1.2 s, and the deformed [315] at u = 1e-1000 2.9 s (a fresh process, min of
-# 3, Python 3.11.7, 2 vCPUs).
+# tight: [17189] took 0.50 s for cl, 0.53 s for cl-conjugate and 0.36 s for
+# truncated (r = 1), and the deformed [16383] at u = 1/2 took 0.41 s.  At
+# p = 2 cl [524288] took 0.14 s, cl-conjugate 0.26 s, 1000 ones (1,001,000
+# bits) 0.18 s, and the deformed [315] at u = 1e-1000 0.42 s (a fresh
+# process, min of 3, Python 3.11.7, 2 vCPUs).
 MAX_MASS_BITS = 2**20
 
 
@@ -94,16 +94,47 @@ def require_decimal_exponent(text: str) -> None:
                          f"{MAX_DECIMAL_EXPONENT} in magnitude")
 
 
+def exact_decimals():
+    """A ``decimal`` context in which sums and products of ints are exact: its
+    precision and exponent range are the largest there are, and an inexact
+    result raises.  ``decimal`` is imported here: only these conversions use it."""
+    import decimal
+
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.Inexact])
+
+
+# Width in bits up to which int_text converts a piece of an int to Decimal directly.
+DECIMAL_LEAF_BITS = 4096
+
+
 def int_text(i: int) -> str:
     """str(i), also past Python's int-to-str digit limit (4300 digits by default;
-    a run of 1000 equal parts has a ~150,000-digit mass at p = 2): there the
-    halves of a divmod by 10^k, k about half the digits, are joined."""
+    a run of 1000 equal parts has a ~150,000-digit mass at p = 2).
+
+    There the int is split into binary halves, high * 2^w + low, down to
+    pieces of DECIMAL_LEAF_BITS, and rebuilt as a ``decimal.Decimal`` with
+    exact products and sums, as CPython 3.12's ``_pylong`` does; libmpdec
+    multiplies in subquadratic time, where int division and str are
+    quadratic.  A 1,001,000-bit int takes 0.10 s, against 1.6 s for str with
+    the limit lifted (Python 3.11.7).
+    """
     try:
         return str(i)
     except ValueError:
-        k = abs(i).bit_length() * 3 // 20  # log10(2) ~ 0.301
-        high, low = divmod(abs(i), 10**k)
-        return "-" * (i < 0) + int_text(high) + int_text(low).zfill(k)
+        pass
+    context = exact_decimals()
+    power = lru_cache(maxsize=None)(partial(context.power, 2))  # 2^w, each w once
+
+    def convert(n, width):  # 0 <= n < 2^width
+        if width <= DECIMAL_LEAF_BITS:
+            return context.create_decimal(n)
+        w = width >> 1
+        high = n >> w
+        return context.fma(convert(high, width - w), power(w), convert(n - (high << w), w))
+
+    n = abs(i)
+    return "-" * (i < 0) + str(convert(n, n.bit_length()))
 
 
 def text_int(text: str) -> int:
@@ -121,14 +152,10 @@ def text_int(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
-def fraction_str(x: Fraction, digits=int_text) -> str:
-    """Render as "num/den" (denominator always explicit, for stable JSON).
-
-    ``digits`` turns an int into its decimal text; a caller that renders many
-    fractions sharing big numerators or denominators can pass a cached one.
-    """
+def fraction_str(x: Fraction) -> str:
+    """Render as "num/den" (denominator always explicit, for stable JSON)."""
     x = as_fraction(x)
-    return f"{digits(x.numerator)}/{digits(x.denominator)}"
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def clipped(text: str) -> tuple[str, str]:

@@ -516,9 +516,9 @@ class ExperimentResult(Record):
     def to_json_dict(self) -> dict:
         return {**self.distribution.to_json_dict(), **self._tallies()}
 
-    def json_parts(self):
+    def json_parts(self, fields=None):
         """The table's ``json_parts`` with the tallies added to the head."""
-        head, entries = self.distribution.json_parts()
+        head, entries = self.distribution.json_parts(fields)
         return {**head, **self._tallies()}, entries
 
 

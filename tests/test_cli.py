@@ -303,7 +303,7 @@ def test_manifest_round_trips_to_identical_bytes(capsys, tmp_path):
 def test_file_output_in_small_blocks_equals_stdout(capsys, monkeypatch, tmp_path, argv):
     code, expected, _ = run(capsys, argv)
     assert code == 0
-    monkeypatch.setattr(cli, "BLOCK_CHUNKS", 7)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 64)
     out_path = tmp_path / "out"
     code, out, _ = run(capsys, argv + ["--output", str(out_path)])
     assert code == 0
@@ -322,19 +322,26 @@ def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
     argv = ["pmf", "--measure", "cl", "--p", "2", "--max-size", "6", "--output", str(out_path)]
     assert main(argv) == 0
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-    dumps = cli._dumps
+    dumps, blocks, written = cli._dumps, cli._blocks, []
 
     def broken(obj):
         chunks = dumps(obj)
-        for _ in range(50):  # several blocks reach the temporary file first
+        for _ in range(5):  # each a block of its own, written before the failure
             yield next(chunks)
         raise RuntimeError("broken on purpose")
 
+    def counted(chunks):
+        for block in blocks(chunks):
+            written.append(block)
+            yield block
+
     monkeypatch.setattr(cli, "_dumps", broken)
-    monkeypatch.setattr(cli, "BLOCK_CHUNKS", 8)
+    monkeypatch.setattr(cli, "_blocks", counted)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 256)
     capsys.readouterr()
     code, _, err = run(capsys, argv)
     assert (code, err) == (3, "internal error: broken on purpose\n")
+    assert len(written) == 5 and all(len(block) >= 256 for block in written)
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
@@ -386,7 +393,7 @@ WRITER_CASES = {
 def test_dumps_of_a_table_equals_json_dumps_of_its_dict(name):
     table = WRITER_CASES[name]()
     expected = json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    assert "".join(cli._dumps(table)) == expected
+    assert b"".join(cli._dumps(table)) == expected.encode()
 
 
 def test_table_write_hashes_each_distinct_rational_at_most_once(capsys, monkeypatch, tmp_path):

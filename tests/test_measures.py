@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -469,43 +470,84 @@ def test_table_outputs_render_each_distinct_rational_once(monkeypatch):
     expected_json = [{"partition": lam, "mid": fraction_str(m.mid), "rad": fraction_str(m.rad)}
                      for lam, m in masses]
     expected_csv = [[lam, repr(float(m.mid)), repr(float(m.rad))] for lam, m in masses]
-    calls = {"fraction_str": 0, "mul": 0}
+    calls = {"product": 0, "mul": 0}
 
-    def counted_fraction_str(x, *digits):
-        calls["fraction_str"] += 1
-        return fraction_str(x, *digits)
+    def counted_product(*args, product=measures._product):
+        calls["product"] += 1
+        return product(*args)
 
     def counted_mul(self, other, mul=BoundedReal.__mul__):
         calls["mul"] += 1
         return mul(self, other)
 
-    monkeypatch.setattr(measures, "fraction_str", counted_fraction_str)
+    monkeypatch.setattr(measures, "_product", counted_product)
     monkeypatch.setattr(BoundedReal, "__mul__", counted_mul)
     doc = dist.to_json_dict()
     assert doc["entries"] == expected_json
-    assert calls["mul"] == distinct
-    assert calls["fraction_str"] <= 2 * distinct + 2  # + 2: the tail's mid and rad
-    calls.update(fraction_str=0, mul=0)
+    # one integer product for the mid and one for the rad of each distinct
+    # rational, and no BoundedReal product at all
+    assert calls == {"product": 2 * distinct, "mul": 0}
+    calls.update(product=0)
     assert dist.to_csv_rows()[1:] == expected_csv
-    assert calls == {"fraction_str": 0, "mul": distinct}
+    assert calls == {"product": 2 * distinct, "mul": 0}
 
 
 def test_table_json_converts_each_distinct_int_once(monkeypatch):
     dist = tabulate(2, 16)
-    masses = {dist.constant.enclosure * r for r in set(dist.entries.values())}
-    ints = {i for m in masses for x in (m.mid, m.rad) for i in (x.numerator, x.denominator)}
-    # the rationals' mids and rads share ints, so caching pays
-    assert len(ints) < 4 * len(masses)
-    converted = []
-    real = measures._Digits.__missing__
+    enclosure = dist.constant.enclosure
+    rationals = set(dist.entries.values())
+    masses = {enclosure * r for r in rationals}
+    numerators = {x.numerator for m in masses for x in (m.mid, m.rad)}
+    # a denominator is a big factor of the constant's times a small one of the rational's
+    factors = {x.denominator // gcd(r.numerator, x.denominator)
+               for r in rationals for x in (enclosure.mid, enclosure.rad)}
+    # the masses share their numerators and big factors, so caching pays
+    assert len(numerators) + len(factors) < len(masses)
+    converted = {"digits": [], "decimals": []}
+    real = measures._Cache.__missing__
 
-    def counted(self, i):
-        converted.append(i)
-        return real(self, i)
+    def counted(self, key):
+        converted["digits" if self.convert is measures.int_text else "decimals"].append(key)
+        return real(self, key)
 
-    monkeypatch.setattr(measures._Digits, "__missing__", counted)
-    for _ in range(2):  # the cache lives for one json_parts call
-        converted.clear()
+    monkeypatch.setattr(measures._Cache, "__missing__", counted)
+    for _ in range(2):  # the caches live for one json_parts call
+        for keys in converted.values():
+            keys.clear()
         rows = dist.to_json_dict()["entries"]
-        assert sorted(converted) == sorted(ints)
+        assert sorted(converted["digits"]) == sorted(numerators)
+        assert sorted(converted["decimals"]) == sorted(factors)
     assert len(rows) == len(dist.entries)
+
+
+PRODUCT_TABLES = {
+    **{f"{name}-p{p}": (lambda p=p, measure=measure, kw=kw: tabulate(p, 10, measure, **kw))
+       for p in (2, 3, 5)
+       for name, measure, kw in (("cl", "cl", {}),
+                                 ("deformed-1/2", "deformed", {"u": Fraction(1, 2)}),
+                                 ("deformed-3/2", "deformed", {"u": Fraction(3, 2)}),
+                                 ("truncated-3", "truncated", {"r": 3}))},
+    # the exact constant: mid 1, rad 0
+    "frequency": lambda: measures.frequency_table(
+        3, "cl", {}, {Partition(): 6, Partition([1]): 3, Partition([2]): 3,
+                      Partition([1, 1]): 1, Partition([3, 1]): 2}, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TABLES))
+def test_table_renderings_equal_the_enclosure_products(name):
+    dist = PRODUCT_TABLES[name]()
+    enclosure = dist.constant.enclosure
+    for r in set(dist.entries.values()):
+        for x in (enclosure.mid, enclosure.rad):
+            numerator, big, small = measures._product(x.numerator, x.denominator,
+                                                      r.numerator, r.denominator)
+            assert (numerator, big * small) == ((x * r).numerator, (x * r).denominator)
+    rows = dist.to_json_dict()["entries"]
+    csv = dist.to_csv_rows()[1:]
+    assert len(rows) == len(csv) == len(dist.entries)
+    for row, line, (lam, r) in zip(rows, csv, dist.entries.items()):
+        mass = enclosure * r
+        assert row["partition"] == line[0] == str(lam)
+        assert (row["mid"], row["rad"]) == (fraction_str(mass.mid), fraction_str(mass.rad))
+        assert line[1:] == [repr(float(mass.mid)), repr(float(mass.rad))]

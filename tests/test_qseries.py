@@ -188,6 +188,22 @@ def test_int_text_past_the_int_to_str_digit_limit():
     assert int_text(0) == "0"
 
 
+def test_int_text_equals_str_with_the_digit_limit_lifted():
+    rng = random.Random(7)
+    # 4,299 to 4,301 digits around the default limit, and ~150,000 digits
+    cases = [10**k + d for k in (4298, 4299, 4300) for d in (-1, 0, 1)]
+    cases += [rng.randrange(10**(k - 1), 10**k) for k in (4299, 4300, 4301, 150_000)]
+    cases.append(10**149_999)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for n, text in zip(cases, expected):
+        assert int_text(n) == text and int_text(-n) == "-" + text
+
+
 def test_text_int_inverts_int_text_past_the_digit_limit():
     rng = random.Random(6)
     for size in (1, 4300, 4301, 20000):

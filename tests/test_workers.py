@@ -41,14 +41,14 @@ def same_for_any_worker_count(monkeypatch, build, splits=True):
     monkeypatch.setattr(os, "fork", counted)
     with_cpus(monkeypatch, 1)
     one = build()
-    text = "".join(_dumps(one))
+    text = b"".join(_dumps(one))
     for workers in (2, 3):
         forks.clear()
         with_cpus(monkeypatch, workers)
         other = build()
         assert len(forks) == (workers - 1 if splits else 0)
         assert other == one
-        assert "".join(_dumps(other)) == text
+        assert b"".join(_dumps(other)) == text
     return one
 
 
