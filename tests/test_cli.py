@@ -659,6 +659,14 @@ def test_identity_suite_enumerates_no_partition(capsys, monkeypatch):
     assert out.splitlines()[-1] == "all checks passed"
 
 
+def test_identity_suite_builds_one_series_table_per_prime(capsys):
+    # the normalization check at size 30 reads the series checks' table at 40
+    measures.size_length_layers.cache_clear()
+    code, out, _ = run(capsys, ["verify", "--suite", "identities", "--p", "3,7", "--depth", "40"])
+    assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+    assert measures.size_length_layers.cache_info().misses == 2
+
+
 def test_verify_domain_errors(capsys):
     code, _, _ = run(capsys, ["verify", "--suite", "identities", "--depth", "0"])
     assert code == 2
@@ -703,3 +711,119 @@ print(seen)
     proc = subprocess.run([sys.executable, "-S", "-c", script, src, str(tmp_path / "t.json")],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[[], [], ['hashlib', 'json']]"
+
+
+# ---------------------------------------------------------------- the process's own command line
+
+CLI_MAIN = "import sys; from clpart.cli import main; sys.exit(main())"
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+# stdout is block-buffered into a pipe or file unless PYTHONUNBUFFERED is set,
+# so the exit's flush is seen only without it
+BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+# exit code -> (argv, patch): a patch (name, expression) replaces sampler.<name>
+# by the expression's value, in which ``sampler`` is the module
+EXIT_CASES = {
+    0: (["pmf", "--measure", "cl", "--p", "2", "--max-size", "6"], None),
+    1: (["verify", "--suite", "chain", "--p", "2", "--a-max", "4"],
+        ("kernel_numerators",
+         "lambda a, p, real=sampler.kernel_numerators: tuple(2 * k for k in real(a, p))")),
+    2: (["pmf", "--measure", "cl", "--p", "4", "--partition", "[1]"], None),
+    3: (["sample", "--p", "2", "--trials", "5", "--seed", "1"],
+        ("kernel_row", "lambda a, p: (0,) * a + (2**64,)")),
+}
+
+
+def run_process(argv, patch=None, unbuffered=False, **kwargs):
+    """The finished subprocess that runs ``main()`` on ``argv`` as its command line."""
+    prelude = "from clpart import sampler; sampler.%s = %s; " % patch if patch else ""
+    env = dict(BUFFERED, PYTHONPATH=SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    return subprocess.run([sys.executable, "-c", prelude + CLI_MAIN, *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_CASES))
+@pytest.mark.parametrize("through", ["pipe", "file"])
+def test_the_process_exits_with_the_code_and_bytes_main_returns(capsysbinary, monkeypatch,
+                                                                tmp_path, code, through):
+    argv, patch = EXIT_CASES[code]
+    rows = sampler.kernel_row  # its cache would keep the rows of patched numerators
+    if patch:
+        name, expr = patch
+        monkeypatch.setattr(sampler, name, eval(expr, {"sampler": sampler}))
+    rows.cache_clear()
+    try:
+        assert main(argv) == code
+    finally:
+        rows.cache_clear()
+    expected = capsysbinary.readouterr()
+    assert expected.out if code < 2 else expected.err
+    if through == "pipe":
+        proc = run_process(argv, patch, capture_output=True)
+        out, err = proc.stdout, proc.stderr
+    else:
+        with open(tmp_path / "out", "wb") as fh_out, open(tmp_path / "err", "wb") as fh_err:
+            proc = run_process(argv, patch, stdout=fh_out, stderr=fh_err)
+        out, err = (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
+    assert (proc.returncode, out, err) == (code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--measure", "cl", "--p", "2", "--max-size", "6"],
+    ["graphs", "--n", "8", "--q", "1/2", "--p", "2", "--trials", "30", "--seed", "3"],
+])
+def test_the_process_leaves_the_output_and_its_manifest(capsys, tmp_path, argv):
+    assert main([*argv, "--output", str(tmp_path / "in-process.json")]) == 0
+    capsys.readouterr()
+    path = tmp_path / "process.json"
+    proc = run_process([*argv, "--output", str(path)], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    payload = path.read_bytes()
+    assert payload == (tmp_path / "in-process.json").read_bytes()
+    manifest = json.loads((tmp_path / "process.json.manifest.json").read_text())
+    assert manifest["outputs"] == {str(path): hashlib.sha256(payload).hexdigest()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--measure", "cl", "--p", "2", "--max-size", "8"],  # fails in the command's own flush
+    # buffered, fails in the flush before the exit; unbuffered, in its first print
+    ["verify", "--suite", "chain", "--p", "2", "--a-max", "5"],
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_2_with_one_line(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process(argv, unbuffered=unbuffered, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"error: cannot write stdout: Broken pipe\n")
+
+
+def test_a_closed_stdout_in_process_returns_2(capsys, monkeypatch):
+    class Closed:
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        flush = write
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["verify", "--suite", "chain", "--p", "2", "--a-max", "5"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_main_with_an_argv_list_returns_in_the_process():
+    script = ("import sys; from clpart.cli import main; "
+              "codes = [main(['verify', '--suite', 'chain', '--p', '2', '--a-max', '5']), "
+              "main(['pmf', '--measure', 'cl', '--p', '4', '--partition', '[1]'])]; "
+              "print('returned', codes)")
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(BUFFERED, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "returned [0, 2]"
+
+
+def test_an_exception_main_does_not_catch_gives_a_traceback():
+    proc = run_process(["sample", "--p", "2", "--trials", "5", "--seed", "1"],
+                       ("kernel_row", "lambda a: a"),  # a TypeError
+                       capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback") and "TypeError" in proc.stderr

@@ -551,3 +551,11 @@ def test_table_renderings_equal_the_enclosure_products(name):
         assert row["partition"] == line[0] == str(lam)
         assert (row["mid"], row["rad"]) == (fraction_str(mass.mid), fraction_str(mass.rad))
         assert line[1:] == [repr(float(mass.mid)), repr(float(mass.rad))]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_normalization_check_reads_a_larger_table_exactly(p):
+    for max_size in (0, 5, 30):
+        assert normalization_check(p, max_size, 40) == normalization_check(p, max_size)
+    with pytest.raises(ValueError, match="max_size=31 exceeds the table cap 30"):
+        normalization_check(p, 31, 30)

@@ -132,6 +132,15 @@ def test_string_round_trip():
         Partition.from_string("[a]")
 
 
+def test_string_equals_the_joined_parts_and_round_trips():
+    assert str(Partition()) == "[]"
+    for n in range(15):
+        for lam in enumerate_partitions(n):
+            text = str(lam)
+            assert text == "[" + ",".join(map(str, lam.parts)) + "]"
+            assert Partition.from_string(text) == lam
+
+
 def test_sort_key_orders_by_size_then_reverse_lex():
     lams = [Partition([1, 1]), Partition(), Partition([2]), Partition([1])]
     ordered = sorted(lams, key=Partition.sort_key)
