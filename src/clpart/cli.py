@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure (in verify, also a kernel row
 that does not sum to 1 or parts recursions that disagree), 2 usage or domain
-error (also an output file that cannot be written, or a stdout whose reader
-has gone: one "cannot write stdout" line), 3 internal error (a
+error (also an output file that cannot be written, or a stdout that cannot
+be written: one "cannot write stdout" line), 3 internal error (a
 RuntimeError or ArithmeticError elsewhere, such as the sampler's column-count
 abort or a kernel row that does not sum to 1).  Randomized commands require
 an explicit --seed; every file output gets a <output>.manifest.json recording
@@ -86,9 +86,8 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational {shown!r} ({hint})") from None
 
 
-# Bytes per written block: _dumps composes a table's JSON in blocks of about
-# this size, and _blocks joins smaller chunks (CSV rows, sample lines) into
-# blocks of at least this size.
+# Bytes per block written to a file: _blocks joins the serializers' chunks
+# (table entries, CSV rows, sample lines) into blocks of at least this size.
 BLOCK_BYTES = 1 << 20
 
 
@@ -172,9 +171,9 @@ def _dumps(obj):
 
     ``obj`` is a dict, encoded whole by the encoder, or a table with
     ``json_parts()``: the table's other keys are encoded by the encoder and
-    its entries are written here, in the encoder's layout, in blocks of about
-    BLOCK_BYTES.  Each distinct mass's entry text is encoded once, as the
-    bytes before and after the partition.
+    its entries are written here, in the encoder's layout, a few chunks per
+    entry.  Each distinct mass's entry text is encoded once, as the bytes
+    before and after the partition.
     """
     import json
 
@@ -187,20 +186,15 @@ def _dumps(obj):
     head, entries = obj.json_parts(_entry_halves)
     # strings are encoded with \n escaped, so this is the top-level key
     before, _, after = encoder.encode({**head, "entries": []}).partition('\n  "entries": []')
-    block, size, limit = [before.encode(), b'\n  "entries": ['], 0, BLOCK_BYTES
+    yield before.encode() + b'\n  "entries": ['
     opening = b"\n    {"
     for lam, count, (left, right) in entries:
-        text = str(lam).encode()
-        block += (opening if count is None else b'%s\n      "count": %d,' % (opening, count),
-                  left, text, right)
+        yield opening if count is None else b'%s\n      "count": %d,' % (opening, count)
+        yield left
+        yield str(lam).encode()
+        yield right
         opening = b",\n    {"
-        size += len(left) + len(text) + len(right)
-        if size >= limit:
-            yield b"".join(block)
-            block, size = [], 0
-    block.append(b"]" if opening == b"\n    {" else b"\n  ]")
-    block.append(f"{after}\n".encode())
-    yield b"".join(block)
+    yield (b"]" if opening == b"\n    {" else b"\n  ]") + f"{after}\n".encode()
 
 
 # ---------------------------------------------------------------- pmf
@@ -466,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv) -> int:
-    """The exit code of the command ``argv`` names; a BrokenPipeError from
-    writing stdout propagates."""
+    """The exit code of the command ``argv`` names; an OSError from writing
+    stdout propagates."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -482,40 +476,33 @@ def _run(argv) -> int:
         return 3
 
 
-def _closed_stdout() -> int:
-    """Report a closed stdout, an output error like an unwritable --output: exit 2."""
-    with suppress(OSError):  # stderr may be closed as well
-        print("error: cannot write stdout: Broken pipe", file=sys.stderr, flush=True)
-    return 2
-
-
 def main(argv=None) -> int:
     """Run the command ``argv`` names and return its exit code.
 
+    A stdout that cannot be written (a closed pipe, a full disk) is an
+    output error like an unwritable --output: one "cannot write stdout" line
+    on stderr and exit 2.  Only the standard streams' writes raise an
+    OSError this far: file outputs raise theirs as ValueError and worker
+    failures as RuntimeError.
+
     With ``argv`` None the command line is the process's own (the console
     script, ``python -m clpart.cli``), and main does not return: it flushes
-    stdout and stderr and ends the process with ``os._exit``.  That skips
-    the interpreter's teardown (clearing modules, its last collections,
-    freeing every object), 9-13 ms per command on 2 vCPUs with Python 3.11,
-    which no output needs: every file is renamed into place and every worker
-    reaped by then, and no thread or atexit handler is left.  A flush that
-    fails other than on a closed pipe returns the code, so Python's own
-    shutdown reports the error; an exception main does not catch propagates
-    as it would.  With an argv list main returns.
+    stdout and stderr and ends the process with ``os._exit``.  That skips the
+    interpreter's teardown (clearing modules, its last collections, freeing
+    every object), 9-13 ms per command on 2 vCPUs with Python 3.11, which no
+    output needs: every file is renamed into place and every worker reaped
+    by then, and no thread or atexit handler is left.  An exception main
+    does not catch propagates as it would.  With an argv list main returns.
     """
     try:
         code = _run(argv)
-    except BrokenPipeError:
-        code = _closed_stdout()  # stdout still holds what it could not write: no further flush
-    else:
         if argv is None:
-            try:
-                sys.stdout.flush()
-                sys.stderr.flush()
-            except BrokenPipeError:
-                code = _closed_stdout()
-            except Exception:
-                return code
+            sys.stdout.flush()
+            sys.stderr.flush()
+    except OSError as exc:  # stdout still holds what it could not write: no further flush
+        with suppress(OSError):  # stderr may fail as well
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr, flush=True)
+        code = 2
     if argv is None:
         os._exit(code)
     return code

@@ -1,3 +1,4 @@
+import errno
 import json
 import hashlib
 import os
@@ -326,7 +327,7 @@ def test_failed_write_leaves_earlier_outputs(capsys, monkeypatch, tmp_path):
 
     def broken(obj):
         chunks = dumps(obj)
-        for _ in range(5):  # each a block of its own, written before the failure
+        while len(written) < 5:  # 5 blocks are written before the failure
             yield next(chunks)
         raise RuntimeError("broken on purpose")
 
@@ -808,6 +809,33 @@ def test_a_closed_stdout_in_process_returns_2(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", Closed())
     assert main(["verify", "--suite", "chain", "--p", "2", "--a-max", "5"]) == 2
     assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_a_full_stdout_in_process_returns_2(capsys, monkeypatch):
+    class Full:
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        flush = write
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["verify", "--suite", "chain", "--p", "2", "--a-max", "5"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "chain", "--p", "2", "--a-max", "5"],
+    ["pmf", "--measure", "cl", "--p", "2", "--partition", "[2,1]"],
+    ["pmf", "--measure", "cl", "--p", "2", "--max-size", "6"],
+    ["sample", "--p", "2", "--trials", "10", "--seed", "1"],
+])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_full_stdout_exits_2_with_one_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = run_process(argv, unbuffered=unbuffered, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
 
 
 def test_main_with_an_argv_list_returns_in_the_process():

@@ -29,11 +29,14 @@ COMMANDS = {
                 "sandpile.reduced_laplacian", "sandpile.plocal"]),
     # the table spans come from pmf --max-size alone: no verify suite enumerates
     "exact": ([["pmf", "--measure", "cl", "--p", "2", "--max-size", "4"],
-               ["verify", "--suite", "identities", "--depth", "6"]],
+               ["verify", "--suite", "identities", "--depth", "6"],
+               ["verify", "--suite", "recursions", "--p", "2", "--a-max", "4"],
+               ["verify", "--suite", "chain", "--p", "2", "--a-max", "4"]],
               ["measures.tabulate", "partitions.enumerate_partitions",
                "measures.size_length_layers", "measures.series_checks",
                "measures.normalization", "qseries.odd_constant",
-               "qseries.verify_euler_identity", "qseries.verify_qbinomial"]),
+               "qseries.verify_euler_identity", "qseries.verify_qbinomial",
+               "measures.solve_parts_recursion", "sampler.kernel_row"]),
 }
 
 
