@@ -251,17 +251,28 @@ class Family(Frozen):
         """sum of w(lam) * factor over sizes <= max_size, read off the cells of
         size_length_layers(p, table_size) up to max_size (table_size defaults
         to max_size; a larger table's cells of size <= max_size are the
-        smaller table's, so one table serves each smaller sum): the cells of
-        each statistic are summed first, then multiplied by one factor each."""
+        smaller table's, so one table serves each smaller sum).
+
+        It runs on integers, with one Fraction for the result: the cells of
+        each statistic are summed as numerators over the lcm of the summed
+        cells' denominators, and each statistic's sum is multiplied by its
+        factor's numerator once, over the lcm of the factors' denominators."""
         if table_size is None:
             table_size = max_size
         require_int(max_size, "max_size", 0, table_size, "table")
-        by_statistic = {}
+        cells = []
         for (n, length), value in size_length_layers(self.p, table_size).items():
             statistic = self.statistic(n, length)
             if statistic is not None and n <= max_size:
-                by_statistic[statistic] = by_statistic.get(statistic, 0) + value
-        return sum(self.factor(statistic) * value for statistic, value in by_statistic.items())
+                cells.append((statistic, value.numerator, value.denominator))
+        common = lcm(*(den for _, _, den in cells))
+        by_statistic = {}
+        for statistic, num, den in cells:
+            by_statistic[statistic] = by_statistic.get(statistic, 0) + num * (common // den)
+        factors = [(self.factor(statistic), total) for statistic, total in by_statistic.items()]
+        scale = lcm(*(factor.denominator for factor, _ in factors))
+        return Fraction(sum(factor.numerator * (scale // factor.denominator) * total
+                            for factor, total in factors), common * scale)
 
 
 def pmf_deformed(lam: Partition, p: int, u) -> MassValue:
@@ -302,16 +313,21 @@ def _parts_recursion_product_form(p: int, a_max: int) -> list[Fraction]:
 
         Y_r = U_r - sum_{s<r} Y_s p^((r-s)(r-s+1)/2) L_r / (L_s L_(r-s)),
 
-    and L_r / (L_s L_(r-s)) is a Gaussian binomial, so the division is exact.
+    and L_r / (L_s L_(r-s)) is the Gaussian binomial [r choose s]_p.  Each row
+    of those is read off the one before by q-Pascal's rule,
+
+        [r choose s]_p = [r-1 choose s-1]_p + p^s [r-1 choose s]_p,
+
+    so the recursion divides nothing, and reads no kernel_numerators.
     """
     lower, upper = lower_numerators(p, a_max), upper_numerators(p, a_max)
-    powers = [p ** (j * (j + 1) // 2) for j in range(a_max + 1)]
-    ys = [1]
+    powers = [p**j for j in range(a_max + 1)]
+    steps = [p ** (j * (j + 1) // 2) for j in range(a_max + 1)]
+    ys, binomials = [1], [1]  # binomials: [r choose s]_p for s = 0..r
     for r in range(1, a_max + 1):
-        acc = upper[r]
-        for s in range(r):
-            acc -= ys[s] * powers[r - s] * (lower[r] // (lower[s] * lower[r - s]))
-        ys.append(acc)
+        binomials = [1, *(binomials[s - 1] + powers[s] * binomials[s] for s in range(1, r)), 1]
+        ys.append(upper[r] - sum(y * steps[r - s] * c
+                                 for s, (y, c) in enumerate(zip(ys, binomials))))
     return [Fraction(y, d) for y, d in zip(ys, lower)]
 
 

@@ -23,9 +23,16 @@ from operator import mul
 
 from .partitions import Frozen, Partition, require_int
 
-# Hard cap on adaptive truncation depth, so a pathological tolerance fails
-# loudly instead of looping.
-MAX_PRODUCT_FACTORS = 10**5
+# Largest bound, in bits, on the denominator of an enclosure's partial
+# product (see _enclose_product), which grows like K^2 bitlen(p) over K
+# factors; a finer tolerance is refused before any product is built.  A cap
+# of 10^5 factors, reached only by running, let odd_constant(2, 10**-300) run
+# 9 s and 10**-1000 over 90 s.  Near this cap, odd_constant(2, 10**-250)
+# (258,545 bits) took 0.2-0.33 s, odd_constant(2^61 - 1, 10**-2400) 0.5 s and
+# the Euler reciprocal at s = q = 1/2 and tolerance 10**-153 (258,572 bits)
+# 1.0 s; at 10**-200 (441,560 bits) it took 4.6 s (in process, Python
+# 3.11.7, 2 vCPUs).
+MAX_PRODUCT_BITS = 2**18
 
 DEFAULT_TOLERANCE = Fraction(1, 10**30)
 
@@ -34,10 +41,28 @@ DEFAULT_TOLERANCE = Fraction(1, 10**30)
 # 200 terms 0.27 s at p = 2 and 1.4 s at p = 7 (min of 3, Python 3.11.7, 2 vCPUs).
 MAX_EULER_TERMS = 128
 
+# Largest bound, in bits, on the exact partial sum of verify_euler_identity,
+# terms (terms + 1) / 2 bitlen(den q) + terms bitlen(den s), read off the
+# arguments before any arithmetic.  At s = 1/p, q = 1/p^2 it is about
+# terms^2 bitlen(p).  Uncapped, verify --suite identities --depth 96 at
+# p = 2^61 - 1 (573,888 bits) ran 15.6 s, and depth 128 over 50 s.  Near the
+# cap, the check at p = 2^61 - 1 and 64 terms (257,664 bits) took 2.6 s, and
+# at an 82-bit p and 52 terms (228,878 bits) 1.6 s; at p = 101 and 128 terms
+# (116,480 bits) it took 0.9 s (in process, Python 3.11.7, 2 vCPUs).
+MAX_EULER_BITS = 2**18
+
+# Largest j finite_qpoch, the generic Fraction product, accepts.  Its time
+# grows about 13x per doubling of j: uncapped, j = 2000 at x = q = 1/2 took
+# 11.2 s.  At the cap it took 0.07 / 0.16 / 2.2 s at x = q = 1/2 / 2/3 / 1/101
+# (in process, Python 3.11.7, 2 vCPUs).  A q of more bits takes longer:
+# j = 128 at q = 1/(2^61 - 1) took 0.7 s.
+MAX_QPOCH_FACTORS = 512
+
 # Largest r verify_qbinomial accepts (the degree in x of both sides).  At q = 1/p,
-# x = 1 or 2, r = 64 took 0.06-0.08 / 0.09-0.11 / 0.21 s at p = 2 / 7 / 101, and
-# r = 128 took 0.37 / 1.1 / 4.1 s (in process, min of 3, Python 3.11.7, 2 vCPUs);
-# the time grows about 7x per doubling of r.  verify asks for r <= 5.
+# x = 1 or 2, r = 64 took 1 / 2-3 / 4-5 ms at p = 2 / 7 / 101, r = 128 took
+# 6-8 / 20-26 / 70-76 ms and r = 256 0.06 / 0.34-0.38 / 1.5-2.2 s (in process,
+# min of 3, Python 3.11.7, 2 vCPUs); the Fraction sum it replaced took
+# 0.06-0.21 s at r = 64 and 0.37-4.1 s at r = 128.  verify asks for r <= 5.
 MAX_QBINOMIAL_DEGREE = 64
 
 
@@ -314,8 +339,9 @@ def require_deformation(p: int, u) -> Fraction:
 
 
 def finite_qpoch(x, q, j: int) -> Fraction:
-    """The finite q-Pochhammer product prod_{k=1}^{j} (1 - x q^(k-1)); j=0 gives 1."""
-    require_int(j, "j", 0)
+    """The finite q-Pochhammer product prod_{k=1}^{j} (1 - x q^(k-1)); j=0 gives 1.
+    j is capped at MAX_QPOCH_FACTORS."""
+    require_int(j, "j", 0, MAX_QPOCH_FACTORS, "series length")
     x, q = as_fraction(x), as_fraction(q)
     out = Fraction(1)
     power = Fraction(1)
@@ -358,12 +384,17 @@ def kernel_numerators(a: int, p: int) -> tuple[int, ...]:
     even_numerators.  L_a / (L_b N_k) is an integer since 2k <= a - b.  This is
     the one definition of the coefficient: the sampler's kernel and rows, the
     chain suite and the chain-consistency recursion for P(a) read it.
+
+    The row is built from b = a down: L_a / L_b = (p^(b+1)-1)...(p^a-1) is one
+    running product, so each entry costs one exact division by N_k.
     """
-    lower, evens = lower_numerators(p, a), even_numerators(p, a // 2)
-    row = []
-    for b in range(a + 1):
+    evens = even_numerators(p, a // 2)
+    row = [0] * (a + 1)
+    ratio = 1  # L_a / L_b
+    for b in range(a, -1, -1):
         k = (a - b) // 2
-        row.append(lower[a] // (lower[b] * evens[k]) * p ** (k * (k + 1)))
+        row[b] = ratio // evens[k] * p ** (k * (k + 1))
+        ratio *= p**b - 1
     return tuple(row)
 
 
@@ -412,27 +443,56 @@ def d_lambda(lam: Partition, p: int) -> Fraction:
     return Fraction(numerator, p ** (lam.n_stat() + lam.size - e))
 
 
-def _enclose_product(a: Fraction, r: Fraction, accept):
+def _enclose_product(a: Fraction, r: Fraction, width: Fraction, accept, reciprocal=False):
     """The first accepted enclosure of prod_{k>=0} (1 - a r^k), for a > 0, 0 < r < 1.
 
     After K factors the partial product P bounds the product above, and the
-    omitted factors multiply to at least 1 - a r^K / (1 - r).  Each bracket
-    [P (1 - tail), P] with tail < 1 goes to ``accept(lo, hi)``, which returns
-    the enclosure to report, or None to take one more factor.
+    omitted factors multiply to at least 1 - T, T = a r^K / (1 - r), so with
+    T < 1 the bracket [lo, hi] = [P (1 - T), P] encloses the product; its
+    width is P T.  ``accept(lo, hi)`` returns the enclosure to report, or None
+    to take one more factor.  It sees only the brackets whose width is within
+    ``width``, so the caller passes a width that every bracket it would accept
+    is within.  With ``reciprocal`` the width tested is T / P =
+    (hi - lo) / hi^2, which the width of [1/hi, 1/lo] is at least.
+
+    P, T and a r^K are kept as integer numerators over integer denominators,
+    so no Fraction is normalised per factor: lo and hi are built once per
+    call of ``accept``.  Before any product is built, the terms are walked
+    until T alone is within ``width``: as P <= 1, a width P T is within it by
+    then, and a width T / P not before.  A request whose partial product,
+    (K bitlen(den a) + K (K - 1)/2 bitlen(den r)) bits over K factors, would
+    pass MAX_PRODUCT_BITS by then, or later, is refused.
     """
-    partial = Fraction(1)
-    term = a  # a r^K, the next factor's subtrahend
-    for _ in range(MAX_PRODUCT_FACTORS):
-        tail = term / (1 - r)
-        if tail < 1:
-            enclosure = accept(partial * (1 - tail), partial)
+    an, ad, rn, rd = a.numerator, a.denominator, r.numerator, r.denominator
+    wn, wd = width.numerator, width.denominator
+    step = rd - rn  # 1 - r = step / rd
+
+    def terms():
+        """(en, ed) with a r^K = en / ed for K = 0, 1, ..., each once the
+        partial product of the K factors before it is within the bit cap."""
+        en, ed, bits, grow = an, ad, 0, ad.bit_length()
+        while True:
+            require_int(bits, "product bits", cap=MAX_PRODUCT_BITS, kind="product")
+            yield en, ed
+            en, ed, bits, grow = en * rn, ed * rd, bits + grow, grow + rd.bit_length()
+
+    def within(pn, pd, en, ed):  # T < 1 and P T (T / P if reciprocal) <= width, P = pn / pd
+        tn, td = en * rd, ed * step
+        if reciprocal:
+            pn, pd = pd, pn
+        return tn < td and pn * tn * wd <= wn * pd * td
+
+    for en, ed in terms():  # refuses before any product is built
+        if within(1, 1, en, ed):
+            break
+    pn = pd = 1
+    for en, ed in terms():
+        if within(pn, pd, en, ed):
+            tn, td = en * rd, ed * step
+            enclosure = accept(Fraction(pn * (td - tn), pd * td), Fraction(pn, pd))
             if enclosure is not None:
                 return enclosure
-        partial *= 1 - term
-        term *= r
-    raise ArithmeticError(
-        f"enclosure was not accepted within {MAX_PRODUCT_FACTORS} factors"
-    )
+        pn, pd = pn * (ed - en), pd * ed
 
 
 @lru_cache(maxsize=None)
@@ -446,10 +506,8 @@ def odd_constant(p: int, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     if tol <= 0:
         raise ValueError("tolerance must be > 0")
 
-    def accept(lo, hi):
-        return BoundedReal.from_endpoints(lo, hi) if hi - lo <= 2 * tol else None
-
-    return _enclose_product(Fraction(1, p), Fraction(1, p * p), accept)
+    return _enclose_product(Fraction(1, p), Fraction(1, p * p), 2 * tol,
+                            BoundedReal.from_endpoints)
 
 
 @lru_cache(maxsize=None)
@@ -466,17 +524,18 @@ def deformed_constant(p: int, u, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
         raise ValueError("tolerance must be > 0")
     prefactor = 1 - u / p
 
-    def accept(lo, hi):
-        if prefactor * (hi - lo) <= 2 * tol:
-            return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
-        return None
+    def accept(lo, hi):  # width prefactor (hi - lo) <= 2 tol
+        return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
 
-    return _enclose_product(u * u / p**3, Fraction(1, p * p), accept)
+    return _enclose_product(u * u / p**3, Fraction(1, p * p), 2 * tol / prefactor, accept)
 
 
 def gaussian_binomial(r: int, s: int, q) -> Fraction:
-    """The q-binomial coefficient [r choose s]_q as a ratio of finite q-factorials."""
-    if not (0 <= s <= r):
+    """The q-binomial coefficient [r choose s]_q as a ratio of finite q-factorials;
+    r is capped at MAX_QPOCH_FACTORS, as finite_qpoch's length."""
+    require_int(r, "r", 0, MAX_QPOCH_FACTORS, "series length")
+    require_int(s, "s", 0)
+    if s > r:
         raise ValueError("need 0 <= s <= r")
     q = as_fraction(q)
     num = finite_qpoch(q, q, r)
@@ -503,6 +562,9 @@ def verify_euler_identity(s, q, terms: int) -> EulerCheck:
     if not (0 < q < 1 and 0 < s < 1):
         raise ValueError("need 0 < s < 1 and 0 < q < 1")
     require_int(terms, "terms", 1, MAX_EULER_TERMS, "series depth")
+    bits = (terms * (terms + 1) // 2 * q.denominator.bit_length()
+            + terms * s.denominator.bit_length())
+    require_int(bits, "euler bits", cap=MAX_EULER_BITS, kind="series bits")
 
     lhs = Fraction(1)
     denom = Fraction(1)
@@ -526,13 +588,17 @@ def verify_euler_identity(s, q, terms: int) -> EulerCheck:
 
 
 def _euler_product_reciprocal(s: Fraction, q: Fraction, tolerance: Fraction) -> BoundedReal:
-    """Enclosure of prod_{m>=0} (1 - s q^m)^-1 with radius <= tolerance."""
+    """Enclosure of prod_{m>=0} (1 - s q^m)^-1 with radius <= tolerance.
+
+    The reciprocal of [lo, hi] has radius (hi - lo) / (2 lo hi), at least
+    (hi - lo) / (2 hi^2), so no bracket whose (hi - lo) / hi^2 exceeds
+    2 tolerance is accepted."""
 
     def accept(lo, hi):
         enclosure = BoundedReal.from_endpoints(lo, hi).reciprocal()
         return enclosure if enclosure.rad <= tolerance else None
 
-    return _enclose_product(s, q, accept)
+    return _enclose_product(s, q, 2 * tolerance, accept, reciprocal=True)
 
 
 QBinomialCheck = namedtuple("QBinomialCheck", "lhs rhs agree")
@@ -543,13 +609,28 @@ def verify_qbinomial(r: int, q, x) -> QBinomialCheck:
 
     Both sides are exact rationals; ``agree`` is exact equality.  r is
     capped at MAX_QBINOMIAL_DEGREE.
+
+    Each side is one Fraction of integers.  With q = n/d, [m choose s]_q is
+    G(m, s) / d^(s(m-s)), and q-Pascal's rule [m choose s]_q =
+    [m-1 choose s-1]_q + q^s [m-1 choose s]_q gives the rows
+
+        G(m, s) = G(m-1, s-1) d^(m-s) + n^s G(m-1, s),
+
+    so the left side is a sum over d^(r(r+1)/2) den(x)^r; the right side is
+    the product of the factors' numerators over that of their denominators.
     """
     require_int(r, "r", 1, MAX_QBINOMIAL_DEGREE, "series degree")
     q, x = as_fraction(q), as_fraction(x)
-    lhs = Fraction(0)
-    for s in range(r + 1):
-        lhs += gaussian_binomial(r, s, q) * q ** (s * (s + 1) // 2) * x**s
-    rhs = Fraction(1)
+    n, d, xn, xd = q.numerator, q.denominator, x.numerator, x.denominator
+    row = [1]  # G(m, 0..m)
+    for m in range(1, r + 1):
+        row = [1, *(row[s - 1] * d ** (m - s) + n**s * row[s] for s in range(1, m)), 1]
+    top = r * (r + 1) // 2  # the largest power of d, s(r-s) + s(s+1)/2 at s = r
+    lhs = Fraction(sum(g * n ** (s * (s + 1) // 2) * d ** (top - s * (2 * r - s + 1) // 2)
+                       * xn**s * xd ** (r - s) for s, g in enumerate(row)), d**top * xd**r)
+    numerator = denominator = 1
     for k in range(1, r + 1):
-        rhs *= 1 + x * q**k
+        numerator *= xd * d**k + xn * n**k
+        denominator *= xd * d**k
+    rhs = Fraction(numerator, denominator)
     return QBinomialCheck(lhs, rhs, lhs == rhs)

@@ -3,7 +3,9 @@ vertex count and labels, a reduced Laplacian's root, a partition size to
 enumerate, tabulate or sum the series to, a parts count, a kernel height, a
 trial count or index, a q-product length and a verify depth are ints, and
 none is below its least value.  The sandpile module's matrix routes cap their
-row counts, and the single-mass routes the bits of a mass."""
+row counts, the single-mass routes the bits of a mass, the Euler check the
+bits of its partial sum and the enclosures the bits of their partial
+products."""
 
 import math
 from argparse import Namespace
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from clpart import qseries
 from clpart.measures import (
     MAX_PARTS,
     MAX_SERIES_SIZE,
@@ -30,16 +33,21 @@ from clpart.measures import (
 from clpart.cli import cmd_verify
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import (
+    MAX_EULER_BITS,
     MAX_EULER_TERMS,
     MAX_MASS_BITS,
+    MAX_PRODUCT_BITS,
     MAX_QBINOMIAL_DEGREE,
+    MAX_QPOCH_FACTORS,
     d_lambda,
     deformed_constant,
     finite_qpoch,
+    gaussian_binomial,
     odd_constant,
     require_prime,
     verify_euler_identity,
     verify_qbinomial,
+    _euler_product_reciprocal,
 )
 from clpart.rng import substream, substream_draws
 from clpart.sampler import (
@@ -219,6 +227,8 @@ OTHER_INTS = {
     "substream": ("index", lambda i: substream(0, i)),
     "substream_draws": ("start index", lambda i: substream_draws(0, i, 3, 1)),
     "finite_qpoch": ("j", lambda j: finite_qpoch(HALF, HALF, j)),
+    "gaussian_binomial-r": ("r", lambda r: gaussian_binomial(r, 0, HALF)),
+    "gaussian_binomial-s": ("s", lambda s: gaussian_binomial(3, s, HALF)),
     "verify_qbinomial": ("r", lambda r: verify_qbinomial(r, HALF, 1)),
     "cmd_verify-depth": ("depth", lambda d: cmd_verify(verify_args(depth=d))),
     "cmd_verify-a-max": ("a-max", lambda a: cmd_verify(verify_args(a_max=a))),
@@ -227,6 +237,7 @@ OTHER_INTS = {
 LEAST = {"Graph": 1, "erdos_renyi": 2, "run_experiment-n": 2, "run_experiment-trials": 1,
          "run_experiment-cap": 1, "sample_partitions": 1, "empirical_distribution": 1,
          "verify_euler_identity": 1, "substream": 0, "substream_draws": 0, "finite_qpoch": 0,
+         "gaussian_binomial-r": 0, "gaussian_binomial-s": 0,
          "verify_qbinomial": 1, "cmd_verify-depth": 1, "cmd_verify-a-max": 0}
 # name -> (argument, its cap, a call taking it)
 SERIES_DEPTHS = {
@@ -235,6 +246,8 @@ SERIES_DEPTHS = {
     "verify_euler_identity": ("terms", MAX_EULER_TERMS,
                               lambda t: verify_euler_identity(HALF, HALF, t)),
     "verify_qbinomial": ("r", MAX_QBINOMIAL_DEGREE, lambda r: verify_qbinomial(r, HALF, 1)),
+    "finite_qpoch": ("j", MAX_QPOCH_FACTORS, lambda j: finite_qpoch(HALF, HALF, j)),
+    "gaussian_binomial": ("r", MAX_QPOCH_FACTORS, lambda r: gaussian_binomial(r, 1, HALF)),
 }
 HEIGHTS = {
     "kernel": lambda a: kernel(a, 0, 2),
@@ -295,6 +308,47 @@ def test_series_sizes_and_depths_at_their_caps_are_accepted():
     assert pmf_size(MAX_SERIES_SIZE, 2).rational > 0
     assert verify_euler_identity(HALF, HALF, MAX_EULER_TERMS).agree
     assert verify_qbinomial(MAX_QBINOMIAL_DEGREE, HALF, 1).agree
+    assert 0 < finite_qpoch(HALF, HALF, MAX_QPOCH_FACTORS) < 1
+    assert gaussian_binomial(MAX_QPOCH_FACTORS, 1, HALF) == 2 - 2 * HALF**MAX_QPOCH_FACTORS
+
+
+# q = 1 / 2^k has a (k + 1)-bit denominator, so at terms = 3 and s = 1/2 the
+# Euler check's bound is 6 (k + 1) + 6 bits.  The bound is checked against a
+# cap of 2^12 here; building a partial sum at the real cap takes seconds.
+def test_euler_checks_above_the_bit_cap_are_refused_and_at_it_accepted(monkeypatch):
+    assert verify_euler_identity(HALF, Fraction(1, 2**681), 3).agree  # 4,098 bits
+    monkeypatch.setattr(qseries, "MAX_EULER_BITS", 2**12)
+    with pytest.raises(ValueError, match="^euler bits=4098 exceeds the series bits cap 4096$"):
+        verify_euler_identity(HALF, Fraction(1, 2**681), 3)
+    assert verify_euler_identity(HALF, Fraction(1, 2**680), 3).agree  # 4,092 bits
+    assert verify_euler_identity(Fraction(1, 4), Fraction(1, 2**680), 3).agree  # 4,095 bits
+
+
+def test_an_euler_check_that_would_run_for_minutes_is_refused():
+    # at s = 1/p, q = 1/p^2 the bound is terms (terms + 1) / 2 * 122 + terms * 61 bits
+    args = Namespace(suite="identities", p="2305843009213693951", depth=128, a_max=30)
+    with pytest.raises(ValueError, match="^euler bits=1015040 exceeds the series bits cap"):
+        cmd_verify(args)
+
+
+# At p = 2 the enclosures' factors are 1 - a r^k with r = 1/4 (a 3-bit
+# denominator), so K factors of odd_constant (a = 1/2) make a partial product
+# of 2 K + 3 K (K - 1) / 2 bits: 261,042 at K = 417, and 262,295 at 418.  The
+# geometric tail (2/3) 4^-K is within 2 tolerance from K = 417 on at a
+# tolerance of 4^-417 / 3.
+def test_enclosures_above_the_bit_cap_are_refused_and_at_it_accepted():
+    assert 261042 <= MAX_PRODUCT_BITS < 262295
+    error = f"^product bits=262295 exceeds the product cap {MAX_PRODUCT_BITS}$"
+    with pytest.raises(ValueError, match=error):
+        odd_constant.__wrapped__(2, Fraction(1, 3 * 4**418))
+    assert odd_constant.__wrapped__(2, Fraction(1, 3 * 4**417)).rad <= Fraction(1, 3 * 4**417)
+    for tolerance in ("1e-1000", "1e-100000"):
+        with pytest.raises(ValueError, match="exceeds the product cap"):
+            odd_constant.__wrapped__(2, tolerance)
+        with pytest.raises(ValueError, match="exceeds the product cap"):
+            deformed_constant.__wrapped__(3, 2, tolerance)
+    with pytest.raises(ValueError, match="exceeds the product cap"):  # q near 1: a slow tail
+        _euler_product_reciprocal(HALF, Fraction(999, 1000), Fraction(1, 10**30))
 
 
 # Each single-mass route at p = 2, and the largest part of a one-part

@@ -1,11 +1,13 @@
 """The exact routes that run on integer numerators equal the Fraction routes they replaced.
 
-``size_length_layers``, both parts recursions and ``kernel_row`` compute on
-integers over denominators known before their loops start.  The Fraction
-versions below are the earlier code, copied here as oracles on the generic
-``finite_qpoch``, so they read none of the numerators they check: every
-value, threshold and error message must be the same, at the caps the library
-accepts.
+``size_length_layers``, both parts recursions, ``kernel_numerators``,
+``kernel_row``, ``Family.layer_sum``, the q-binomial check and the
+enclosures of the infinite products compute on integers and build one
+Fraction per result.  The
+Fraction versions below are the earlier code, copied here as oracles on the
+generic ``finite_qpoch``, so they read none of the numerators they check:
+every value, threshold and error message must be the same, at the caps the
+library accepts.
 """
 
 from fractions import Fraction
@@ -14,10 +16,10 @@ from itertools import accumulate
 
 import pytest
 
-from clpart import measures, sampler
+from clpart import measures, qseries, sampler
 from clpart.cli import main
-from clpart.measures import MAX_PARTS, solve_parts_recursion, size_length_layers
-from clpart.qseries import finite_qpoch
+from clpart.measures import MAX_PARTS, Family, solve_parts_recursion, size_length_layers
+from clpart.qseries import DEFAULT_TOLERANCE, BoundedReal, finite_qpoch
 from clpart.sampler import kernel, kernel_row
 
 PRIMES = (2, 3, 5, 7)
@@ -79,6 +81,17 @@ def reference_kernel_form(p, a_max):
     return vals
 
 
+def reference_kernel_numerators(a, p):
+    """L_a / (L_b N_k) p^(k(k+1)), k = floor((a-b)/2), by one division per entry."""
+    lower = [lower_qpoch(p, j) * p ** (j * (j + 1) // 2) for j in range(a + 1)]
+    row = []
+    for b in range(a + 1):
+        k = (a - b) // 2
+        evens = even_qpoch(p, k) * p ** (k * (k + 1))
+        row.append(lower[a] / (lower[b] * evens) * p ** (k * (k + 1)))
+    return tuple(row)
+
+
 def reference_kernel(a, b, p):
     return lower_qpoch(p, a) / lower_qpoch(p, b) * column_step(a, b, p)
 
@@ -114,6 +127,7 @@ def test_kernel_rows_equal_the_fraction_rows(p):
     for a in range(MAX_PARTS + 1):
         masses = tuple(kernel(a, b, p) for b in range(a + 1))
         assert (masses, kernel_row(a, p)) == reference_kernel_row(a, p)
+        assert qseries.kernel_numerators(a, p) == reference_kernel_numerators(a, p)
 
 
 @pytest.mark.parametrize("p, a", [(2, 0), (2, 5), (3, 12), (7, 30)])
@@ -152,3 +166,125 @@ def test_a_kernel_form_remainder_prints_fail(capsys, monkeypatch):
     ]
     with pytest.raises(ArithmeticError, match="remainder at a=2"):
         solve_parts_recursion(5, 3)
+
+
+def reference_enclose(a, r, accept):
+    """The enclosure loop as it ran on Fractions, one bracket per factor."""
+    partial, term = Fraction(1), a
+    while True:
+        tail = term / (1 - r)
+        if tail < 1:
+            enclosure = accept(partial * (1 - tail), partial)
+            if enclosure is not None:
+                return enclosure
+        partial *= 1 - term
+        term *= r
+
+
+def reference_odd(p, tol):
+    def accept(lo, hi):
+        return BoundedReal.from_endpoints(lo, hi) if hi - lo <= 2 * tol else None
+
+    return reference_enclose(Fraction(1, p), Fraction(1, p * p), accept)
+
+
+def reference_deformed(p, u, tol):
+    prefactor = 1 - u / p
+
+    def accept(lo, hi):
+        if prefactor * (hi - lo) <= 2 * tol:
+            return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
+        return None
+
+    return reference_enclose(u * u / p**3, Fraction(1, p * p), accept)
+
+
+def reference_euler(s, q, tol):
+    def accept(lo, hi):
+        enclosure = BoundedReal.from_endpoints(lo, hi).reciprocal()
+        return enclosure if enclosure.rad <= tol else None
+
+    return reference_enclose(s, q, accept)
+
+
+TOLERANCES = (Fraction(1, 10**6), Fraction(1, 10**20), DEFAULT_TOLERANCE)
+
+
+@pytest.mark.parametrize("p", (*PRIMES, 101))
+def test_enclosures_equal_the_fraction_loop(monkeypatch, p):
+    calls = []  # calls of accept, one count per enclosure
+    real = qseries._enclose_product
+
+    def counted(a, r, width, accept, **options):
+        calls.append(0)
+
+        def counting(lo, hi):
+            calls[-1] += 1
+            return accept(lo, hi)
+
+        return real(a, r, width, counting, **options)
+
+    monkeypatch.setattr(qseries, "_enclose_product", counted)
+    for tol in TOLERANCES:
+        pairs = [(qseries.odd_constant.__wrapped__(p, tol), reference_odd(p, tol))]
+        for u in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+            if u < p:
+                pairs.append((qseries.deformed_constant.__wrapped__(p, u, tol),
+                              reference_deformed(p, u, tol)))
+        assert calls == [1] * len(pairs)  # accept takes the first bracket it sees
+        for s, q in ((Fraction(1, p), Fraction(1, p * p)), (Fraction(1, 2), Fraction(1, 2)),
+                     (Fraction(1, 8), Fraction(1, 4))):
+            pairs.append((qseries._euler_product_reciprocal(s, q, tol), reference_euler(s, q, tol)))
+        assert max(calls) <= 2
+        for enclosure, expected in pairs:
+            assert (enclosure.mid, enclosure.rad) == (expected.mid, expected.rad)
+        calls.clear()
+
+
+def families(p):
+    yield Family("cl", p)
+    for u in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
+        if u < p:
+            yield Family("deformed", p, u=u)
+    for r in (1, 3, MAX_PARTS):
+        yield Family("truncated", p, r=r)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_layer_sums_equal_the_summed_fractions(p):
+    for table_size in (None, 48):
+        for n in (0, 1, 7, 30, 40):
+            layers = size_length_layers(p, n if table_size is None else table_size)
+            for family in families(p):
+                expected = Fraction(0)
+                for (size, length), value in layers.items():
+                    statistic = family.statistic(size, length)
+                    if size <= n and statistic is not None:
+                        expected += family.factor(statistic) * value
+                assert family.layer_sum(n, table_size) == expected, (family, n, table_size)
+
+
+@lru_cache(maxsize=None)
+def qfactorial(q, k):
+    """(1-q)(1-q^2)...(1-q^k)"""
+    return finite_qpoch(q, q, k)
+
+
+def reference_qbinomial(r, q, x):
+    """Both sides of the q-binomial check as Fraction sums and products."""
+    lhs = sum(qfactorial(q, r) / (qfactorial(q, s) * qfactorial(q, r - s))
+              * q ** (s * (s + 1) // 2) * x**s for s in range(r + 1))
+    rhs = Fraction(1)
+    for k in range(1, r + 1):
+        rhs *= 1 + x * q**k
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(-1, 5),
+                               Fraction(7, 3), Fraction(1, 101)])
+def test_qbinomial_sides_equal_the_fraction_sides(q):
+    cases = [(r, x) for r in range(1, 13) for x in (1, 2, Fraction(1, 2), Fraction(-7, 3))]
+    for r, x in [*cases, (qseries.MAX_QBINOMIAL_DEGREE, 2)]:
+        check = qseries.verify_qbinomial(r, q, x)
+        assert (check.lhs, check.rhs) == reference_qbinomial(r, q, x), (r, x)
+        assert check.agree
