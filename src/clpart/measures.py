@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .partitions import (ENUMERATION_CAP, Frozen, Partition, Record, enumerate_partitions,
                          require_int)
@@ -596,38 +596,29 @@ def size_length_layers(p: int, max_size: int) -> dict:
     and the cell (a + s, a) holds p^-(a(a+1)/2) G(a, s).  This takes O(N^3)
     exact operations where enumerating the partitions takes O(p(<= N)).
 
-    The DP runs on integers: G(a, s) = X(a, s) / (M_a p^(s(s+1)/2)), with
-    M_a = prod_{j>=1} (p^(2j) - 1)^floor(a/2j) and N_k from even_numerators,
-    so step(a, b) = p^(k(k+1) - b(b+1)/2) / N_k gives
+    The DP runs on integers: G(a, s) = X(a, s) / (L_a p^(s(s+1)/2)), with
+    L_a from lower_numerators.  step(a, b) is the chain's kernel K(a, b) times
+    (L_b / p^(b(b+1)/2)) / (L_a / p^(a(a+1)/2)), so with C(a, b) =
+    kernel_numerators(a, p)[b]
 
-        X(a, s) = sum_{b <= min(a, s)} [M_a / (N_k M_b)] p^(b(s-b) + k(k+1)) X(b, s - b).
+        X(a, s) = sum_{b <= min(a, s)} C(a, b) p^(b(s-b)) X(b, s - b),
 
-    M_a / (N_k M_b) is an integer since a >= b + 2k, and each cell is one
-    Fraction.  Any other M with integer coefficients gives the same cells:
-    L_a of lower_numerators does, which makes the coefficients the kernel's
-    kernel_numerators(a, p), but that DP ran 9-20 % slower (10.1 -> 11.8 ms
-    at N = 40, p = 2; 158 -> 190 ms at N = 64, p = 7; 1.41 -> 1.53 s at
-    N = 128, p = 2; min of 3-7, Python 3.11.7, 2 vCPUs), so M_a stays.
+    and each cell, X(a, s) / (L_a p^((s(s+1) + a(a+1))/2)), is one Fraction.
     ``max_size`` must be an int in [0, MAX_SERIES_SIZE]; ValueError otherwise.
     """
     require_prime(p)
     require_int(max_size, "max_size", 0, MAX_SERIES_SIZE, "series")
-    evens = even_numerators(p, max_size // 2)
-    # M_a = prod_{i>=1} N_floor(a/2i): p^(2j) - 1 lies in N_floor(a/2i) for floor(a/2j) i's
-    m = [prod(evens[a // (2 * i)] for i in range(1, a // 2 + 1)) for a in range(max_size + 1)]
-    powers = [p**e for e in range((max_size // 2 + 1) ** 2 + 1)]
+    lower = lower_numerators(p, max_size)
+    powers = [p**e for e in range((max_size // 2) ** 2 + 1)]
     x = [[1] + [0] * max_size]
     for a in range(1, max_size + 1):
-        coefficients = []
-        for b in range(a + 1):
-            k = (a - b) // 2
-            coefficients.append(m[a] // (evens[k] * m[b]) * powers[k * (k + 1)])
+        coefficients = kernel_numerators(a, p)
         row = []
         x.append(row)  # the b = a term reads this row
         for s in range(max_size - a + 1):
             row.append(sum(coefficients[b] * powers[b * (s - b)] * x[b][s - b]
                            for b in range(min(a, s) + 1)))
-    return {(a + s, a): Fraction(v, m[a] * p ** ((s * (s + 1) + a * (a + 1)) // 2))
+    return {(a + s, a): Fraction(v, lower[a] * p ** ((s * (s + 1) + a * (a + 1)) // 2))
             for a, row in enumerate(x) for s, v in enumerate(row) if v}
 
 

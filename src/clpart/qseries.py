@@ -19,6 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 from .partitions import Frozen, Partition, require_int
@@ -54,9 +55,17 @@ MAX_EULER_BITS = 2**18
 # Largest j finite_qpoch, the generic Fraction product, accepts.  Its time
 # grows about 13x per doubling of j: uncapped, j = 2000 at x = q = 1/2 took
 # 11.2 s.  At the cap it took 0.07 / 0.16 / 2.2 s at x = q = 1/2 / 2/3 / 1/101
-# (in process, Python 3.11.7, 2 vCPUs).  A q of more bits takes longer:
-# j = 128 at q = 1/(2^61 - 1) took 0.7 s.
+# (in process, Python 3.11.7, 2 vCPUs).
 MAX_QPOCH_FACTORS = 512
+
+# Largest bound, in bits, on finite_qpoch's product, j (j + 1) / 2 bitlen(den q)
+# + j bitlen(den x), read off the arguments before any arithmetic: a q of more
+# bits takes longer at the same j.  At x = q it took 0.07 s at 1/2 and j = 512
+# (263,680 bits), 2.7 s at 1/101 and j = 512 (922,880 bits), and 0.78 s at
+# 1/(2^61 - 1) and j = 128 (511,424 bits); j = 185 there (1,060,790 bits) is
+# refused, and took 2.7 s uncapped, j = 261 11 s (in process, Python 3.11.7,
+# 2 vCPUs).
+MAX_QPOCH_BITS = 2**20
 
 # Largest r verify_qbinomial accepts (the degree in x of both sides).  At q = 1/p,
 # x = 1 or 2, r = 64 took 1 / 2-3 / 4-5 ms at p = 2 / 7 / 101, r = 128 took
@@ -340,9 +349,11 @@ def require_deformation(p: int, u) -> Fraction:
 
 def finite_qpoch(x, q, j: int) -> Fraction:
     """The finite q-Pochhammer product prod_{k=1}^{j} (1 - x q^(k-1)); j=0 gives 1.
-    j is capped at MAX_QPOCH_FACTORS."""
+    j is capped at MAX_QPOCH_FACTORS, and the product's bits at MAX_QPOCH_BITS."""
     require_int(j, "j", 0, MAX_QPOCH_FACTORS, "series length")
     x, q = as_fraction(x), as_fraction(q)
+    bits = j * (j + 1) // 2 * q.denominator.bit_length() + j * x.denominator.bit_length()
+    require_int(bits, "qpoch bits", cap=MAX_QPOCH_BITS, kind="product bits")
     out = Fraction(1)
     power = Fraction(1)
     for _ in range(j):
@@ -383,7 +394,8 @@ def kernel_numerators(a: int, p: int) -> tuple[int, ...]:
     k = floor((a-b)/2), with L_j from lower_numerators and N_k from
     even_numerators.  L_a / (L_b N_k) is an integer since 2k <= a - b.  This is
     the one definition of the coefficient: the sampler's kernel and rows, the
-    chain suite and the chain-consistency recursion for P(a) read it.
+    chain suite, the chain-consistency recursion for P(a) and the series DP
+    read it.
 
     The row is built from b = a down: L_a / L_b = (p^(b+1)-1)...(p^a-1) is one
     running product, so each entry costs one exact division by N_k.
@@ -443,26 +455,27 @@ def d_lambda(lam: Partition, p: int) -> Fraction:
     return Fraction(numerator, p ** (lam.n_stat() + lam.size - e))
 
 
-def _enclose_product(a: Fraction, r: Fraction, width: Fraction, accept, reciprocal=False):
-    """The first accepted enclosure of prod_{k>=0} (1 - a r^k), for a > 0, 0 < r < 1.
+def _enclose_product(a: Fraction, r: Fraction, width: Fraction, reciprocal=False):
+    """(lo, hi), the first bracket within ``width`` that encloses
+    prod_{k>=0} (1 - a r^k), for a > 0, 0 < r < 1, and width > 0.
 
     After K factors the partial product P bounds the product above, and the
     omitted factors multiply to at least 1 - T, T = a r^K / (1 - r), so with
     T < 1 the bracket [lo, hi] = [P (1 - T), P] encloses the product; its
-    width is P T.  ``accept(lo, hi)`` returns the enclosure to report, or None
-    to take one more factor.  It sees only the brackets whose width is within
-    ``width``, so the caller passes a width that every bracket it would accept
-    is within.  With ``reciprocal`` the width tested is T / P =
-    (hi - lo) / hi^2, which the width of [1/hi, 1/lo] is at least.
+    width is P T.  With ``reciprocal`` the width tested is T / (P (1 - T)),
+    that of [1/hi, 1/lo], which encloses the product's reciprocal.
 
     P, T and a r^K are kept as integer numerators over integer denominators,
-    so no Fraction is normalised per factor: lo and hi are built once per
-    call of ``accept``.  Before any product is built, the terms are walked
-    until T alone is within ``width``: as P <= 1, a width P T is within it by
-    then, and a width T / P not before.  A request whose partial product,
-    (K bitlen(den a) + K (K - 1)/2 bitlen(den r)) bits over K factors, would
-    pass MAX_PRODUCT_BITS by then, or later, is refused.
+    so no Fraction is normalised per factor: lo and hi are built once.
+    Before any product is built, the terms are walked until the width at
+    P = 1 is within ``width``: as P <= 1, no bracket is within it before.  A
+    request whose partial product, (K bitlen(den a) + K (K - 1)/2 bitlen(den r))
+    bits over K factors, would pass MAX_PRODUCT_BITS by then, or later, is
+    refused.  Every caller's width is a positive multiple of its tolerance,
+    so a width <= 0 is refused as a tolerance <= 0.
     """
+    if width <= 0:
+        raise ValueError("tolerance must be > 0")
     an, ad, rn, rd = a.numerator, a.denominator, r.numerator, r.denominator
     wn, wd = width.numerator, width.denominator
     step = rd - rn  # 1 - r = step / rd
@@ -476,10 +489,10 @@ def _enclose_product(a: Fraction, r: Fraction, width: Fraction, accept, reciproc
             yield en, ed
             en, ed, bits, grow = en * rn, ed * rd, bits + grow, grow + rd.bit_length()
 
-    def within(pn, pd, en, ed):  # T < 1 and P T (T / P if reciprocal) <= width, P = pn / pd
+    def within(pn, pd, en, ed):  # T < 1 and the bracket's width is within width, P = pn / pd
         tn, td = en * rd, ed * step
         if reciprocal:
-            pn, pd = pd, pn
+            return tn < td and pd * tn * wd <= wn * pn * (td - tn)
         return tn < td and pn * tn * wd <= wn * pd * td
 
     for en, ed in terms():  # refuses before any product is built
@@ -489,9 +502,7 @@ def _enclose_product(a: Fraction, r: Fraction, width: Fraction, accept, reciproc
     for en, ed in terms():
         if within(pn, pd, en, ed):
             tn, td = en * rd, ed * step
-            enclosure = accept(Fraction(pn * (td - tn), pd * td), Fraction(pn, pd))
-            if enclosure is not None:
-                return enclosure
+            return Fraction(pn * (td - tn), pd * td), Fraction(pn, pd)
         pn, pd = pn * (ed - en), pd * ed
 
 
@@ -502,12 +513,8 @@ def odd_constant(p: int, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     The factors are 1 - a r^k with a = 1/p and r = 1/p^2.
     """
     require_prime(p)
-    tol = as_fraction(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
-
-    return _enclose_product(Fraction(1, p), Fraction(1, p * p), 2 * tol,
-                            BoundedReal.from_endpoints)
+    width = 2 * as_fraction(tolerance)
+    return BoundedReal.from_endpoints(*_enclose_product(Fraction(1, p), Fraction(1, p * p), width))
 
 
 @lru_cache(maxsize=None)
@@ -519,15 +526,10 @@ def deformed_constant(p: int, u, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     a = u^2/p^3 and r = 1/p^2.
     """
     u = require_deformation(require_prime(p), u)
-    tol = as_fraction(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
     prefactor = 1 - u / p
-
-    def accept(lo, hi):  # width prefactor (hi - lo) <= 2 tol
-        return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
-
-    return _enclose_product(u * u / p**3, Fraction(1, p * p), 2 * tol / prefactor, accept)
+    lo, hi = _enclose_product(u * u / p**3, Fraction(1, p * p),
+                              2 * as_fraction(tolerance) / prefactor)
+    return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
 
 
 def gaussian_binomial(r: int, s: int, q) -> Fraction:
@@ -566,39 +568,32 @@ def verify_euler_identity(s, q, terms: int) -> EulerCheck:
             + terms * s.denominator.bit_length())
     require_int(bits, "euler bits", cap=MAX_EULER_BITS, kind="series bits")
 
-    lhs = Fraction(1)
-    denom = Fraction(1)
-    s_power = Fraction(1)
-    q_power = Fraction(1)
+    # The bound and the enclosure, which may refuse, come before the partial
+    # sum; (q;q)_n, n = terms + 1, is one product of integers over a power of q's
+    # denominator, as lower_numerators is at q = 1/p.
+    n, qn, qd = terms + 1, q.numerator, q.denominator
+    pochhammer = Fraction(prod(qd**k - qn**k for k in range(1, n + 1)), qd ** (n * (n + 1) // 2))
+    ratio = s / (1 - q ** (n + 1))
+    if ratio >= 1:
+        raise ValueError("terms too small for a convergent tail bound; increase terms")
+    truncation_bound = s**n / pochhammer / (1 - ratio)
+    rhs = _euler_product_reciprocal(s, q, min(DEFAULT_TOLERANCE, truncation_bound))
+
+    lhs = denom = s_power = q_power = Fraction(1)
     for m in range(1, terms + 1):
         q_power *= q
         denom *= 1 - q_power
         s_power *= s
         lhs += s_power / denom
-
-    first_omitted = s_power * s / (denom * (1 - q_power * q))
-    ratio = s / (1 - q_power * q * q)
-    if ratio >= 1:
-        raise ValueError("terms too small for a convergent tail bound; increase terms")
-    truncation_bound = first_omitted / (1 - ratio)
-
-    rhs = _euler_product_reciprocal(s, q, min(DEFAULT_TOLERANCE, truncation_bound))
     agree = abs(lhs - rhs.mid) <= rhs.rad + truncation_bound
     return EulerCheck(lhs, rhs, agree, truncation_bound)
 
 
 def _euler_product_reciprocal(s: Fraction, q: Fraction, tolerance: Fraction) -> BoundedReal:
-    """Enclosure of prod_{m>=0} (1 - s q^m)^-1 with radius <= tolerance.
-
-    The reciprocal of [lo, hi] has radius (hi - lo) / (2 lo hi), at least
-    (hi - lo) / (2 hi^2), so no bracket whose (hi - lo) / hi^2 exceeds
-    2 tolerance is accepted."""
-
-    def accept(lo, hi):
-        enclosure = BoundedReal.from_endpoints(lo, hi).reciprocal()
-        return enclosure if enclosure.rad <= tolerance else None
-
-    return _enclose_product(s, q, 2 * tolerance, accept, reciprocal=True)
+    """Enclosure of prod_{m>=0} (1 - s q^m)^-1 with radius <= tolerance: the
+    reciprocal of the first bracket whose reciprocal is within 2 tolerance."""
+    lo, hi = _enclose_product(s, q, 2 * tolerance, reciprocal=True)
+    return BoundedReal.from_endpoints(lo, hi).reciprocal()
 
 
 QBinomialCheck = namedtuple("QBinomialCheck", "lhs rhs agree")

@@ -623,6 +623,30 @@ def test_one_kernel_numerator_off_fails_each_chain_check_that_reads_it(capsys, m
     ]
 
 
+def test_one_kernel_numerator_off_fails_the_series_checks(capsys, monkeypatch):
+    # K(2, 0)'s numerator one too large in the series DP: every check that
+    # reads its table fails, while the Euler and q-binomial checks still pass
+    real = qseries.kernel_numerators
+
+    def one_off(a, p):
+        row = real(a, p)
+        return (row[0] + 1, *row[1:]) if a == 2 else row
+
+    monkeypatch.setattr(measures, "kernel_numerators", one_off)
+    measures.size_length_layers.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--suite", "identities", "--p", "2", "--depth", "6"])
+    finally:
+        measures.size_length_layers.cache_clear()  # drop the table built on the bad row
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    failed = [line.split(":")[0] for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL deformed-series p=2 u=1/2", "FAIL truncated-series p=2 r=2",
+                      "FAIL truncated-series p=2 r=3", "FAIL truncated-series p=2 r=4",
+                      "FAIL truncated-series p=2 r=5", "FAIL normalization p=2 max_size=6"]
+    assert lines[-1] == "6 check(s) FAILED"
+
+
 @pytest.mark.parametrize("height", [5, 8])
 def test_chain_suite_fails_a_wrong_retained_mass(capsys, monkeypatch, height):
     # pmf_parts wrong past a_max = 4, wherever the suite and the sampler read

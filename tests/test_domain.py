@@ -38,6 +38,7 @@ from clpart.qseries import (
     MAX_MASS_BITS,
     MAX_PRODUCT_BITS,
     MAX_QBINOMIAL_DEGREE,
+    MAX_QPOCH_BITS,
     MAX_QPOCH_FACTORS,
     d_lambda,
     deformed_constant,
@@ -329,6 +330,36 @@ def test_an_euler_check_that_would_run_for_minutes_is_refused():
     args = Namespace(suite="identities", p="2305843009213693951", depth=128, a_max=30)
     with pytest.raises(ValueError, match="^euler bits=1015040 exceeds the series bits cap"):
         cmd_verify(args)
+
+
+# s = 2^-112 and q = 2^-29 at 128 terms make a partial sum of 8,256 * 30 +
+# 128 * 113 = 262,144 bits, at the series bits cap, but the reciprocal's
+# enclosure needs more than MAX_PRODUCT_BITS.  The bound and the enclosure come
+# first, so the check is refused before the partial sum, which took 2.6 s, adds
+# a term (in process, Python 3.11.7, 2 vCPUs).
+def test_an_euler_check_past_the_product_cap_is_refused_before_its_partial_sum(monkeypatch):
+    added = []
+    real = Fraction.__add__
+    monkeypatch.setattr(Fraction, "__add__", lambda x, y: added.append(1) or real(x, y))
+    with pytest.raises(ValueError, match=f"^product bits=262257 exceeds the product cap "
+                                         f"{MAX_PRODUCT_BITS}$"):
+        verify_euler_identity(Fraction(1, 2**112), Fraction(1, 2**29), MAX_EULER_TERMS)
+    assert added == []
+
+
+# finite_qpoch's bound at x = q = 1 / (2^61 - 1) is (j (j + 1) / 2 + j) 61 bits:
+# 1,038,159 at j = 183 and 1,049,444 at j = 184.
+def test_a_qpoch_above_the_bit_cap_is_refused():
+    assert MAX_QPOCH_BITS == 2**20
+    q = Fraction(1, 2**61 - 1)
+    for j in (184, 185):
+        bits = (j * (j + 1) // 2 + j) * 61
+        with pytest.raises(ValueError, match=f"^qpoch bits={bits} exceeds the product bits cap "
+                                             f"{MAX_QPOCH_BITS}$"):
+            finite_qpoch(q, q, j)
+        with pytest.raises(ValueError, match="exceeds the product bits cap"):
+            gaussian_binomial(j, 1, q)
+    assert 0 < finite_qpoch(q, q, 16) < 1
 
 
 # At p = 2 the enclosures' factors are 1 - a r^k with r = 1/4 (a 3-bit

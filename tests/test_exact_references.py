@@ -1,9 +1,9 @@
 """The exact routes that run on integer numerators equal the Fraction routes they replaced.
 
 ``size_length_layers``, both parts recursions, ``kernel_numerators``,
-``kernel_row``, ``Family.layer_sum``, the q-binomial check and the
-enclosures of the infinite products compute on integers and build one
-Fraction per result.  The
+``kernel_row``, ``Family.layer_sum``, the q-binomial check, the Euler
+check's tail bound and the enclosures of the infinite products compute on
+integers and build one Fraction per result.  The
 Fraction versions below are the earlier code, copied here as oracles on the
 generic ``finite_qpoch``, so they read none of the numerators they check:
 every value, threshold and error message must be the same, at the caps the
@@ -207,38 +207,77 @@ def reference_euler(s, q, tol):
     return reference_enclose(s, q, accept)
 
 
-TOLERANCES = (Fraction(1, 10**6), Fraction(1, 10**20), DEFAULT_TOLERANCE)
+TOLERANCES = (Fraction(1, 10**6), Fraction(1, 10**20), DEFAULT_TOLERANCE, Fraction(1, 10**60))
 
 
 @pytest.mark.parametrize("p", (*PRIMES, 101))
-def test_enclosures_equal_the_fraction_loop(monkeypatch, p):
-    calls = []  # calls of accept, one count per enclosure
-    real = qseries._enclose_product
-
-    def counted(a, r, width, accept, **options):
-        calls.append(0)
-
-        def counting(lo, hi):
-            calls[-1] += 1
-            return accept(lo, hi)
-
-        return real(a, r, width, counting, **options)
-
-    monkeypatch.setattr(qseries, "_enclose_product", counted)
+def test_enclosures_equal_the_fraction_loop(p):
     for tol in TOLERANCES:
         pairs = [(qseries.odd_constant.__wrapped__(p, tol), reference_odd(p, tol))]
         for u in (Fraction(1, 2), Fraction(3, 2), Fraction(2)):
             if u < p:
                 pairs.append((qseries.deformed_constant.__wrapped__(p, u, tol),
                               reference_deformed(p, u, tol)))
-        assert calls == [1] * len(pairs)  # accept takes the first bracket it sees
         for s, q in ((Fraction(1, p), Fraction(1, p * p)), (Fraction(1, 2), Fraction(1, 2)),
-                     (Fraction(1, 8), Fraction(1, 4))):
+                     (Fraction(1, 8), Fraction(1, 4)), (Fraction(9, 10), Fraction(1, 2))):
             pairs.append((qseries._euler_product_reciprocal(s, q, tol), reference_euler(s, q, tol)))
-        assert max(calls) <= 2
         for enclosure, expected in pairs:
             assert (enclosure.mid, enclosure.rad) == (expected.mid, expected.rad)
-        calls.clear()
+
+
+@pytest.mark.parametrize("s, q", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(9, 10), Fraction(1, 2)),
+                                  (Fraction(1, 3), Fraction(1, 9))])
+def test_the_euler_reciprocal_stops_on_the_reciprocal_width(s, q):
+    # After K factors the reciprocal of [P (1 - T), P] has width T / (P (1 - T)).
+    # At 2 tol = T / P that width is just past 2 tol, so the first bracket that
+    # is within is the next one; at 2 tol = T / (P (1 - T)) it is this one.
+    partial, term = Fraction(1), s
+    for _ in range(12):
+        tail = term / (1 - q)
+        if tail < 1:
+            for tol in (tail / (2 * partial), tail / (2 * partial * (1 - tail))):
+                enclosure = qseries._euler_product_reciprocal(s, q, tol)
+                expected = reference_euler(s, q, tol)
+                assert (enclosure.mid, enclosure.rad) == (expected.mid, expected.rad), tol
+                assert enclosure.rad <= tol
+            assert 1 / enclosure.lower == partial  # at the second tolerance, the bracket of K factors
+        partial *= 1 - term
+        term *= q
+
+
+def reference_euler_check(s, q, terms):
+    """The Euler check as it ran on Fractions: the partial sum, then the bound
+    from its last term, then the enclosure."""
+    lhs = denom = s_power = q_power = Fraction(1)
+    for _ in range(terms):
+        q_power *= q
+        denom *= 1 - q_power
+        s_power *= s
+        lhs += s_power / denom
+    ratio = s / (1 - q_power * q * q)
+    if ratio >= 1:
+        raise ValueError("terms too small for a convergent tail bound; increase terms")
+    bound = s_power * s / (denom * (1 - q_power * q)) / (1 - ratio)
+    rhs = reference_euler(s, q, min(DEFAULT_TOLERANCE, bound))
+    return lhs, (rhs.mid, rhs.rad), abs(lhs - rhs.mid) <= rhs.rad + bound, bound
+
+
+@pytest.mark.parametrize("s, q, depths", [
+    *((Fraction(1, p), Fraction(1, p * p), (1, 6, 30, 64)) for p in (*PRIMES, 101)),
+    (Fraction(9, 10), Fraction(1, 2), (1, 3, 40)),  # at 1 term the tail's ratio is 36/35
+    (Fraction(99, 100), Fraction(99, 100), (5,)),
+    (Fraction(1, 2), Fraction(9, 10), (2,)),
+])
+def test_euler_checks_equal_the_fraction_loop(s, q, depths):
+    for terms in depths:
+        try:
+            expected = reference_euler_check(s, q, terms)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                qseries.verify_euler_identity(s, q, terms)
+            continue
+        lhs, rhs, agree, bound = qseries.verify_euler_identity(s, q, terms)
+        assert (lhs, (rhs.mid, rhs.rad), agree, bound) == expected, terms
 
 
 def families(p):
