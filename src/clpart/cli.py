@@ -135,7 +135,7 @@ def _atomic_write(path: str, blocks) -> str:
 
 def _write_output(args, chunks, command: str, params: dict) -> None:
     """Write the bytes chunks to ``args.output`` and its manifest, or to stdout."""
-    if not args.output:
+    if args.output is None:
         sys.stdout.flush()  # the lines printed before the payload go first
         sys.stdout.buffer.write(b"".join(chunks))
         return

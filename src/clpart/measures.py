@@ -124,16 +124,6 @@ def pmf_via_conjugate(lam: Partition, p: int) -> MassValue:
     return MassValue(Fraction(1, p**exponent * denominator), odd(p))
 
 
-def _weight(lam: Partition, p: int) -> Fraction:
-    """1 / (p^(n(lam)+|lam|) d_lambda(lam, p)), the multiplicity form; p unchecked.
-
-    weight_key gives it as 1 / (p^e N): one integer denominator, already in
-    lowest terms.
-    """
-    e, numerator = weight_key(lam.parts, even_numerators(p, lam.length // 2))
-    return Fraction(1, p**e * numerator)
-
-
 def pmf(lam: Partition, p: int) -> MassValue:
     """Mass of lam under the limiting p-Sylow measure (multiplicity form).
 
@@ -141,8 +131,7 @@ def pmf(lam: Partition, p: int) -> MassValue:
 
     Equal, term by term, to pmf_via_conjugate; this form is the cheaper one.
     """
-    require_mass_bits(lam, require_prime(p))
-    return MassValue(_weight(lam, p), odd(p))
+    return Family("cl", p).mass(lam)
 
 
 def pmf_parts(a: int, p: int) -> MassValue:
@@ -174,7 +163,7 @@ def pmf_size(n: int, p: int) -> MassValue:
 
 class Family(Frozen):
     """A measure family: name, prime and its one parameter, u or r.  The mass
-    of lam is constant * w(lam) * factor(statistic), w(lam) = _weight(lam, p):
+    of lam is constant * rational(weight_key(lam), factor(statistic)):
 
         cl         no parameter   statistic 0        factor 1                constant odd(p)
         deformed   0 < u < p      statistic |lam|    factor u^|lam|          constant deformed(p, u)
@@ -226,12 +215,19 @@ class Family(Frozen):
             return {"u": fraction_str(self.u)}
         return {} if self.r is None else {"r": self.r}
 
+    def rational(self, key: tuple[int, int], factor: Fraction) -> Fraction:
+        """factor / (p^e N) as one Fraction: the rational part of a mass whose
+        weight_key is (e, N), times that factor of its statistic."""
+        e, numerator = key
+        return Fraction(factor.numerator, factor.denominator * self.p**e * numerator)
+
     def mass(self, lam: Partition) -> MassValue:
         statistic = self.statistic(lam.size, lam.length)
         if statistic is None:
             raise ValueError(f"partition has {lam.length} parts, more than r={self.r}")
         require_mass_bits(lam, self.p, self.u)
-        return MassValue(_weight(lam, self.p) * self.factor(statistic), self.constant())
+        key = weight_key(lam.parts, even_numerators(self.p, lam.length // 2))
+        return MassValue(self.rational(key, self.factor(statistic)), self.constant())
 
     def tail(self, max_size: int) -> Fraction:
         """Exact rational bound on the family's mass at sizes > max_size.
@@ -477,11 +473,12 @@ class PartitionDistribution(Record):
         """
         counts = self.counts
         context = exact_decimals()
-        digits, factors = _Cache(int_text), _Cache(context.create_decimal)
+        digits = lru_cache(maxsize=None)(int_text)
+        factors = lru_cache(maxsize=None)(context.create_decimal)
 
         def text(product):
             numerator, big, small = product
-            return f"{digits[numerator]}/{context.multiply(factors[big], small)!s}"
+            return f"{digits(numerator)}/{context.multiply(factors(big), small)!s}"
 
         def render(mid, rad):
             mid, rad = text(mid), text(rad)
@@ -520,19 +517,6 @@ def _float_text(numerator: int, big: int, small: int) -> str:
     return repr(numerator / (big * small))
 
 
-class _Cache(dict):
-    """key -> convert(key), converted on the first lookup."""
-
-    __slots__ = ("convert",)
-
-    def __init__(self, convert):
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
-
-
 def frequency_table(p: int, measure: str, params: dict, counts: dict,
                     total: int) -> PartitionDistribution:
     """The empirical table of ``counts`` over ``total`` observations.
@@ -553,9 +537,9 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
     require_int(max_size, "max_size", 0, ENUMERATION_CAP, "enumeration")
     family = Family(measure, p, u, r)
 
-    # An entry's rational is _weight's 1 / (p^e N) times the family's factor of
-    # its statistic.  Each distinct ((e, N), statistic) gets one Fraction,
-    # shared by its entries.
+    # An entry's rational is Family.rational of its weight key and its
+    # statistic's factor.  Each distinct ((e, N), statistic) gets one Fraction,
+    # shared by its entries; the factors are built once per size.
     evens = even_numerators(p, max_size // 2)
     entries: dict[Partition, Fraction] = {}
     rationals: dict[tuple, Fraction] = {}
@@ -570,10 +554,7 @@ def tabulate(p: int, max_size: int, measure: str = "cl", *, u=None, r=None) -> P
             key = weight_key(lam.parts, evens), statistic
             rational = rationals.get(key)
             if rational is None:
-                e, numerator = key[0]
-                factor = factors[length]
-                rational = Fraction(factor.numerator, factor.denominator * p**e * numerator)
-                rationals[key] = rational
+                rational = rationals[key] = family.rational(key[0], factors[length])
             entries[lam] = rational
     return PartitionDistribution(p=p, measure=measure, params=family.params(), entries=entries,
                                  constant=family.constant(),

@@ -19,7 +19,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from math import prod
 from operator import mul
 
 from .partitions import Frozen, Partition, require_int
@@ -372,8 +371,9 @@ def lower_numerators(p: int, k: int) -> list[int]:
 
 def even_numerators(p: int, k: int) -> list[int]:
     """[N_0, ..., N_k], N_j = (p^2-1)(p^4-1)...(p^(2j)-1), so that
-    (1-1/p^2)...(1-1/p^(2j)) = N_j / p^(j(j+1)); p unchecked."""
-    return list(accumulate((p ** (2 * i) - 1 for i in range(1, k + 1)), mul, initial=1))
+    (1-1/p^2)...(1-1/p^(2j)) = N_j / p^(j(j+1)), lower_numerators at p^2;
+    p unchecked."""
+    return lower_numerators(p * p, k)
 
 
 def upper_numerators(p: int, k: int) -> list[int]:
@@ -392,7 +392,9 @@ def kernel_numerators(a: int, p: int) -> tuple[int, ...]:
                 = L_a / (L_b N_k) * p^(k(k+1)) / p^(a(a+1)/2),
 
     k = floor((a-b)/2), with L_j from lower_numerators and N_k from
-    even_numerators.  L_a / (L_b N_k) is an integer since 2k <= a - b.  This is
+    even_numerators.  L_a / (L_b N_k) is an integer since 2k <= a - b, and
+    kernel_numerators(a, p)[b] is the number of symmetric a x a matrices over
+    F_p of corank b (MacWilliams, Amer. Math. Monthly 1969).  This is
     the one definition of the coefficient: the sampler's kernel and rows, the
     chain suite, the chain-consistency recursion for P(a) and the series DP
     read it.
@@ -568,23 +570,21 @@ def verify_euler_identity(s, q, terms: int) -> EulerCheck:
             + terms * s.denominator.bit_length())
     require_int(bits, "euler bits", cap=MAX_EULER_BITS, kind="series bits")
 
-    # The bound and the enclosure, which may refuse, come before the partial
-    # sum; (q;q)_n, n = terms + 1, is one product of integers over a power of q's
-    # denominator, as lower_numerators is at q = 1/p.
-    n, qn, qd = terms + 1, q.numerator, q.denominator
-    pochhammer = Fraction(prod(qd**k - qn**k for k in range(1, n + 1)), qd ** (n * (n + 1) // 2))
+    # (q;q)_m = Q_m / qd^(m(m+1)/2), Q_m = (qd - qn)(qd^2 - qn^2)...(qd^m - qn^m),
+    # as lower_numerators is at q = 1/p.  The bound, from (q;q)_(terms+1), and
+    # the enclosure, which may refuse, come before the partial sum, which is one
+    # integer sum over sd^T Q_T, T = terms.
+    n, qn, qd, sn, sd = terms + 1, q.numerator, q.denominator, s.numerator, s.denominator
+    products = list(accumulate((qd**k - qn**k for k in range(1, n + 1)), mul, initial=1))
     ratio = s / (1 - q ** (n + 1))
     if ratio >= 1:
         raise ValueError("terms too small for a convergent tail bound; increase terms")
-    truncation_bound = s**n / pochhammer / (1 - ratio)
+    truncation_bound = s**n / Fraction(products[n], qd ** (n * (n + 1) // 2)) / (1 - ratio)
     rhs = _euler_product_reciprocal(s, q, min(DEFAULT_TOLERANCE, truncation_bound))
 
-    lhs = denom = s_power = q_power = Fraction(1)
-    for m in range(1, terms + 1):
-        q_power *= q
-        denom *= 1 - q_power
-        s_power *= s
-        lhs += s_power / denom
+    last = products[terms]
+    lhs = Fraction(sum(sn**m * sd ** (terms - m) * qd ** (m * (m + 1) // 2) * (last // q_m)
+                       for m, q_m in enumerate(products[:n])), sd**terms * last)
     agree = abs(lhs - rhs.mid) <= rhs.rad + truncation_bound
     return EulerCheck(lhs, rhs, agree, truncation_bound)
 

@@ -27,8 +27,9 @@ All selection is inverse-CDF over exact rational cumulative weights, compared
 against a uniform 64-bit draw k read as the rational k/2^64.  Cumulative
 weights are precompiled to integer thresholds, so a draw is integer
 comparisons only; the per-value probability differs from the exact mass by
-less than 2^-63 (the grid resolution), which is far below anything a
-desk-scale trial count can resolve.
+less than 2^-64: each threshold rounds its cumulative weight up by less than
+2^-64, so the difference of two is off by less than that, far below anything
+a desk-scale trial count can resolve.
 """
 
 from __future__ import annotations

@@ -207,7 +207,7 @@ def test_a_mass_above_the_bit_cap_exits_2_before_it_is_built(capsys, monkeypatch
     def built(*args):
         raise AssertionError("the mass was built")
 
-    monkeypatch.setattr(measures, "_weight", built)
+    monkeypatch.setattr(measures, "weight_key", built)
     monkeypatch.setattr(Partition, "conjugate", built)
     code, out, err = run(capsys, ["pmf", "--p", "2", *argv])
     assert (code, out, err) == (2, "", f"error: mass bits={bits} exceeds the mass cap 1048576\n")
@@ -364,6 +364,23 @@ def test_an_unwritable_output_exits_2_with_one_line(capsys, tmp_path, output, di
                                 "--output", str(tmp_path / output)])
     assert (code, err) == (2, f"error: cannot write {tmp_path / (directory or output)}: {reason}\n")
     assert sorted(os.listdir(tmp_path)) == left  # no temporary file is left
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--measure", "cl", "--p", "2", "--max-size", "3"],
+    ["pmf", "--measure", "cl", "--p", "2", "--partition", "[1,1]"],
+    ["sample", "--p", "2", "--trials", "5", "--seed", "1"],
+    ["graphs", "--n", "5", "--q", "1/2", "--p", "2", "--trials", "3", "--seed", "1"],
+], ids=["pmf-max-size", "pmf-partition", "sample", "graphs"])
+def test_an_empty_output_exits_2_and_prints_no_payload(capsys, monkeypatch, tmp_path, argv):
+    (tmp_path / "file").mkdir()
+    code, lines, _ = run(capsys, argv + ["--output", str(tmp_path / "file" / "out")])
+    assert code == 0  # ``lines``: what stdout gets besides a payload
+    (tmp_path / "empty").mkdir()
+    monkeypatch.chdir(tmp_path / "empty")
+    code, out, err = run(capsys, argv + ["--output", ""])
+    assert (code, out, err) == (2, lines, "error: cannot write : No such file or directory\n")
+    assert os.listdir(".") == []  # no temporary file is left
 
 
 def test_a_long_output_name_gets_its_manifest(capsys, tmp_path):

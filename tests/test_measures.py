@@ -86,7 +86,7 @@ def test_weights_match_their_formulas_on_random_partitions(p):
             d *= finite_qpoch(t * t, t * t, m // 2)
         assert d_lambda(lam, p) == d
         body = 1 / (Fraction(p) ** (lam.n_stat() + lam.size) * d)
-        assert measures._weight(lam, p) == pmf_via_conjugate(lam, p).rational == body
+        assert pmf(lam, p).rational == pmf_via_conjugate(lam, p).rational == body
         assert pmf_deformed(lam, p, u).rational == u**lam.size * body
         r = max(lam.length, 1) + rng.randint(0, 3)
         trailing = finite_qpoch(t, t, r) / finite_qpoch(t, t, r - lam.length)
@@ -322,14 +322,37 @@ def test_tabulate_equals_the_per_partition_mass(p, family):
         assert dist.constant is mass(Partition(), p).constant
 
 
+def _truncated_by_qpochs(lam, p, r):
+    """The truncated family's factor of lam, by literal finite products."""
+    t = Fraction(1, p)
+    return finite_qpoch(t, t, r) / finite_qpoch(t, t, r - lam.length) / finite_qpoch(-t, t, r)
+
+
+CONJUGATE_FACTORS = {
+    "cl": ({}, lambda lam, p: 1),
+    "deformed-1/2": ({"measure": "deformed", "u": Fraction(1, 2)},
+                     lambda lam, p: Fraction(1, 2) ** lam.size),
+    "deformed-3/2": ({"measure": "deformed", "u": Fraction(3, 2)},
+                     lambda lam, p: Fraction(3, 2) ** lam.size),
+    "truncated-1": ({"measure": "truncated", "r": 1},
+                    lambda lam, p: _truncated_by_qpochs(lam, p, 1)),
+    "truncated-3": ({"measure": "truncated", "r": 3},
+                    lambda lam, p: _truncated_by_qpochs(lam, p, 3)),
+}
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tabulate_equals_the_conjugate_form(p):
-    # pmf_via_conjugate multiplies column steps and shares no weight code with
-    # weight_key, which builds the table and pmf alike
-    dist = tabulate(p, 14)
-    assert len(dist.entries) == sum(1 for n in range(15) for _ in enumerate_partitions(n))
-    for lam, rational in dist.entries.items():
-        assert rational == pmf_via_conjugate(lam, p).rational
+    # pmf_via_conjugate multiplies column steps and the factors are literal
+    # powers and q-products: they share no code with weight_key and
+    # Family.rational, which build the table and pmf alike
+    for family, (kwargs, factor) in CONJUGATE_FACTORS.items():
+        r = kwargs.get("r")
+        dist = tabulate(p, 14, **kwargs)
+        assert len(dist.entries) == sum(1 for n in range(15) for lam in enumerate_partitions(n)
+                                        if r is None or lam.length <= r), family
+        for lam, rational in dist.entries.items():
+            assert rational == pmf_via_conjugate(lam, p).rational * factor(lam, p), (family, lam)
 
 
 def test_tabulate_argument_validation():
@@ -504,13 +527,24 @@ def test_table_json_converts_each_distinct_int_once(monkeypatch):
     # the masses share their numerators and big factors, so caching pays
     assert len(numerators) + len(factors) < len(masses)
     converted = {"digits": [], "decimals": []}
-    real = measures._Cache.__missing__
+    real_text, real_decimals = measures.int_text, measures.exact_decimals
 
-    def counted(self, key):
-        converted["digits" if self.convert is measures.int_text else "decimals"].append(key)
-        return real(self, key)
+    def counted_text(i):
+        converted["digits"].append(i)
+        return real_text(i)
 
-    monkeypatch.setattr(measures._Cache, "__missing__", counted)
+    class CountingContext(type(real_decimals())):
+        def create_decimal(self, num):
+            converted["decimals"].append(num)
+            return super().create_decimal(num)
+
+    def counting_decimals():
+        context = real_decimals()
+        return CountingContext(prec=context.prec, Emax=context.Emax, Emin=context.Emin,
+                               traps=[t for t, on in context.traps.items() if on])
+
+    monkeypatch.setattr(measures, "int_text", counted_text)
+    monkeypatch.setattr(measures, "exact_decimals", counting_decimals)
     for _ in range(2):  # the caches live for one json_parts call
         for keys in converted.values():
             keys.clear()

@@ -1,6 +1,8 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +17,7 @@ from clpart.qseries import (
     fraction_str,
     gaussian_binomial,
     int_text,
+    kernel_numerators,
     MAX_DECIMAL_EXPONENT,
     lower_numerators,
     odd_constant,
@@ -298,3 +301,36 @@ def test_qpochs_and_numerators_at_large_k():
         factor = (1 - x * q ** (k - 1)) * 2 ** (exponent(k) - exponent(k - 1))
         assert factor.denominator == 1 and factor.numerator % 2, numerators.__name__
         assert len(values) == k + 1 and values[k] == values[k - 1] * factor.numerator
+
+
+def _rank_mod(rows, p):
+    """The rank over F_p of a square integer matrix, by Gaussian elimination."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col] * inverse
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p, a_max", [(2, 4), (3, 3), (5, 2)])
+def test_kernel_numerators_count_symmetric_matrices_by_corank(p, a_max):
+    # MacWilliams (Amer. Math. Monthly 1969): K(a, b) is the chance that a
+    # uniform symmetric a x a matrix over F_p has corank b; counted here over
+    # every matrix, upper triangle free and the lower one its mirror
+    for a in range(a_max + 1):
+        cells = [(i, j) for i in range(a) for j in range(i, a)]
+        coranks = Counter()
+        for values in product(range(p), repeat=len(cells)):
+            matrix = [[0] * a for _ in range(a)]
+            for (i, j), v in zip(cells, values):
+                matrix[i][j] = matrix[j][i] = v
+            coranks[a - _rank_mod(matrix, p)] += 1
+        assert kernel_numerators(a, p) == tuple(coranks[b] for b in range(a + 1))
