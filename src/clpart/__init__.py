@@ -12,8 +12,6 @@ from .qseries import (
     BoundedReal,
     d_lambda,
     deformed_constant,
-    finite_qpoch,
-    gaussian_binomial,
     odd_constant,
     verify_euler_identity,
     verify_qbinomial,

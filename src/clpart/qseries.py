@@ -2,11 +2,10 @@
 
 A finite product at q = 1/p is a running product of integer factors over a
 known power of p, built per call (``*_numerators``); the column chain's
-kernel coefficient is one quotient of them (``kernel_numerators``), and
-``finite_qpoch`` is the generic ``Fraction`` product.  Infinite products are
-returned as midpoint/radius enclosures (:class:`BoundedReal`) so downstream
-checks can assert containment instead of approximate equality.  Tail bounds
-all come from the elementary inequality
+kernel coefficient is one quotient of them (``kernel_numerators``).
+Infinite products are returned as midpoint/radius enclosures
+(:class:`BoundedReal`) so downstream checks can assert containment instead
+of approximate equality.  Tail bounds all come from the elementary inequality
 
     prod(1 - a_i) >= 1 - sum(a_i)    for a_i in (0, 1),
 
@@ -50,21 +49,6 @@ MAX_EULER_TERMS = 128
 # at an 82-bit p and 52 terms (228,878 bits) 1.6 s; at p = 101 and 128 terms
 # (116,480 bits) it took 0.9 s (in process, Python 3.11.7, 2 vCPUs).
 MAX_EULER_BITS = 2**18
-
-# Largest j finite_qpoch, the generic Fraction product, accepts.  Its time
-# grows about 13x per doubling of j: uncapped, j = 2000 at x = q = 1/2 took
-# 11.2 s.  At the cap it took 0.07 / 0.16 / 2.2 s at x = q = 1/2 / 2/3 / 1/101
-# (in process, Python 3.11.7, 2 vCPUs).
-MAX_QPOCH_FACTORS = 512
-
-# Largest bound, in bits, on finite_qpoch's product, j (j + 1) / 2 bitlen(den q)
-# + j bitlen(den x), read off the arguments before any arithmetic: a q of more
-# bits takes longer at the same j.  At x = q it took 0.07 s at 1/2 and j = 512
-# (263,680 bits), 2.7 s at 1/101 and j = 512 (922,880 bits), and 0.78 s at
-# 1/(2^61 - 1) and j = 128 (511,424 bits); j = 185 there (1,060,790 bits) is
-# refused, and took 2.7 s uncapped, j = 261 11 s (in process, Python 3.11.7,
-# 2 vCPUs).
-MAX_QPOCH_BITS = 2**20
 
 # Largest r verify_qbinomial accepts (the degree in x of both sides).  At q = 1/p,
 # x = 1 or 2, r = 64 took 1 / 2-3 / 4-5 ms at p = 2 / 7 / 101, r = 128 took
@@ -346,21 +330,6 @@ def require_deformation(p: int, u) -> Fraction:
     return u
 
 
-def finite_qpoch(x, q, j: int) -> Fraction:
-    """The finite q-Pochhammer product prod_{k=1}^{j} (1 - x q^(k-1)); j=0 gives 1.
-    j is capped at MAX_QPOCH_FACTORS, and the product's bits at MAX_QPOCH_BITS."""
-    require_int(j, "j", 0, MAX_QPOCH_FACTORS, "series length")
-    x, q = as_fraction(x), as_fraction(q)
-    bits = j * (j + 1) // 2 * q.denominator.bit_length() + j * x.denominator.bit_length()
-    require_int(bits, "qpoch bits", cap=MAX_QPOCH_BITS, kind="product bits")
-    out = Fraction(1)
-    power = Fraction(1)
-    for _ in range(j):
-        out *= 1 - x * power
-        power *= q
-    return out
-
-
 def lower_numerators(p: int, k: int) -> list[int]:
     """[L_0, ..., L_k], L_j = (p-1)(p^2-1)...(p^j-1), so that
     (1-1/p)...(1-1/p^j) = L_j / p^(j(j+1)/2), in lowest terms since p divides
@@ -532,21 +501,6 @@ def deformed_constant(p: int, u, tolerance=DEFAULT_TOLERANCE) -> BoundedReal:
     lo, hi = _enclose_product(u * u / p**3, Fraction(1, p * p),
                               2 * as_fraction(tolerance) / prefactor)
     return BoundedReal.from_endpoints(prefactor * lo, prefactor * hi)
-
-
-def gaussian_binomial(r: int, s: int, q) -> Fraction:
-    """The q-binomial coefficient [r choose s]_q as a ratio of finite q-factorials;
-    r is capped at MAX_QPOCH_FACTORS, as finite_qpoch's length."""
-    require_int(r, "r", 0, MAX_QPOCH_FACTORS, "series length")
-    require_int(s, "s", 0)
-    if s > r:
-        raise ValueError("need 0 <= s <= r")
-    q = as_fraction(q)
-    num = finite_qpoch(q, q, r)
-    den = finite_qpoch(q, q, s) * finite_qpoch(q, q, r - s)
-    if den == 0:
-        raise ValueError(f"q-factorial vanishes at q={q}; q must avoid roots of unity")
-    return num / den
 
 
 EulerCheck = namedtuple("EulerCheck", "lhs rhs agree truncation_bound")

@@ -15,8 +15,10 @@ those of one process, whatever the CPU count.
 Draw j of a stream is mix64(state + j*GOLDEN_GAMMA), a pure function of the
 state and j, so ``draws_below`` computes a run of draws together, one 128-bit
 lane per draw in a single int, and compares each with a threshold.  In the
-same way ``substream_draws`` computes a block of trials' substream states and
-their first draws, one lane per trial.
+same way many streams are drawn together, one lane per stream:
+``substream_draws`` gives a block of trials' substream states and their first
+draws, ``pack_lanes`` packs chosen states into one int of lanes, and
+``lane_draws`` gives draws j..j+k-1 of every stream in such an int.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ def _mix_lanes(z: int, low: int) -> int:
     return z ^ (z >> 31)
 
 
+def _lane_masks(count: int) -> tuple[int, int]:
+    """``ones`` and ``low`` of ``_lanes(count)``.  Their lanes are all alike, so
+    up to DRAW_BLOCK lanes they are the block's with lanes shifted off: a count
+    that changes from call to call rebuilds nothing lane by lane."""
+    if count >= DRAW_BLOCK:
+        return _lanes(count)[:2]
+    ones, low, _ = _lanes(DRAW_BLOCK)
+    drop = 128 * (DRAW_BLOCK - count)
+    return ones >> drop, low >> drop
+
+
 def _low_words(z: int, count: int) -> array:
     """The low 64 bits of each of the ``count`` 128-bit lanes of z."""
     words = array("Q", z.to_bytes(16 * count, "little"))[::2]
@@ -149,9 +162,12 @@ def draw_threshold(x: Fraction | int, denominator: int = 1) -> int:
     return -((-x.numerator << 64) // (x.denominator * denominator))
 
 
-# A run derives every trial's stream from one master seed, so its mix is
-# computed once; mix64 itself stays uncached, since each trial mixes a new index.
-_mixed_seed = lru_cache(maxsize=16)(mix64)
+# A run derives every trial's stream from one master seed, so its check and mix
+# are computed once; typed, so that 5.0 and True do not hit int 5's entry.
+# mix64 itself stays uncached, since each trial mixes a new index.
+@lru_cache(maxsize=16, typed=True)
+def _mixed_seed(seed: int) -> int:
+    return mix64(require_seed(seed))
 
 
 def substream(seed: int, index: int) -> SplitMix64:
@@ -165,15 +181,45 @@ def substream_draws(seed: int, start: int, count: int, k: int) -> tuple[array, l
 
     Returns (states, draws): states[i] is ``substream(seed, start + i).state``
     and draws[j][i] that stream's draw j + 1, each an array of 64-bit words.
-    All of them come from one int of ``count`` 128-bit lanes (callers keep
-    count to DRAW_BLOCK): lane i of steps + (start*GOLDEN_GAMMA)*ones holds
-    (start+i+1)*GOLDEN_GAMMA, which ``_mix_lanes`` mixes as ``substream``
-    does, and draw j is the mix of state + j*GOLDEN_GAMMA.
+    All of them come from one int of ``count`` 128-bit lanes: lane i of
+    steps + (start*GOLDEN_GAMMA)*ones holds (start+i+1)*GOLDEN_GAMMA, which
+    ``_mix_lanes`` mixes as ``substream`` does.
     """
     require_int(start, "start index", 0)
     ones, low, steps = _lanes(count)
     states = _mix_lanes(steps + (start * GOLDEN_GAMMA & MASK64) * ones, low)
     states ^= _mixed_seed(seed) * ones
-    draws = [_low_words(_mix_lanes(states + (j * GOLDEN_GAMMA & MASK64) * ones, low), count)
-             for j in range(1, k + 1)]
-    return _low_words(states, count), draws
+    return _low_words(states, count), lane_draws(states, count, 1, k)
+
+
+def lane_draws(states: int, count: int, j: int, k: int) -> list[array]:
+    """Draws j..j+k-1 of the ``count`` streams whose states are the low 64 bits
+    of the 128-bit lanes of ``states``, as k arrays of 64-bit words, one word
+    per stream: draw j of a stream is the mix of state + j*GOLDEN_GAMMA, and
+    each next one adds GOLDEN_GAMMA to every lane.  Bits 64..96 of each lane
+    must be 0, as ``pack_lanes`` and ``_mix_lanes`` leave them, so no sum
+    carries into the next lane.
+    """
+    ones, low = _lane_masks(count)
+    z = states + (j * GOLDEN_GAMMA & MASK64) * ones
+    gammas = GOLDEN_GAMMA * ones
+    draws = []
+    for _ in range(k):
+        draws.append(_low_words(_mix_lanes(z, low), count))
+        z += gammas
+    return draws
+
+
+def top_bytes(words: array) -> bytes:
+    """The top byte of each 64-bit word of ``words``, in order."""
+    return words.tobytes()[7 if sys.byteorder == "little" else 0::8]
+
+
+def pack_lanes(words) -> int:
+    """The 64-bit words, one per 128-bit lane, as one int: the inverse of
+    ``_low_words``, and like it byteswapped on big-endian hosts."""
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[::2] = array("Q", words)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")

@@ -17,11 +17,15 @@ distinct column tuple is turned into its Partition once, after which the
 same immutable instance is returned.
 
 ``sample_partition`` runs one trial on one stream.  ``sample_partitions`` and
-``empirical_distribution`` take the block route: per block of DRAW_BLOCK
-trials, one lane pass of ``rng.substream_draws`` computes every trial's
-stream state and first CHAIN_DRAWS draws, so most chains are a few
-``bisect_right`` calls on draws already made.  ``sample_partition`` on
-``substream(seed, t)`` is that route's oracle.
+``empirical_distribution`` take the block route, in which the chains of a
+block of DRAW_BLOCK trials run in rounds of ROUND_DRAWS draws.  One lane pass
+of ``rng.substream_draws`` computes every trial's stream state and its first
+round; after each round, the states of the chains still running are packed
+into one smaller lane int, and one ``rng.lane_draws`` pass gives just those
+streams their next round.  Each chain is kept as one int key that encodes
+its column heights, so counts are kept on ints, and each distinct key
+becomes its Partition once.  ``sample_partition`` on ``substream(seed, t)``
+is that route's oracle.
 
 All selection is inverse-CDF over exact rational cumulative weights, compared
 against a uniform 64-bit draw k read as the rational k/2^64.  Cumulative
@@ -39,19 +43,20 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress, repeat
 
 from .measures import MAX_PARTS, MassValue, PartitionDistribution, frequency_table, pmf_parts
 from .partitions import Frozen, Partition, require_int
 from .qseries import as_fraction, echo, fraction_str, kernel_numerators, require_prime
 from .rng import (
     DRAW_BLOCK,
-    GOLDEN_GAMMA,
-    SplitMix64,
     draw_threshold,
+    lane_draws,
+    pack_lanes,
     require_seed,
     substream,
     substream_draws,
+    top_bytes,
 )
 from .workers import split_counts, worker_count
 
@@ -61,12 +66,13 @@ MAX_COLUMNS = 10**4
 
 DEFAULT_CUTOFF = Fraction(1, 10**12)
 
-# Draws per trial that the block route computes with the trial's substream
-# state.  At p = 2 a chain ends after 1 / 2 / 3 / 4 / 5 draws in 41.7 / 29.1 /
-# 14.6 / 7.3 / 3.7 % of trials; 100k p = 2 trials of empirical_distribution
-# took 0.230 / 0.173 / 0.152 / 0.126 / 0.137 / 0.138 s at 1 / 2 / 3 / 4 / 5 / 6
-# draws (min of 11), against 0.53 s one trial at a time (Python 3.11.7, 2 vCPUs).
-CHAIN_DRAWS = 4
+# Draws per chain per round of the block route.  A longer round computes more
+# draws that ended chains never read (at p = 2, 42 / 29 / 15 / 7 % of chains
+# end after 1 / 2 / 3 / 4 draws), a shorter one makes more lane passes.  10^5
+# trials of _key_counts took 78 / 66 / 65 / 68 / 72 ms at p = 2, 50 / 46 / 47 /
+# 51 / 57 ms at p = 3 and 35 / 36 / 40 / 45 / 52 ms at p = 5 at 1 / 2 / 3 / 4 / 5
+# draws per round (CPU, min of 15, Python 3.11.7, 2 vCPUs).
+ROUND_DRAWS = 2
 
 # Fewest DRAW_BLOCK blocks ``empirical_distribution`` gives one worker process.
 # A p = 2 block took ~2 ms and forking a worker and merging its counts ~3 ms
@@ -92,6 +98,11 @@ class SamplerConfig(Frozen):
     def _selector(self) -> tuple[int, ...]:
         # The first-column thresholds, compiled once per config.
         return _initial_selector(self.p, self.initial_tail_cutoff)
+
+    @cached_property
+    def _first_heights(self) -> bytes:
+        # The selector's heights by a first draw's top byte (see _top_byte_index).
+        return _top_byte_index(self._selector)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
@@ -187,6 +198,27 @@ def _initial_selector(p: int, cutoff: Fraction) -> tuple[int, ...]:
     return tuple(thresholds)
 
 
+# The _top_byte_index entry of a top byte that a threshold splits.
+SPLIT = 255
+
+
+def _top_byte_index(thresholds: tuple[int, ...]) -> bytes:
+    """For each top byte t of a 64-bit draw: the index ``bisect_right`` gives
+    every draw in [t*2^56, (t+1)*2^56), or SPLIT where a threshold lies inside
+    that range and the draws disagree.  The index never falls as the draw
+    rises, so the range's two ends decide.
+
+    A selector has at most MAX_PARTS + 1 thresholds, so no index is SPLIT and
+    at most MAX_PARTS bytes are split; ``bytes.translate`` reads a block's
+    other first columns from the table at once.
+    """
+    table = bytearray()
+    for top in range(256):
+        index = bisect_right(thresholds, top << 56)
+        table.append(index if index == bisect_right(thresholds, (top + 1 << 56) - 1) else SPLIT)
+    return bytes(table)
+
+
 @lru_cache(maxsize=1 << 16)
 def _partition_of_columns(columns: tuple[int, ...]) -> Partition:
     """The partition whose column heights are ``columns``, built once per tuple.
@@ -221,36 +253,71 @@ def sample_partition(config: SamplerConfig, stream) -> Partition:
         _finish_chain([], bisect_right(config._selector, draw()), config._rows, draw))
 
 
-def _block_columns(config: SamplerConfig, stop: int, start: int = 0) -> Iterator[tuple[int, ...]]:
-    """The column heights of trials start..stop-1, the same as ``sample_partition``
-    on ``substream(config.seed, t)`` gives; ``start`` is a multiple of DRAW_BLOCK.
+def _block_keys(config: SamplerConfig, stop: int, start: int = 0) -> Iterator[list[int]]:
+    """The chain keys of trials start..stop-1, one list per block of DRAW_BLOCK
+    trials; ``start`` is a multiple of DRAW_BLOCK.  Trial t's chain is the one
+    ``sample_partition`` runs on ``substream(config.seed, t)``.
 
-    Per block of DRAW_BLOCK trials, ``substream_draws`` computes every trial's
-    stream state and its first CHAIN_DRAWS draws together; a chain still
-    running after them goes on from the stream those draws leave.
+    A chain's key folds its column heights in base K = len(config._rows), most
+    significant first: each column h turns key into key*K + h.  Heights are
+    1..K-1, so ``_partition_of_key`` reads the columns back.  A block's chains
+    run in rounds.  ``substream_draws`` gives every trial's stream state and
+    its first ROUND_DRAWS draws; the first draws' top bytes select most first
+    columns in one ``bytes.translate``.  After each round every chain still
+    running has taken the same number of draws, so one ``lane_draws`` pass on
+    their packed states gives just them their next ones.
     """
     selector, rows = config._selector, config._rows
-    skip = CHAIN_DRAWS * GOLDEN_GAMMA
+    base = len(rows)
     for block in range(start, stop, DRAW_BLOCK):
-        states, (first, *later) = substream_draws(config.seed, block, min(DRAW_BLOCK, stop - block),
-                                                  CHAIN_DRAWS)
-        for i, height in enumerate(map(bisect_right, repeat(selector), first)):
-            if not height:
-                yield ()
-                continue
-            columns = []
-            for draws in later:
-                columns.append(height)
-                height = bisect_right(rows[height], draws[i])
-                if not height:
-                    yield tuple(columns)
-                    break
-            else:
-                yield _finish_chain(columns, height, rows, SplitMix64(states[i] + skip).next_u64)
+        states, (first, *draws) = substream_draws(config.seed, block,
+                                                  min(DRAW_BLOCK, stop - block), ROUND_DRAWS)
+        heights = top_bytes(first).translate(config._first_heights)
+        keys = list(heights)
+        i = heights.find(SPLIT)
+        while i >= 0:
+            keys[i] = bisect_right(selector, first[i])
+            i = heights.find(SPLIT, i + 1)
+        running = lanes = list(compress(range(len(keys)), keys))  # trials, and their lanes
+        taken = ROUND_DRAWS  # draws each running chain has taken, one per column
+        while True:
+            still, words = [], []
+            for i, lane in zip(running, lanes):
+                key = keys[i]
+                height = key % base
+                for draw in draws:
+                    height = bisect_right(rows[height], draw[lane])
+                    if not height:
+                        break
+                    key = key * base + height
+                else:
+                    still.append(i)
+                    words.append(states[i])
+                keys[i] = key
+            if not still:
+                break
+            if taken > MAX_COLUMNS:
+                raise RuntimeError(f"column count exceeded {MAX_COLUMNS}; aborting")
+            # a round stops where a chain's columns pass MAX_COLUMNS, as the oracle does
+            draws = lane_draws(pack_lanes(words), len(words), taken + 1,
+                               min(ROUND_DRAWS, MAX_COLUMNS + 1 - taken))
+            taken += len(draws)
+            running, lanes = still, range(len(still))
+        yield keys
+
+
+@lru_cache(maxsize=1 << 16)
+def _partition_of_key(key: int, base: int) -> Partition:
+    """The partition of a ``_block_keys`` key in base ``base``, decoded once per key."""
+    columns = []
+    while key:
+        key, height = divmod(key, base)
+        columns.append(height)
+    return _partition_of_columns(tuple(reversed(columns)))
 
 
 def _block_route() -> bool:
-    """Whether sampling may take ``_block_columns``, and
+    """Whether sampling may take ``_block_keys``, and
     ``empirical_distribution`` split its blocks across worker processes.
 
     It may only while this module's ``substream`` and ``sample_partition``
@@ -275,13 +342,15 @@ def sample_partitions(config: SamplerConfig, trials: int) -> Iterator[Partition]
     """
     require_int(trials, "trials", 1)
     if _block_route():
-        return map(_partition_of_columns, _block_columns(config, trials))
+        return map(_partition_of_key, chain.from_iterable(_block_keys(config, trials)),
+                   repeat(len(config._rows)))
     return (sample_partition(config, substream(config.seed, t)) for t in range(trials))
 
 
-def _column_counts(config: SamplerConfig, trials: int, start: int, stop: int) -> Counter:
-    """Counts of the column tuples of the trials in blocks start..stop-1."""
-    return Counter(_block_columns(config, min(stop * DRAW_BLOCK, trials), start * DRAW_BLOCK))
+def _key_counts(config: SamplerConfig, trials: int, start: int, stop: int) -> Counter:
+    """Counts of the chain keys of the trials in blocks start..stop-1."""
+    return Counter(chain.from_iterable(
+        _block_keys(config, min(stop * DRAW_BLOCK, trials), start * DRAW_BLOCK)))
 
 
 def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistribution:
@@ -289,19 +358,20 @@ def empirical_distribution(config: SamplerConfig, trials: int) -> PartitionDistr
 
     The table is a pure function of (seed, trials), and merges of disjoint
     trial ranges agree with a single run.  On the block route it counts
-    column tuples, its whole blocks split across ``workers.split_counts``,
-    and builds each distinct tuple's Partition once; distinct tuples are
-    distinct partitions, so the table is the one a ``Counter`` of the
-    partitions gives, in canonical order on either route and for any worker
-    count.
+    chain keys, its whole blocks split across ``workers.split_counts``, and
+    builds each distinct key's Partition once; distinct keys are distinct
+    column tuples and so distinct partitions, so the table is the one a
+    ``Counter`` of the partitions gives, in canonical order on either route
+    and for any worker count.
     """
     require_int(trials, "trials", 1)
     if _block_route():
         blocks = -(-trials // DRAW_BLOCK)
-        config._rows  # compiled here once, not in each worker
-        columns = split_counts(partial(_column_counts, config, trials), blocks,
-                               worker_count(blocks, MIN_WORKER_BLOCKS))
-        counts = {_partition_of_columns(c): n for c, n in columns.items()}
+        config._first_heights, config._rows  # compiled here once, not in each worker
+        keys = split_counts(partial(_key_counts, config, trials), blocks,
+                            worker_count(blocks, MIN_WORKER_BLOCKS))
+        base = len(config._rows)
+        counts = {_partition_of_key(key, base): n for key, n in keys.items()}
     else:
         counts = Counter(sample_partitions(config, trials))
     params = {"trials": trials, "seed": config.seed,

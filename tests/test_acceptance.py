@@ -23,7 +23,6 @@ from clpart.measures import (
 from clpart.partitions import Partition, enumerate_partitions
 from clpart.qseries import (
     BoundedReal,
-    finite_qpoch,
     odd_constant,
     verify_euler_identity,
     verify_qbinomial,
@@ -36,6 +35,8 @@ from clpart.sandpile import (
     run_experiment,
     tv_distance,
 )
+
+from qproducts import finite_qpoch
 
 PRIMES = (2, 3, 5)
 

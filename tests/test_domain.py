@@ -38,12 +38,8 @@ from clpart.qseries import (
     MAX_MASS_BITS,
     MAX_PRODUCT_BITS,
     MAX_QBINOMIAL_DEGREE,
-    MAX_QPOCH_BITS,
-    MAX_QPOCH_FACTORS,
     d_lambda,
     deformed_constant,
-    finite_qpoch,
-    gaussian_binomial,
     odd_constant,
     require_prime,
     verify_euler_identity,
@@ -71,6 +67,8 @@ from clpart.sandpile import (
     sylow_valuations_mod_prime_power,
     two_sylow_partition,
 )
+
+from qproducts import finite_qpoch, gaussian_binomial
 
 LAM = Partition([2, 1])
 HALF = Fraction(1, 2)
@@ -227,6 +225,9 @@ OTHER_INTS = {
     "verify_euler_identity": ("terms", lambda t: verify_euler_identity(HALF, HALF, t)),
     "substream": ("index", lambda i: substream(0, i)),
     "substream_draws": ("start index", lambda i: substream_draws(0, i, 3, 1)),
+    "substream-seed": ("seed", lambda s: substream(s, 0)),
+    "substream_draws-seed": ("seed", lambda s: substream_draws(s, 0, 3, 1)),
+    # the tests' Fraction q-products (qproducts.py) refuse a malformed length too
     "finite_qpoch": ("j", lambda j: finite_qpoch(HALF, HALF, j)),
     "gaussian_binomial-r": ("r", lambda r: gaussian_binomial(r, 0, HALF)),
     "gaussian_binomial-s": ("s", lambda s: gaussian_binomial(3, s, HALF)),
@@ -247,8 +248,6 @@ SERIES_DEPTHS = {
     "verify_euler_identity": ("terms", MAX_EULER_TERMS,
                               lambda t: verify_euler_identity(HALF, HALF, t)),
     "verify_qbinomial": ("r", MAX_QBINOMIAL_DEGREE, lambda r: verify_qbinomial(r, HALF, 1)),
-    "finite_qpoch": ("j", MAX_QPOCH_FACTORS, lambda j: finite_qpoch(HALF, HALF, j)),
-    "gaussian_binomial": ("r", MAX_QPOCH_FACTORS, lambda r: gaussian_binomial(r, 1, HALF)),
 }
 HEIGHTS = {
     "kernel": lambda a: kernel(a, 0, 2),
@@ -289,6 +288,20 @@ def test_counts_seeds_caps_and_primes_refuse_non_ints(name, x):
         call(x)
 
 
+def test_substreams_refuse_seeds_outside_64_bits():
+    # a seed is checked once and its mix cached, so these run after the
+    # valid seeds they would alias: 2^64 + 5 is 5 mod 2^64, and 5.0 == 5
+    assert substream(5, 3).state == substream_draws(5, 3, 1, 1)[0][0]
+    for call in (lambda s: substream(s, 3), lambda s: substream_draws(s, 3, 1, 1)):
+        for seed in (2**64 + 5, 2**64, -1):
+            with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+                call(seed)
+        for seed in (1.5, 5.0, True):
+            with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
+                call(seed)
+    assert substream(2**64 - 1, 3).state != substream(0, 3).state
+
+
 @pytest.mark.parametrize("name", sorted(LEAST))
 def test_counts_below_their_least_value_are_refused(name):
     (what, call), least = OTHER_INTS[name], LEAST[name]
@@ -309,8 +322,6 @@ def test_series_sizes_and_depths_at_their_caps_are_accepted():
     assert pmf_size(MAX_SERIES_SIZE, 2).rational > 0
     assert verify_euler_identity(HALF, HALF, MAX_EULER_TERMS).agree
     assert verify_qbinomial(MAX_QBINOMIAL_DEGREE, HALF, 1).agree
-    assert 0 < finite_qpoch(HALF, HALF, MAX_QPOCH_FACTORS) < 1
-    assert gaussian_binomial(MAX_QPOCH_FACTORS, 1, HALF) == 2 - 2 * HALF**MAX_QPOCH_FACTORS
 
 
 # q = 1 / 2^k has a (k + 1)-bit denominator, so at terms = 3 and s = 1/2 the
@@ -345,21 +356,6 @@ def test_an_euler_check_past_the_product_cap_is_refused_before_its_partial_sum(m
                                          f"{MAX_PRODUCT_BITS}$"):
         verify_euler_identity(Fraction(1, 2**112), Fraction(1, 2**29), MAX_EULER_TERMS)
     assert added == []
-
-
-# finite_qpoch's bound at x = q = 1 / (2^61 - 1) is (j (j + 1) / 2 + j) 61 bits:
-# 1,038,159 at j = 183 and 1,049,444 at j = 184.
-def test_a_qpoch_above_the_bit_cap_is_refused():
-    assert MAX_QPOCH_BITS == 2**20
-    q = Fraction(1, 2**61 - 1)
-    for j in (184, 185):
-        bits = (j * (j + 1) // 2 + j) * 61
-        with pytest.raises(ValueError, match=f"^qpoch bits={bits} exceeds the product bits cap "
-                                             f"{MAX_QPOCH_BITS}$"):
-            finite_qpoch(q, q, j)
-        with pytest.raises(ValueError, match="exceeds the product bits cap"):
-            gaussian_binomial(j, 1, q)
-    assert 0 < finite_qpoch(q, q, 16) < 1
 
 
 # At p = 2 the enclosures' factors are 1 - a r^k with r = 1/4 (a 3-bit

@@ -5,7 +5,7 @@
 check's tail bound and the enclosures of the infinite products compute on
 integers and build one Fraction per result.  The
 Fraction versions below are the earlier code, copied here as oracles on the
-generic ``finite_qpoch``, so they read none of the numerators they check:
+generic ``finite_qpoch`` of ``qproducts``, so they read none of the numerators they check:
 every value, threshold and error message must be the same, at the caps the
 library accepts.
 """
@@ -19,8 +19,10 @@ import pytest
 from clpart import measures, qseries, sampler
 from clpart.cli import main
 from clpart.measures import MAX_PARTS, Family, solve_parts_recursion, size_length_layers
-from clpart.qseries import DEFAULT_TOLERANCE, BoundedReal, finite_qpoch
+from clpart.qseries import DEFAULT_TOLERANCE, BoundedReal
 from clpart.sampler import kernel, kernel_row
+
+from qproducts import finite_qpoch, gaussian_binomial
 
 PRIMES = (2, 3, 5, 7)
 
@@ -303,16 +305,9 @@ def test_layer_sums_equal_the_summed_fractions(p):
                 assert family.layer_sum(n, table_size) == expected, (family, n, table_size)
 
 
-@lru_cache(maxsize=None)
-def qfactorial(q, k):
-    """(1-q)(1-q^2)...(1-q^k)"""
-    return finite_qpoch(q, q, k)
-
-
 def reference_qbinomial(r, q, x):
     """Both sides of the q-binomial check as Fraction sums and products."""
-    lhs = sum(qfactorial(q, r) / (qfactorial(q, s) * qfactorial(q, r - s))
-              * q ** (s * (s + 1) // 2) * x**s for s in range(r + 1))
+    lhs = sum(gaussian_binomial(r, s, q) * q ** (s * (s + 1) // 2) * x**s for s in range(r + 1))
     rhs = Fraction(1)
     for k in range(1, r + 1):
         rhs *= 1 + x * q**k

@@ -27,8 +27,10 @@ from clpart.measures import (
     truncated_series_check,
 )
 from clpart.partitions import Partition, enumerate_partitions
-from clpart.qseries import BoundedReal, d_lambda, finite_qpoch, fraction_str
+from clpart.qseries import BoundedReal, d_lambda, fraction_str
 from clpart.sandpile import tv_distance
+
+from qproducts import finite_qpoch
 
 
 def test_pmf_examples():

@@ -13,9 +13,7 @@ from clpart.qseries import (
     d_lambda,
     deformed_constant,
     even_numerators,
-    finite_qpoch,
     fraction_str,
-    gaussian_binomial,
     int_text,
     kernel_numerators,
     MAX_DECIMAL_EXPONENT,
@@ -26,6 +24,8 @@ from clpart.qseries import (
     verify_euler_identity,
     verify_qbinomial,
 )
+
+from qproducts import finite_qpoch, gaussian_binomial
 
 # prod_{i odd} (1 - p^-i) to 40 digits (independent high-precision evaluation,
 # frozen); used to pin the enclosures, not just their self-consistency.

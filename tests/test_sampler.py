@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,24 +9,29 @@ import pytest
 
 from clpart.measures import Family, inverse_odd_constant_upper, pmf, pmf_parts
 from clpart.partitions import Partition
-from clpart.qseries import finite_qpoch
 from clpart.rng import (
     DRAW_BLOCK,
     GOLDEN_GAMMA,
     MASK64,
     SplitMix64,
+    _low_words,
     draw_threshold,
     draws_below,
+    lane_draws,
     mix64,
+    pack_lanes,
     substream,
     substream_draws,
+    top_bytes,
 )
 from clpart import sampler
 from clpart.sampler import (
-    CHAIN_DRAWS,
     MAX_COLUMNS,
+    ROUND_DRAWS,
+    SPLIT,
     SamplerConfig,
     _initial_selector,
+    _top_byte_index,
     empirical_distribution,
     initial_column_distribution,
     kernel,
@@ -33,6 +39,8 @@ from clpart.sampler import (
     sample_partition,
     sample_partitions,
 )
+
+from qproducts import finite_qpoch
 
 
 class StubStream:
@@ -390,7 +398,7 @@ SUBSTREAM_SEEDS = (0, 1, 0x0123456789ABCDEF, 2**64 - 1)
 def test_substream_draws_match_substream(start):
     for seed in SUBSTREAM_SEEDS:
         for count in (1, 7, DRAW_BLOCK):
-            for k in (1, CHAIN_DRAWS, CHAIN_DRAWS + 2):
+            for k in (1, ROUND_DRAWS, ROUND_DRAWS + 2):
                 states, draws = substream_draws(seed, start, count, k)
                 assert len(states) == count and len(draws) == k
                 for i in (range(count) if count < DRAW_BLOCK else (0, 1, 500, count - 1)):
@@ -401,25 +409,67 @@ def test_substream_draws_match_substream(start):
         substream_draws(1, -1, 3, 2)
 
 
+# A packed subset of a block's streams: its lanes in an order unlike the block's.
+def packed_subset(states, count):
+    return list(range(len(states) - 1, -1, -max(1, len(states) // count)))[:count]
+
+
+@pytest.mark.parametrize("count", [1, 7, DRAW_BLOCK, DRAW_BLOCK + 5])
+def test_lane_draws_of_packed_states_match_substream(count):
+    for seed in SUBSTREAM_SEEDS:
+        for start in (0, 2**70 + 5):
+            block = max(count, DRAW_BLOCK)
+            states, _ = substream_draws(seed, start, block, 1)
+            picks = packed_subset(states, count)
+            lanes = pack_lanes([states[i] for i in picks])
+            assert list(_low_words(lanes, count)) == [states[i] for i in picks]
+            for j, k in ((2, 1), (2, ROUND_DRAWS), (5, 3), (70, 2)):
+                draws = lane_draws(lanes, count, j, k)
+                assert len(draws) == k and all(len(d) == count for d in draws)
+                for n in (range(count) if count < DRAW_BLOCK else (0, 1, 500, count - 1)):
+                    stream = substream(seed, start + picks[n])
+                    for _ in range(j - 1):
+                        stream.next_u64()
+                    assert [d[n] for d in draws] == [stream.next_u64() for _ in range(k)]
+
+
+def test_top_bytes_and_the_top_byte_index():
+    words = substream_draws(3, 0, 64, 1)[1][0]
+    assert list(top_bytes(words)) == [w >> 56 for w in words]
+    for p in (2, 3, 5, 7):
+        selector = SamplerConfig(p=p, seed=0)._selector
+        for thresholds in (selector, kernel_row(3, p), (2**64,), (1, 2**56, 2**57 + 1, 2**64)):
+            table = _top_byte_index(thresholds)
+            assert len(table) == 256
+            for top, index in enumerate(table):
+                edges = (top << 56, (top << 56) + 1, (top + 1 << 56) - 1)
+                found = {bisect_right(thresholds, d) for d in edges}
+                if index == SPLIT:
+                    assert any(top << 56 < t < top + 1 << 56 for t in thresholds)
+                else:
+                    assert found == {index}
+
+
 BLOCK_TRIALS = [1, 2, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK + 3]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_block_route_matches_per_trial_route(p):
     assert sampler._block_route()
-    continued = 0
+    columns = Counter()
     for seed in SUBSTREAM_SEEDS:
         for cutoff in (Fraction(1, 10**12), Fraction(1, 1000), Fraction(1, 2)):
             config = SamplerConfig(p=p, seed=seed, initial_tail_cutoff=cutoff)
             oracle = [sample_partition(config, substream(seed, t)) for t in range(max(BLOCK_TRIALS))]
-            # a chain of c columns takes c + 1 draws: past CHAIN_DRAWS it goes on
-            # from the stream the block's draws leave
-            continued += sum(lam.parts[0] >= CHAIN_DRAWS for lam in oracle if lam.parts)
+            columns.update(lam.parts[0] if lam.parts else 0 for lam in oracle)
             for trials in BLOCK_TRIALS:
                 assert list(sample_partitions(config, trials)) == oracle[:trials]
                 counts = empirical_distribution(config, trials).counts
                 assert list(counts.items()) == list(Counter(oracle[:trials]).items())
-    assert continued > 0
+    # a chain of c columns takes c + 1 draws, so one of ROUND_DRAWS or more
+    # columns outlasts the first round, and one of twice that the second: some
+    # block packs its running chains' states more than once
+    assert sum(n for c, n in columns.items() if c >= 2 * ROUND_DRAWS) > 0
 
 
 @pytest.mark.parametrize("name", ["substream", "sample_partition"])
